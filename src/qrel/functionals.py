@@ -275,18 +275,16 @@ def variational_derivative(tag: FunctionalTag, state: HydroState, component: str
 # Trajectory observables are computed directly from psi: the spectral
 # momentum integral hbar^2 |grad psi|^2 is conserved exactly by the free
 # propagator, which keeps the conservation columns of trajectory records
-# at the rounding floor.
+# at the rounding floor.  The gradients are the field's cached ones, so a
+# record costs no transform beyond those of the field itself.
 
 
 def wave_fisher_integral(w: WaveField) -> float:
-    u = np.abs(w.psi)
-    grads = w.grid.gradient(u)
-    return w.grid.quadrature(sum(g**2 for g in grads))
+    return w.grid.quadrature(sum(g**2 for g in w.grad_amplitude))
 
 
 def wave_delta_p2_q(w: WaveField) -> float:
-    grads = w.grid.gradient(w.psi)
-    return w.hbar**2 * w.grid.quadrature(sum(np.abs(g) ** 2 for g in grads))
+    return w.hbar**2 * w.grid.quadrature(sum(np.abs(g) ** 2 for g in w.grad_psi))
 
 
 def wave_h_q(w: WaveField) -> float:
@@ -295,10 +293,6 @@ def wave_h_q(w: WaveField) -> float:
 
 def wave_k_q(w: WaveField) -> float:
     return wave_h_q(w) - w.hbar**2 * wave_fisher_integral(w) / w.mass
-
-
-def wave_h_cl(w: WaveField) -> float:
-    return wave_h_q(w) - w.hbar**2 * wave_fisher_integral(w) / (2.0 * w.mass)
 
 
 def wave_delta_x2(w: WaveField, convention: str = "consistent") -> float:
@@ -324,5 +318,5 @@ def wave_s_gen(w: WaveField) -> float:
 
 
 def wave_p_translation(w: WaveField) -> float:
-    g = w.grid.gradient(w.psi)[0]
+    g = w.grad_psi[0]
     return w.hbar * w.grid.quadrature(np.imag(np.conj(w.psi) * g))

@@ -131,15 +131,18 @@ class Grid:
             return total  # keep extended precision for the oracle
         return complex(total) if np.iscomplexobj(f) else float(total)
 
-    def gradient(self, f: np.ndarray) -> list:
+    def gradient(self, f: np.ndarray, fhat: np.ndarray = None) -> list:
         """Spectral per-axis derivative; exact for band-limited fields.
 
         Intended for fields that decay at the boundary (densities,
         amplitudes, wave functions).  Phase fields are generally not
-        periodic and must not be differentiated this way.
+        periodic and must not be differentiated this way.  ``fhat``, when
+        given, must be ``np.fft.fftn(f)``; it saves recomputing the
+        transform of a field whose transform is already held.
         """
         f = self.bind(f)
-        fhat = np.fft.fftn(f)
+        if fhat is None:
+            fhat = np.fft.fftn(f)
         real = not np.iscomplexobj(f)
         out = []
         for factor in self._derivative_factors:

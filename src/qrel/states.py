@@ -8,7 +8,7 @@ argument outward from the box center, since the phase of a localized
 packet need not be periodic while ``psi`` itself decays.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -78,14 +78,15 @@ class HydroState:
     def norm(self) -> float:
         return self.grid.quadrature(self.rho)
 
-    def with_units(self, hbar=None, mass=None) -> "HydroState":
-        return replace(self, hbar=self.hbar if hbar is None else hbar,
-                       mass=self.mass if mass is None else mass)
-
 
 @dataclass(frozen=True)
 class WaveField:
-    """Wave function psi with units; quadrature(|psi|^2) = 1."""
+    """Wave function psi with units; quadrature(|psi|^2) = 1.
+
+    The density, the transform of psi and the spectral gradients of psi
+    and |psi| are computed once on first use and kept read-only, so every
+    observable and integrator step that reads the same field shares them.
+    """
 
     grid: Grid
     psi: np.ndarray
@@ -105,9 +106,32 @@ class WaveField:
         r.setflags(write=False)
         return r
 
+    @cached_property
+    def psi_hat(self) -> np.ndarray:
+        """``np.fft.fftn(psi)``."""
+        h = np.fft.fftn(self.psi)
+        h.setflags(write=False)
+        return h
+
+    @cached_property
+    def grad_psi(self) -> tuple:
+        """Per-axis spectral gradient of psi, built from :attr:`psi_hat`."""
+        return _read_only_all(self.grid.gradient(self.psi, self.psi_hat))
+
+    @cached_property
+    def grad_amplitude(self) -> tuple:
+        """Per-axis spectral gradient of |psi| (the Fisher integrand)."""
+        return _read_only_all(self.grid.gradient(np.abs(self.psi)))
+
     @property
     def norm(self) -> float:
         return self.grid.quadrature(self.rho)
+
+
+def _read_only_all(arrays) -> tuple:
+    for a in arrays:
+        a.setflags(write=False)
+    return tuple(arrays)
 
 
 @dataclass(frozen=True)
@@ -234,7 +258,7 @@ def phase_gradient(obj) -> list:
         keep = rho > RHO_FLOOR
         denom = np.maximum(rho, RHO_FLOOR)
         out = []
-        for g in obj.grid.gradient(obj.psi):
+        for g in obj.grad_psi:
             comp = obj.hbar * np.imag(np.conj(obj.psi) * g) / denom
             out.append(np.where(keep, comp, 0.0))
         return out

@@ -13,8 +13,6 @@ never asserted.
 
 import dataclasses
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -30,22 +28,6 @@ from .states import GaussianParams, make_double_gaussian, make_gaussian, to_wave
 
 ORIENTATION_NOTE = ("orientation: parameter flows follow dA/dalpha = {A, S}, "
                     "with {S, H_q} = K_q and {S, K_q} = H_q")
-
-
-def thread_count() -> int:
-    try:
-        return max(1, int(os.environ.get("QREL_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def pmap(func, items):
-    """Order-preserving map, threaded when QREL_THREADS > 1."""
-    workers = thread_count()
-    if workers <= 1:
-        return [func(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(func, items))
 
 
 def battery_params():
@@ -107,7 +89,7 @@ def suite_group(cfg: ScenarioConfig):
             worst_inv = max(worst_inv, abs((hd**2 - kd**2) - (h0**2 - k0**2)))
         return worst_dx2, worst_dp2, worst_cl, worst_scale, worst_mix, worst_inv
 
-    results = pmap(consistency, battery)
+    results = [consistency(item) for item in battery]
     worst_dx2, worst_dp2, worst_cl, worst_scale, worst_mix, worst_inv = (
         max(r[i] for r in results) for i in range(6))
     checks.append(bound("dilatation consistency: delta_x2 vs arithmetic law (battery x alphas)",
@@ -243,7 +225,7 @@ def suite_brackets(cfg: ScenarioConfig):
         return max(abs(sh - kq) - max(1e-8, 1e-6 * abs(kq)), 0.0), \
             max(abs(sk - hq) - max(1e-8, 1e-6 * abs(hq)), 0.0), ph
 
-    results = pmap(identity_residuals, battery)
+    results = [identity_residuals(item) for item in battery]
     checks.append(bound("{S, H_q} = K_q (battery, beyond max(1e-8, 1e-6 rel))",
                         max(r[0] for r in results), 0.0, provenance="bracket identity"))
     checks.append(bound("{S, K_q} = H_q (battery, beyond max(1e-8, 1e-6 rel))",
@@ -344,7 +326,7 @@ def suite_dynamics(cfg: ScenarioConfig):
         norm_drift = float(np.abs(traj.column("norm") - 1.0).max())
         return mono, rel, resid, hq_min, norm_drift, traj.guard_tripped
 
-    results = pmap(tau_run, battery)
+    results = [tau_run(item) for item in battery]
     checks.append(bound("Lyapunov: s_gen nondecreasing (battery tau-runs)",
                         -min(r[0] for r in results), 1e-12, provenance="Lyapunov generator"))
     checks.append(bound("Lyapunov: d(s_gen)/dtau = h_q (relative, battery)",

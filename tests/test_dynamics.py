@@ -11,6 +11,7 @@ from qrel import (
     Grid,
     HydroState,
     ResolutionGuardError,
+    TrajectoryRecord,
     WaveField,
     continuity_residual,
     cross_flow_defect,
@@ -30,7 +31,10 @@ from qrel import (
 from qrel.functionals import (
     wave_delta_p2_q,
     wave_delta_x2,
+    wave_h_q,
+    wave_k_q,
     wave_p_translation,
+    wave_s_gen,
     wave_sigma_x2,
 )
 from qrel.states import phase_gradient
@@ -217,6 +221,75 @@ class TestTrajectories:
         traj = run_trajectory(minimal_wave, "tau", 1e-3, 0)
         assert len(traj.records) == 1
         assert traj.records[0].time == 0.0
+
+
+class TestTrajectoryRecordsMatchFreshFields:
+    """Records built from shared field caches equal, bit for bit, each
+    observable evaluated on a fresh field holding a copy of the same psi."""
+
+    @staticmethod
+    def continuity_residual_reference(ws, dstep):
+        # the 4th-order stencil with every transform recomputed from psi
+        rhos = [np.abs(w.psi) ** 2 for w in ws]
+        grid, c = ws[2].grid, ws[2]
+        flux = [c.hbar * np.imag(np.conj(c.psi) * g) / c.mass for g in grid.gradient(c.psi)]
+        div = sum(grid.gradient(f)[ax] for ax, f in enumerate(flux))
+        drho = (-rhos[4] + 8.0 * rhos[3] - 8.0 * rhos[1] + rhos[0]) / (12.0 * dstep)
+        return float(np.abs(drho + div).max() / rhos[2].max())
+
+    @classmethod
+    def assert_records_match(cls, traj, field_at):
+        fields = {j: field_at(j) for j in range(-2, traj.last_valid_step + 3)}
+
+        def fresh(j):
+            w = fields[j]
+            return WaveField(grid=w.grid, psi=w.psi.copy(), hbar=w.hbar, mass=w.mass)
+
+        for record in traj.records:
+            j = record.step
+            expected = TrajectoryRecord(
+                step=j, time=j * traj.step,
+                h_q=wave_h_q(fresh(j)), k_q=wave_k_q(fresh(j)), s_gen=wave_s_gen(fresh(j)),
+                delta_x2=wave_delta_x2(fresh(j)), delta_p2_q=wave_delta_p2_q(fresh(j)),
+                norm=fresh(j).norm,
+                continuity_residual=cls.continuity_residual_reference(
+                    [fresh(j + d) for d in range(-2, 3)], traj.step))
+            assert record == expected
+
+    @staticmethod
+    def tau_field(w0, dtau):
+        # negative indices integrate backward, with the step the runner's helpers use
+        return lambda j: evolve_tau(w0, dtau if j >= 0 else -dtau, abs(j))
+
+    def test_t_flow(self, minimal_wave):
+        traj = run_trajectory(minimal_wave, "t", 0.05, 30)
+        self.assert_records_match(traj, lambda j: evolve_t(minimal_wave, 0.05 * j))
+
+    def test_full_window_tau_flow(self, grid):
+        w0 = to_wave(make_gaussian(GaussianParams(sigma2=1.0, b=0.5, p0=2.0), grid))
+        traj = run_trajectory(w0, "tau", 1e-3, 30)
+        assert not traj.guard_tripped and len(traj.records) == 31
+        self.assert_records_match(traj, self.tau_field(w0, 1e-3))
+
+    def test_guard_tripped_tau_flow(self, grid):
+        w0 = to_wave(make_gaussian(GaussianParams(sigma2=0.17, b=-3.0), grid))
+        traj = run_trajectory(w0, "tau", 1e-3, 50)
+        assert traj.guard_tripped and "resolution guard" in traj.guard_reason
+        assert 0 < traj.last_valid_step < 30
+        self.assert_records_match(traj, self.tau_field(w0, 1e-3))
+
+    def test_fft_calls_per_record(self, grid, monkeypatch):
+        calls = []
+        for name in ("fftn", "ifftn"):
+            def counted(*args, _original=getattr(np.fft, name), **kwargs):
+                calls.append(1)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, counted)
+        w0 = to_wave(make_gaussian(GaussianParams(sigma2=1.0), grid))
+        traj = run_trajectory(w0, "tau", 1e-3, 20)
+        assert len(traj.records) == 21
+        assert len(calls) <= 12 * len(traj.records)
 
 
 class TestRates:

@@ -67,6 +67,12 @@ class TestToWave:
         state = make_gaussian(GaussianParams(sigma2=0.5, b=-1.0), grid)
         assert abs(to_wave(state).norm - 1.0) < 1e-12
 
+    def test_cached_spectral_fields_are_read_only(self, grid):
+        w = to_wave(make_gaussian(GaussianParams(sigma2=1.0, b=1.0), grid))
+        for array in (w.rho, w.psi_hat, *w.grad_psi, *w.grad_amplitude):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+
 
 class TestFromWave:
     def test_real_positive_field_has_zero_phase(self, minimal_wave):
