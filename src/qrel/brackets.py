@@ -183,15 +183,12 @@ def _fd_sweep_rho_direct(func, state, eps, mask):
 def fd_functional_derivative(tag, state: HydroState, component: str = "rho",
                              epsilon: float = 1e-5, bump: str = "sqrt",
                              where: np.ndarray = None, convention: str = "consistent",
-                             return_error: bool = False, stabilize: bool = False):
+                             return_error: bool = False):
     """Oracle derivative field of ``tag`` (or any callable of a state).
 
     Centered quotients of single-sample bumps normalized by the cell
     volume.  Points outside ``where`` (default: rho > 1e-12) are returned
-    as zero.  With ``stabilize=True`` the bump is refined until successive
-    estimates agree, per the auto-tuning policy; the tagged functionals are
-    at most quadratic in the bumped variables, so the first refinement is
-    normally already at the noise floor.
+    as zero.
     """
     func = tag if callable(tag) else (lambda st: evaluate(tag, st, convention))
     if where is None:
@@ -207,14 +204,7 @@ def fd_functional_derivative(tag, state: HydroState, component: str = "rho",
 
     field = sweep(epsilon)
     refined = sweep(0.5 * epsilon)
-    scale = max(float(np.abs(refined).max()), 1e-30)
     est = float(np.abs(refined - field).max())
-    iterations = 0
-    while stabilize and est > 1e-9 * scale and iterations < 4:
-        epsilon *= 0.5
-        field, refined = refined, sweep(0.5 * epsilon)
-        est = float(np.abs(refined - field).max())
-        iterations += 1
     if return_error:
         return refined, est
     return refined

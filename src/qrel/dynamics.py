@@ -246,7 +246,7 @@ def hydro_rhs(state: HydroState, flow: str) -> tuple:
         raise ValueError(f"flow must be 't' or 'tau', got {flow!r}")
     grads = phase_gradient(state)
     flux = [state.rho * g / state.mass for g in grads]
-    drho = -sum(state.grid.gradient(f)[ax] for ax, f in enumerate(flux))
+    drho = -state.grid.divergence(flux)
     u = state.sqrt_rho
     curvature = state.grid.laplacian(u) / np.maximum(u, math.sqrt(RHO_FLOOR))
     sign = 1.0 if flow == "t" else -1.0
@@ -259,11 +259,6 @@ def hydro_rhs(state: HydroState, flow: str) -> tuple:
 # trajectories
 
 
-def _flux_divergence(w: WaveField) -> np.ndarray:
-    flux = [w.hbar * np.imag(np.conj(w.psi) * g) / w.mass for g in w.grad_psi]
-    return sum(w.grid.gradient(f)[ax] for ax, f in enumerate(flux))
-
-
 #: Fields a record needs: its own and two on each side for the stencil.
 _STENCIL_WIDTH = 5
 
@@ -272,7 +267,9 @@ def _stencil_residual(window, dstep):
     """4th-order centered d(rho)/dtheta plus div(flux) at the window center, max-normalized."""
     rhos = [f.rho for f in window]
     drho = (-rhos[4] + 8.0 * rhos[3] - 8.0 * rhos[1] + rhos[0]) / (12.0 * dstep)
-    resid = drho + _flux_divergence(window[2])
+    w = window[2]
+    flux = [w.hbar * np.imag(np.conj(w.psi) * g) / w.mass for g in w.grad_psi]
+    resid = drho + w.grid.divergence(flux)
     return float(np.abs(resid).max() / rhos[2].max())
 
 

@@ -150,6 +150,19 @@ class Grid:
             out.append(g.real if real else g)
         return out
 
+    def divergence(self, components: list) -> np.ndarray:
+        """Spectral divergence, the counterpart of :meth:`fd_divergence`.
+
+        Each component is differentiated along its own axis only: one
+        transform pair per component.
+        """
+        out = 0
+        for comp, factor in zip(components, self._derivative_factors, strict=True):
+            comp = self.bind(comp)
+            g = np.fft.ifftn(np.fft.fftn(comp) * factor)
+            out = out + (g if np.iscomplexobj(comp) else g.real)
+        return out
+
     def laplacian(self, f: np.ndarray) -> np.ndarray:
         """Spectral Laplacian: multiplication by -|k|^2 in Fourier space."""
         f = self.bind(f)

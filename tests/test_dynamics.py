@@ -278,7 +278,11 @@ class TestTrajectoryRecordsMatchFreshFields:
         assert 0 < traj.last_valid_step < 30
         self.assert_records_match(traj, self.tau_field(w0, 1e-3))
 
-    def test_fft_calls_per_record(self, grid, monkeypatch):
+    @pytest.mark.parametrize("flow, step, dim, n, length", [
+        ("tau", 1e-3, 1, 512, 40.0),
+        # in 2-D the flux divergence transforms each component along its own axis only
+        ("t", 0.05, 2, 64, 24.0)], ids=["tau-1d", "t-2d"])
+    def test_fft_calls_per_record(self, flow, step, dim, n, length, monkeypatch):
         calls = []
         for name in ("fftn", "ifftn"):
             def counted(*args, _original=getattr(np.fft, name), **kwargs):
@@ -286,8 +290,8 @@ class TestTrajectoryRecordsMatchFreshFields:
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(np.fft, name, counted)
-        w0 = to_wave(make_gaussian(GaussianParams(sigma2=1.0), grid))
-        traj = run_trajectory(w0, "tau", 1e-3, 20)
+        w0 = to_wave(make_gaussian(GaussianParams(sigma2=1.0), Grid(n=n, length=length, dim=dim)))
+        traj = run_trajectory(w0, flow, step, 20)
         assert len(traj.records) == 21
         assert len(calls) <= 12 * len(traj.records)
 
