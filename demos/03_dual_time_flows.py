@@ -20,9 +20,10 @@ from qrel import (
     integrate_gaussian_ode,
     make_gaussian,
     run_trajectory,
+    sigma_x2,
     to_wave,
 )
-from qrel.functionals import wave_delta_p2_q, wave_sigma_x2
+from qrel.functionals import wave_delta_p2_q
 
 grid = Grid(n=512, length=40.0)
 w0 = to_wave(make_gaussian(GaussianParams(sigma2=1.0), grid))
@@ -33,7 +34,7 @@ print("=" * 70)
 print(f"  {'t':>5} {'sigma_x2 (flow)':>16} {'sigma_x2 (law)':>15} {'delta_p2_q':>12} {'norm-1':>10}")
 for t in (0.0, 1.0, 2.0, 4.0):
     wt = evolve_t(w0, t)
-    print(f"  {t:5.1f} {wave_sigma_x2(wt):16.10f} {free_packet_sigma_x2(t, 1.0):15.10f} "
+    print(f"  {t:5.1f} {sigma_x2(wt):16.10f} {free_packet_sigma_x2(t, 1.0):15.10f} "
           f"{wave_delta_p2_q(wt):12.8f} {abs(wt.norm - 1.0):10.1e}")
 print("  position spread grows, momentum dispersion and norm are frozen")
 

@@ -33,7 +33,6 @@ from .errors import (
     ConfigurationError,
     DegenerateStateError,
     GridMismatchError,
-    OraclePrecisionError,
     QrelError,
     ResolutionGuardError,
 )
@@ -78,7 +77,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BracketResult", "ConfigurationError", "DegenerateStateError", "FunctionalTag",
     "GaussianOdeState", "GaussianParams", "GeneratorCheck", "Grid", "GridMismatchError",
-    "HydroState", "OraclePrecisionError", "QrelError", "ResolutionGuardError",
+    "HydroState", "QrelError", "ResolutionGuardError",
     "ScenarioConfig", "Trajectory", "TrajectoryRecord", "UncertaintyPair", "WaveField",
     "config_from_dict", "continuity_residual", "cross_flow_defect", "delta_p2_cl",
     "delta_p2_q", "delta_x2", "dilate", "evaluate", "evolve_t", "evolve_tau",

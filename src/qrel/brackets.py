@@ -13,11 +13,11 @@ Oracle conditioning
 Bumps in the phase component act on the samples directly; every tagged
 functional is at most quadratic in s, so centered quotients are exact up
 to rounding.  Bumps in the density act on the square-root samples with
-the exact chain rule d/drho = (d/du) / (2u), u = sqrt(rho): a direct
-density bump cannot stay positive and resolve the derivative at
+the exact chain rule d/drho = (d/du) / (2u), u = sqrt(rho): a bump of
+rho itself cannot stay positive and resolve the derivative at
 rho ~ 1e-10 in double precision, while the square-root bump keeps the
-quadratic functionals exact for any bump size below u.  The direct bump
-is retained as ``bump="direct"`` for moderate densities.
+quadratic functionals exact for any bump size below u.  One sweep serves
+both components.
 
 Derivatives with respect to rho are unconstrained; restricted to
 normalized densities they carry an additive-constant gauge, so field
@@ -31,7 +31,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OraclePrecisionError
 from .functionals import FunctionalTag, delta_p2_q, delta_x2, evaluate, variational_derivative
 from .group import dilate
 from .states import HydroState
@@ -65,15 +64,13 @@ def bracket_of_fields(grid, da_rho, da_s, db_rho, db_s) -> float:
     return grid.quadrature(da_rho * db_s - db_rho * da_s)
 
 
-def subtract_rho_mean(field: np.ndarray, state: HydroState, where: np.ndarray = None) -> np.ndarray:
+def subtract_rho_mean(field: np.ndarray, state: HydroState, where: np.ndarray) -> np.ndarray:
     """Remove the additive-constant gauge of a d/drho field.
 
-    With ``where`` the density weight is restricted to the comparison
-    region, so a masked oracle field and an unmasked closed form receive
-    the same gauge constant.
+    The density weight is restricted to the comparison region ``where``,
+    so a masked oracle field and an unmasked closed form receive the same
+    gauge constant.
     """
-    if where is None:
-        return field - state.grid.quadrature(state.rho * field)
     weight = state.rho * where
     mean = state.grid.quadrature(weight * field) / state.grid.quadrature(weight)
     return field - mean
@@ -115,95 +112,59 @@ def poisson_bracket(a: FunctionalTag, b: FunctionalTag, state: HydroState,
 # finite-difference oracle
 
 
-# The sweeps evaluate the functional in extended precision: the quotient
+# The sweep evaluates the functional in extended precision: the quotient
 # resolves changes of order eps * cell_volume * d/drho in a value of order
 # one, and double-precision rounding alone would cap the accuracy near the
 # low-density edge of the comparison region.
 
-def _fd_sweep_s(func, state, eps, mask):
+def _fd_sweep(func, state, component, eps, mask):
+    # Bumps act on s itself, or on u = sqrt(rho) with d/drho = (d/du) / (2u).
     grid = state.grid
     cell = grid.cell_volume
     out = np.zeros(grid.shape)
     rho = state.rho.astype(np.longdouble)
-    s_flat = state.s.astype(np.longdouble).ravel()
+    s_field = state.s.astype(np.longdouble)
+    on_s = component == "s"
+    if on_s:
+        flat = s_field.ravel()
+        bumped_state = lambda b: HydroState(grid, rho, b.reshape(grid.shape), state.hbar, state.mass)
+    else:
+        flat = state.sqrt_rho.astype(np.longdouble).ravel()
+        bumped_state = lambda b: HydroState(grid, (b**2).reshape(grid.shape), s_field, state.hbar, state.mass)
     eps = np.longdouble(eps)
     for idx in np.flatnonzero(mask.ravel()):
-        bumped = s_flat.copy()
-        bumped[idx] += eps
-        plus = func(HydroState(grid, rho, bumped.reshape(grid.shape), state.hbar, state.mass))
-        bumped[idx] -= 2.0 * eps
-        minus = func(HydroState(grid, rho, bumped.reshape(grid.shape), state.hbar, state.mass))
-        out.ravel()[idx] = (plus - minus) / (2.0 * eps * cell)
-    return out
-
-
-def _fd_sweep_rho_sqrt(func, state, eps, mask):
-    grid = state.grid
-    cell = grid.cell_volume
-    out = np.zeros(grid.shape)
-    s_field = state.s.astype(np.longdouble)
-    u_flat = state.sqrt_rho.astype(np.longdouble).ravel()
-    for idx in np.flatnonzero(mask.ravel()):
-        # bump below the local amplitude so sqrt(rho) keeps its sign
-        e = min(np.longdouble(eps), 0.5 * u_flat[idx])
+        # bump below the local amplitude so sqrt(rho) keeps its sign; u = 0 has no such bump
+        e = eps if on_s else min(eps, 0.5 * flat[idx])
         if e <= 0.0:
             continue
-        bumped = u_flat.copy()
+        bumped = flat.copy()
         bumped[idx] += e
-        plus = func(HydroState(grid, (bumped**2).reshape(grid.shape), s_field, state.hbar, state.mass))
+        plus = func(bumped_state(bumped))
         bumped[idx] -= 2.0 * e
-        minus = func(HydroState(grid, (bumped**2).reshape(grid.shape), s_field, state.hbar, state.mass))
-        out.ravel()[idx] = (plus - minus) / (2.0 * e * cell) / (2.0 * u_flat[idx])
-    return out
-
-
-def _fd_sweep_rho_direct(func, state, eps, mask):
-    grid = state.grid
-    cell = grid.cell_volume
-    out = np.zeros(grid.shape)
-    s_field = state.s.astype(np.longdouble)
-    rho_flat = state.rho.astype(np.longdouble).ravel()
-    low = rho_flat[mask.ravel()]
-    if low.size and float(low.min()) <= 4.0 * eps:
-        raise OraclePrecisionError(
-            f"direct density bump epsilon={eps:g} would exhaust rho (min {low.min():.3e} on the "
-            "comparison region); use a smaller epsilon or the sqrt bump"
-        )
-    eps = np.longdouble(eps)
-    for idx in np.flatnonzero(mask.ravel()):
-        bumped = rho_flat.copy()
-        bumped[idx] += eps
-        plus = func(HydroState(grid, bumped.reshape(grid.shape), s_field, state.hbar, state.mass))
-        bumped[idx] -= 2.0 * eps
-        minus = func(HydroState(grid, bumped.reshape(grid.shape), s_field, state.hbar, state.mass))
-        out.ravel()[idx] = (plus - minus) / (2.0 * eps * cell)
+        minus = func(bumped_state(bumped))
+        quotient = (plus - minus) / (2.0 * e * cell)
+        out.ravel()[idx] = quotient if on_s else quotient / (2.0 * flat[idx])
     return out
 
 
 def fd_functional_derivative(tag, state: HydroState, component: str = "rho",
-                             epsilon: float = 1e-5, bump: str = "sqrt",
-                             where: np.ndarray = None, convention: str = "consistent",
-                             return_error: bool = False):
+                             epsilon: float = 1e-5, where: np.ndarray = None,
+                             convention: str = "consistent", return_error: bool = False):
     """Oracle derivative field of ``tag`` (or any callable of a state).
 
     Centered quotients of single-sample bumps normalized by the cell
     volume.  Points outside ``where`` (default: rho > 1e-12) are returned
     as zero.
     """
+    if component not in ("rho", "s"):
+        raise ValueError(f"component must be 'rho' or 's', got {component!r}")
+    if not epsilon > 0:
+        raise ValueError(f"epsilon must be positive, got {epsilon!r}")
     func = tag if callable(tag) else (lambda st: evaluate(tag, st, convention))
     if where is None:
         where = state.rho > ORACLE_RHO_CUTOFF
-    if component == "s":
-        sweep = lambda eps: _fd_sweep_s(func, state, eps, where)
-    elif component == "rho" and bump == "sqrt":
-        sweep = lambda eps: _fd_sweep_rho_sqrt(func, state, eps, where)
-    elif component == "rho" and bump == "direct":
-        sweep = lambda eps: _fd_sweep_rho_direct(func, state, eps, where)
-    else:
-        raise ValueError(f"component must be 'rho' or 's' (bump 'sqrt' or 'direct'), got {component!r}/{bump!r}")
-
-    field = sweep(epsilon)
-    refined = sweep(0.5 * epsilon)
+    field = _fd_sweep(func, state, component, epsilon, where)
+    refined = _fd_sweep(func, state, component, 0.5 * epsilon, where)
     est = float(np.abs(refined - field).max())
     if return_error:
         return refined, est

@@ -37,6 +37,9 @@ Trajectories
 :func:`run_trajectory` consumes the fields of a run as a stream and keeps
 only the five of the current stencil window alive; each field caches its
 transform and gradients, which the integrator step and the record share.
+One stream of a flow's fields around the initial one serves the runner
+and every probe that differentiates along a flow: the continuity
+residual, the uncertainty rates and the cross-flow defect.
 """
 
 import collections
@@ -48,12 +51,12 @@ import numpy as np
 
 from .errors import ResolutionGuardError
 from .functionals import (
+    sigma_x2,
     wave_delta_p2_q,
     wave_delta_x2,
     wave_h_q,
     wave_k_q,
     wave_s_gen,
-    wave_sigma_x2,
 )
 from .states import (RHO_FLOOR, HydroState, WaveField, check_nodeless_interior,
                      phase_gradient, to_wave)
@@ -173,9 +176,9 @@ class _TauMarcher:
 
     def _check_guards(self):
         w = self.field
-        if wave_sigma_x2(w) <= self._guard_floor:
+        if sigma_x2(w) <= self._guard_floor:
             raise ResolutionGuardError(
-                f"resolution guard: sigma_x2 fell to {wave_sigma_x2(w):.3e} <= "
+                f"resolution guard: sigma_x2 fell to {sigma_x2(w):.3e} <= "
                 f"{self._guard_floor:.3e} after {self.steps_done} steps",
                 steps_completed=self.steps_done, wavefield=w)
         if self.noise_budget > NOISE_BUDGET_MAX:
@@ -273,30 +276,29 @@ def _stencil_residual(window, dstep):
     return float(np.abs(resid).max() / rhos[2].max())
 
 
-def _t_fields(w0: WaveField, dt: float, steps: int):
-    """t-flow fields at indices -2..steps+2, each one propagator application from w0."""
-    return (evolve_t(w0, dt * j) for j in range(-2, steps + 3))
+def _flow_fields(w0: WaveField, flow: str, step: float, back: int, ahead: int):
+    """Fields of a flow at indices -back..ahead, and the forward tau-marcher.
 
-
-def _tau_fields(w0: WaveField, dtau: float, steps: int):
-    """tau-flow fields at indices -2..steps+2, and the forward marcher.
-
-    The two backward helper steps run at once, so a guard trip there
-    raises from this call; the forward fields are generated lazily, and
-    a forward guard trip raises from the generator.
+    Each t-flow field is one propagator application from w0, and the
+    marcher is None.  The backward tau-steps run at once, so a guard trip
+    there raises from this call; the forward fields are generated lazily,
+    and a forward guard trip raises from the generator.
     """
-    back = _TauMarcher(w0, dtau)
-    back.step(direction=-1.0)
-    minus_one = back.field
-    back.step(direction=-1.0)
-    marcher = _TauMarcher(w0, dtau)
+    if flow == "t":
+        return (evolve_t(w0, step * j) for j in range(-back, ahead + 1)), None
+    behind = _TauMarcher(w0, step)
+    earlier = []
+    for _ in range(back):
+        behind.step(direction=-1.0)
+        earlier.append(behind.field)
+    marcher = _TauMarcher(w0, step)
 
     def forward():
-        for _ in range(steps + 2):
+        for _ in range(ahead):
             marcher.step()
             yield marcher.field
 
-    return itertools.chain((back.field, minus_one, w0), forward()), marcher
+    return itertools.chain(reversed(earlier), (w0,), forward()), marcher
 
 
 def _record(j: int, step: float, window, convention: str) -> TrajectoryRecord:
@@ -330,10 +332,7 @@ def run_trajectory(w0: WaveField, flow: str, step: float, steps: int,
     if step <= 0:
         raise ValueError(f"step must be positive, got {step!r}")
 
-    if flow == "t":
-        fields, marcher = _t_fields(w0, step, steps), None
-    else:
-        fields, marcher = _tau_fields(w0, step, steps)
+    fields, marcher = _flow_fields(w0, flow, step, 2, steps + 2)
     window = collections.deque(maxlen=_STENCIL_WIDTH)
     records = []
     guard_reason = ""
@@ -360,15 +359,12 @@ def continuity_residual(w: WaveField, flow: str, dstep: float = 1e-3) -> float:
     discrete solutions of either flow this measures the integrator's
     consistency with d(rho)/dtheta + div(rho grad s / m) = 0.
     """
-    if flow == "t":
-        fields = list(_t_fields(w, dstep, 0))
-    else:
-        stream, _ = _tau_fields(w, dstep, 0)
-        try:
-            fields = list(stream)
-        except ResolutionGuardError as err:
-            raise ResolutionGuardError(f"guard tripped while probing continuity: {err}",
-                                       steps_completed=0, wavefield=w) from err
+    stream, _ = _flow_fields(w, flow, dstep, 2, 2)
+    try:
+        fields = list(stream)
+    except ResolutionGuardError as err:
+        raise ResolutionGuardError(f"guard tripped while probing continuity: {err}",
+                                   steps_completed=0, wavefield=w) from err
     return _stencil_residual(fields, dstep)
 
 
@@ -386,16 +382,6 @@ def _as_wave(obj) -> WaveField:
     return obj if isinstance(obj, WaveField) else to_wave(obj)
 
 
-def _flow_neighbors(w: WaveField, flow: str, dstep: float):
-    if flow == "t":
-        return evolve_t(w, -dstep), evolve_t(w, dstep)
-    back = _TauMarcher(w, dstep)
-    back.step(direction=-1.0)
-    fwd = _TauMarcher(w, dstep)
-    fwd.step()
-    return back.field, fwd.field
-
-
 def uncertainty_rates(state, flow: str, dstep: float = 1e-4) -> tuple:
     """Centered rates of (delta_x2, delta_p2_q) along a flow.
 
@@ -405,7 +391,7 @@ def uncertainty_rates(state, flow: str, dstep: float = 1e-4) -> tuple:
     w = _as_wave(state)
 
     def centered(d):
-        minus, plus = _flow_neighbors(w, flow, d)
+        minus, _, plus = _flow_fields(w, flow, d, 1, 1)[0]
         ddx2 = (wave_delta_x2(plus) - wave_delta_x2(minus)) / (2.0 * d)
         ddp2 = (wave_delta_p2_q(plus) - wave_delta_p2_q(minus)) / (2.0 * d)
         return np.array([ddx2, ddp2])
@@ -423,9 +409,9 @@ def cross_flow_defect(state, dstep: float = 2e-4) -> tuple:
     the sum vanish; returns (dk_dt, dh_dtau, defect).
     """
     w = _as_wave(state)
-    tm, tp = _flow_neighbors(w, "t", dstep)
+    tm, _, tp = _flow_fields(w, "t", dstep, 1, 1)[0]
     dk_dt = (wave_k_q(tp) - wave_k_q(tm)) / (2.0 * dstep)
-    um, up = _flow_neighbors(w, "tau", dstep)
+    um, _, up = _flow_fields(w, "tau", dstep, 1, 1)[0]
     dh_dtau = (wave_h_q(up) - wave_h_q(um)) / (2.0 * dstep)
     return dk_dt, dh_dtau, dk_dt + dh_dtau
 

@@ -17,10 +17,6 @@ class DegenerateStateError(QrelError):
     """State violates a nodeless/positivity precondition."""
 
 
-class OraclePrecisionError(QrelError):
-    """Finite-difference oracle cannot reach the requested accuracy."""
-
-
 class ResolutionGuardError(QrelError):
     """Integration window exceeded a resolution or stability guard.
 

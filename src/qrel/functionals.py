@@ -26,8 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateStateError
-from .states import (RHO_FLOOR, HydroState, WaveField, check_nodeless_interior,
-                     from_wave, phase_gradient)
+from .states import RHO_FLOOR, HydroState, WaveField, check_nodeless_interior, phase_gradient
 
 CONVENTIONS = ("consistent", "paper-literal")
 
@@ -119,8 +118,12 @@ def delta_x2(state: HydroState, convention: str = "consistent") -> float:
     return 1.0 / (factor * integral)
 
 
-def sigma_x2(state: HydroState) -> float:
-    """Position variance quadrature(rho |x - mean|^2), summed over axes."""
+def sigma_x2(state) -> float:
+    """Position variance quadrature(rho |x - mean|^2), summed over axes.
+
+    Reads only the grid and the density, so ``state`` may be a
+    :class:`HydroState` or a :class:`WaveField`.
+    """
     total = 0.0
     for xc in state.grid.coords:
         mean = state.grid.quadrature(state.rho * xc)
@@ -303,18 +306,8 @@ def wave_delta_x2(w: WaveField, convention: str = "consistent") -> float:
     return 1.0 / ((4.0 if convention == "consistent" else 2.0) * integral)
 
 
-def wave_sigma_x2(w: WaveField) -> float:
-    rho = w.rho
-    total = 0.0
-    for xc in w.grid.coords:
-        mean = w.grid.quadrature(rho * xc)
-        total += w.grid.quadrature(rho * (xc - mean) ** 2)
-    return total
-
-
 def wave_s_gen(w: WaveField) -> float:
-    state = from_wave(w)
-    return w.grid.quadrature(state.rho * state.s)
+    return w.grid.quadrature(w.rho * w.s)
 
 
 def wave_p_translation(w: WaveField) -> float:

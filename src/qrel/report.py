@@ -6,11 +6,12 @@ configurations produce byte-identical numeric content.
 """
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
-from .dynamics import Trajectory
+from .dynamics import Trajectory, TrajectoryRecord
 
-TRAJECTORY_HEADER = "step,time,h_q,k_q,s_gen,delta_x2,delta_p2_q,norm,continuity_residual"
+_TRAJECTORY_COLUMNS = tuple(f.name for f in fields(TrajectoryRecord))
+TRAJECTORY_HEADER = ",".join(_TRAJECTORY_COLUMNS)
 
 
 def format17(x) -> str:
@@ -115,21 +116,15 @@ def dumps17(obj, indent: int = 0) -> str:
     return '"' + str(obj).replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def trajectory_csv(traj: Trajectory) -> str:
-    out = io.StringIO()
-    out.write(TRAJECTORY_HEADER + "\n")
-    for r in traj.records:
-        cells = [str(r.step)] + [
-            format17(v) for v in (r.time, r.h_q, r.k_q, r.s_gen, r.delta_x2,
-                                  r.delta_p2_q, r.norm, r.continuity_residual)
-        ]
-        out.write(",".join(cells) + "\n")
-    return out.getvalue()
-
-
 def table_csv(header, rows) -> str:
     out = io.StringIO()
     out.write(",".join(header) + "\n")
     for row in rows:
         out.write(",".join(str(c) if isinstance(c, (int, str)) else format17(c) for c in row) + "\n")
     return out.getvalue()
+
+
+def trajectory_csv(traj: Trajectory) -> str:
+    """One row per record, one column per :class:`TrajectoryRecord` field."""
+    return table_csv(_TRAJECTORY_COLUMNS,
+                     ([getattr(r, name) for name in _TRAJECTORY_COLUMNS] for r in traj.records))

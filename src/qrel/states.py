@@ -83,9 +83,10 @@ class HydroState:
 class WaveField:
     """Wave function psi with units; quadrature(|psi|^2) = 1.
 
-    The density, the transform of psi and the spectral gradients of psi
-    and |psi| are computed once on first use and kept read-only, so every
-    observable and integrator step that reads the same field shares them.
+    The density, the phase, the transform of psi and the spectral
+    gradients of psi and |psi| are computed once on first use and kept
+    read-only, so every observable and integrator step that reads the
+    same field shares them.
     """
 
     grid: Grid
@@ -105,6 +106,16 @@ class WaveField:
         r = np.abs(self.psi) ** 2
         r.setflags(write=False)
         return r
+
+    @cached_property
+    def s(self) -> np.ndarray:
+        """Phase hbar * arg(psi), unwrapped outward from the box center.
+
+        Anchored so s(center) = hbar * arg psi(center).  Unwrap errors can
+        only occur where |psi| is negligible, and are harmless there
+        because every use of s carries a rho weight.
+        """
+        return _read_only(self.hbar * _unwrap_from_center(np.angle(self.psi)), "real")
 
     @cached_property
     def psi_hat(self) -> np.ndarray:
@@ -208,12 +219,7 @@ def _unwrap_from_center(angles: np.ndarray) -> np.ndarray:
 
 
 def from_wave(w: WaveField, strict: bool = False) -> HydroState:
-    """Polar decomposition of a wave field.
-
-    The phase is reconstructed by unwrapping arg(psi) outward from the box
-    center, anchored so s(center) = hbar * arg psi(center).  Unwrap errors
-    can only occur where |psi| is negligible, and are harmless there
-    because every use of s carries a rho weight.
+    """Polar decomposition of a wave field into its density and phase ``w.s``.
 
     With ``strict=True`` the nodeless precondition
     min|psi|^2 >= 1e-15 * max|psi|^2 is enforced.
@@ -221,8 +227,7 @@ def from_wave(w: WaveField, strict: bool = False) -> HydroState:
     rho = w.rho
     if strict and float(rho.min()) < 1e-15 * float(rho.max()):
         raise DegenerateStateError("wave field has (near-)nodes: strict polar decomposition refused")
-    s = w.hbar * _unwrap_from_center(np.angle(w.psi))
-    return HydroState(grid=w.grid, rho=rho, s=s, hbar=w.hbar, mass=w.mass)
+    return HydroState(grid=w.grid, rho=rho, s=w.s, hbar=w.hbar, mass=w.mass)
 
 
 def check_nodeless_interior(rho: np.ndarray):

@@ -301,7 +301,7 @@ def suite_dynamics(cfg: ScenarioConfig):
                         provenance="free-flow conservation"))
     times = traj.column("time")
     spreads = [orc.free_packet_sigma_x2(t, 1.0, hb, m) for t in times]
-    measured = [fn.wave_sigma_x2(dyn.evolve_t(minimal, t)) for t in times]
+    measured = [fn.sigma_x2(dyn.evolve_t(minimal, t)) for t in times]
     checks.append(bound("t-flow packet spreading law (to t=4)",
                         float(np.abs(np.array(measured) - np.array(spreads)).max()), 1e-8,
                         provenance="spreading oracle"))
@@ -310,7 +310,7 @@ def suite_dynamics(cfg: ScenarioConfig):
         steps = int(round(0.5 / dtau))
         out = dyn.evolve_tau(minimal, dtau, steps)
         _, y = orc.integrate_gaussian_ode(orc.GaussianOdeState(1.0, 0.0), "tau", [0.5], hb, m)
-        sig2 = fn.wave_sigma_x2(out)
+        sig2 = fn.sigma_x2(out)
         rho = out.rho
         xc = grid.coords[0]
         mean = grid.quadrature(rho * xc)

@@ -12,6 +12,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to stream one
 PASS/FAIL line per criterion.
 """
 
+import math
 import time
 from types import SimpleNamespace
 
@@ -21,6 +22,73 @@ from qrel import GaussianParams, make_gaussian
 from qrel.config import SUITE_NAMES, ScenarioConfig
 from qrel.report import Report
 from qrel.suites import oracle_field_error, run_suites
+
+
+#: (name, tolerance, expected, asserted) of every check of the default run, in
+#: report order.  Measured values move with rounding and are not pinned.
+CATALOGUE = [
+    ("group: product-law fixed point hbar^2/4 (50 alphas)", 1e-14, None, True),
+    ("group: composition T_a.T_b = T_{a+b} (20x20 lattice)", 1e-12, None, True),
+    ("group: dilatation consistency: delta_x2 vs arithmetic law (battery x alphas)", 1e-09, None, True),
+    ("group: dilatation consistency: delta_p2_q vs arithmetic law (battery x alphas)", 1e-09, None, True),
+    ("group: classical scaling: delta_p2_cl * e^alpha invariant", 1e-10, None, True),
+    ("group: dispersion scaling: delta_x2 * e^alpha invariant", 1e-12, None, True),
+    ("group: generator mixing: (h_q,k_q)(dilated) vs hyperbolic mix", 1e-10, None, True),
+    ("group: mixing invariant h^2 - k^2", 1e-10, None, True),
+    ("group: time-plane mixing invariant t^2 - tau^2", 1e-12, None, True),
+    ("group: dilatation group law (metadata arithmetic)", 1e-12, None, True),
+    ("functionals: fisher(sigma2=1)", 1e-10, 0.5, True),
+    ("functionals: fisher(sigma2=4)", 1e-10, 0.125, True),
+    ("functionals: delta_x2 consistent (sigma2=1)", 1e-10, 1.0, True),
+    ("functionals: delta_x2 paper-literal (sigma2=1)", 1e-10, 2.0, False),
+    ("functionals: sigma_x2 (sigma2=1)", 1e-10, 1.0, True),
+    ("functionals: delta_p2_cl (p0=2)", 1e-10, 4.0, True),
+    ("functionals: delta_p2_q (minimal)", 1e-10, 0.25, True),
+    ("functionals: minimal product delta_x2 * delta_p2_q", 1e-10, 0.25, True),
+    ("functionals: h_q (b=1)", 1e-10, 0.625, True),
+    ("functionals: k_q (b=1)", 1e-10, 0.375, True),
+    ("functionals: s_gen (b=1)", 1e-10, 0.5, True),
+    ("functionals: h_q = delta_p2_q / 2m (battery)", 1e-14, None, True),
+    ("functionals: h_q - k_q >= 0 (battery)", 0.0, None, True),
+    ("functionals: Cramer-Rao on battery (sigma_x2 >= delta_x2)", 1e-09, None, True),
+    ("functionals: Cramer-Rao equality on Gaussians", 1e-09, None, True),
+    ("functionals: bimodal sigma_x2 (a=3, sigma2=1)", 1e-08, 10.0, True),
+    ("functionals: Cramer-Rao strict on bimodal", 0.0, None, True),
+    ("functionals: dH_q/drho quantum potential field (minimal Gaussian)", 1e-08, None, True),
+    ("brackets: antisymmetry over tag pairs", 1e-12, None, True),
+    ("brackets: {S, H_q} = K_q (battery, beyond max(1e-8, 1e-6 rel))", 0.0, None, True),
+    ("brackets: {S, K_q} = H_q (battery, beyond max(1e-8, 1e-6 rel))", 0.0, None, True),
+    ("brackets: {P, H_q} = 0 (battery)", 1e-08, None, True),
+    ("brackets: closed-form vs oracle derivative fields (rho > 1e-10)", 1e-06, None, True),
+    ("brackets: bracket value: closed vs oracle", 1.0, None, True),
+    ("brackets: generator check residual (relative)", 1e-06, None, True),
+    ("brackets: generator check second-order shrink (ratio ~4)", 0.5, 4.0, True),
+    ("brackets: Jacobi identity spot check |{S, {H_q, K_q}}|", 1e-06, None, True),
+    ("dynamics: t-flow norm drift", 1e-14, None, True),
+    ("dynamics: t-flow delta_p2_q drift", 1e-12, None, True),
+    ("dynamics: t-flow packet spreading law (to t=4)", 1e-08, None, True),
+    ("dynamics: tau-flow vs Gaussian ODE oracle (sigma2+b at tau=0.5)", 1e-06, None, True),
+    ("dynamics: tau-flow order-2 convergence (error ratio)", 0.4, 4.0, True),
+    ("dynamics: Lyapunov: s_gen nondecreasing (battery tau-runs)", 1e-12, None, True),
+    ("dynamics: Lyapunov: d(s_gen)/dtau = h_q (relative, battery)", 1e-05, None, True),
+    ("dynamics: continuity residual (battery tau-runs)", 1e-05, None, True),
+    ("dynamics: h_q >= 0 along tau-runs", 0.0, None, True),
+    ("dynamics: tau-flow norm drift (battery)", 1e-10, None, True),
+    ("dynamics: rate product (b=1 tau-flow)", 0.0001, -2.0, True),
+    ("dynamics: rate product <= 0 across battery (tau-flow)", 1e-08, None, True),
+    ("dynamics: boundary case b=0: rate product (strict claim saturates)", math.inf, None, False),
+    ("dynamics: t-flow d(delta_x2)/dt for contracting packet b=-0.5 (counterexample)", math.inf, None, False),
+    ("dynamics: t-flow d(delta_p2_q)/dt = 0", 1e-08, None, True),
+    ("dynamics: d(k_q)/dt along t-flow (b=1, sigma2=1)", 1e-05, 0.5, True),
+    ("dynamics: cross-flow holomorphy defect", 1e-06, None, True),
+    ("dynamics: tau-flow conserves its generator k_q", 1e-06, None, True),
+    ("dynamics: tau-flow conserves translation generator", 1e-08, None, True),
+    ("dynamics: nonunitarity probe: |<psi1|psi2>| drift under tau-flow", math.inf, None, False),
+    ("classical-limit: hbar->0: |h_q - h_cl| log-log slope (minimal)", 0.01, 2.0, True),
+    ("classical-limit: hbar->0: |k_q - h_cl| log-log slope (minimal)", 0.01, 2.0, True),
+    ("classical-limit: hbar->0: |h_q - h_cl| log-log slope (chirped)", 0.01, 2.0, True),
+    ("classical-limit: hbar->0: |k_q - h_cl| log-log slope (chirped)", 0.01, 2.0, True),
+]
 
 
 def _timed_run(cfg):
@@ -63,6 +131,12 @@ def test_00_default_verify_passes(catalogue):
     failed = [c.name for c in catalogue.report.checks if c.asserted and not c.passed]
     assert not failed, f"failed checks: {failed}"
     assert catalogue.report.status == "pass"
+
+
+def test_check_catalogue_is_pinned(catalogue):
+    # a dropped, renamed, loosened or unasserted check fails here
+    entries = [(c.name, c.tolerance, c.expected, c.asserted) for c in catalogue.report.checks]
+    assert entries == CATALOGUE
 
 
 def test_01_product_law_fixed_point(catalogue):

@@ -6,7 +6,6 @@ import pytest
 from qrel import (
     FunctionalTag,
     GaussianParams,
-    OraclePrecisionError,
     delta_p2_q,
     delta_x2,
     fd_functional_derivative,
@@ -118,19 +117,11 @@ class TestOracle:
         scale = max(np.abs(closed[mask]).max(), 1e-2)
         assert np.abs((closed - numeric)[mask]).max() < 1e-6 * scale
 
-    def test_direct_bump_mode_on_moderate_densities(self, minimal):
-        mask = minimal.rho > 1e-3
-        closed = subtract_rho_mean(variational_derivative(T.H_Q, minimal, "rho"), minimal, where=mask)
-        numeric = fd_functional_derivative(T.H_Q, minimal, "rho", epsilon=1e-7,
-                                           bump="direct", where=mask)
-        numeric = subtract_rho_mean(numeric, minimal, where=mask)
-        scale = np.abs(closed[mask]).max()
-        assert np.abs((closed - numeric)[mask]).max() < 1e-4 * scale
-
-    def test_direct_bump_positivity_guard(self, minimal):
-        with pytest.raises(OraclePrecisionError):
-            fd_functional_derivative(T.H_Q, minimal, "rho", epsilon=1e-2, bump="direct",
-                                     where=minimal.rho > 1e-10)
+    def test_nonpositive_epsilon_rejected(self, minimal):
+        # one sweep serves both components; neither may return a silent zero field
+        for component in ("rho", "s"):
+            with pytest.raises(ValueError):
+                fd_functional_derivative(T.H_Q, minimal, component, epsilon=-1e-5)
 
     def test_error_estimate_returned(self, minimal):
         field, est = fd_functional_derivative(T.H_Q, minimal, "s", return_error=True)

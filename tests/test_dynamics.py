@@ -25,6 +25,7 @@ from qrel import (
     make_gaussian,
     measured_rates,
     run_trajectory,
+    sigma_x2,
     to_wave,
     uncertainty_rates,
 )
@@ -35,7 +36,6 @@ from qrel.functionals import (
     wave_k_q,
     wave_p_translation,
     wave_s_gen,
-    wave_sigma_x2,
 )
 from qrel.states import phase_gradient
 
@@ -67,7 +67,7 @@ class TestTFlow:
 
     def test_packet_spreading(self, minimal_wave):
         out = evolve_t(minimal_wave, 2.0)
-        assert abs(wave_sigma_x2(out) - free_packet_sigma_x2(2.0, 1.0)) < 1e-8
+        assert abs(sigma_x2(out) - free_packet_sigma_x2(2.0, 1.0)) < 1e-8
 
     def test_conservation(self, minimal_wave):
         dp0 = wave_delta_p2_q(minimal_wave)
@@ -118,29 +118,11 @@ class TestTauFlow:
         assert evolve_tau(minimal_wave, 0.0, 5) is minimal_wave
         assert evolve_tau(minimal_wave, 1e-3, 0) is minimal_wave
 
-    def test_matches_gaussian_ode_oracle(self, minimal_wave):
-        out = evolve_tau(minimal_wave, 1e-3, 500)
-        _, y = integrate_gaussian_ode(GaussianOdeState(1.0, 0.0), "tau", [0.5])
-        sigma2, b = gaussian_parameters_of(out)
-        assert abs(sigma2 - y[0, -1]) < 1e-6
-        assert abs(b - y[1, -1]) < 1e-6
-
     def test_initial_contraction_rate(self, minimal_wave):
         # db/dtau = -(b^2 + 1/4 sigma^4) = -0.25 at the minimal Gaussian
         out = evolve_tau(minimal_wave, 1e-3, 20)
         _, b = gaussian_parameters_of(out)
         assert b == pytest.approx(-0.25 * 0.02, rel=1e-3)
-
-    def test_strang_is_second_order(self, minimal_wave):
-        def terminal_error(dtau):
-            steps = int(round(0.5 / dtau))
-            out = evolve_tau(minimal_wave, dtau, steps)
-            _, y = integrate_gaussian_ode(GaussianOdeState(1.0, 0.0), "tau", [0.5])
-            sigma2, b = gaussian_parameters_of(out)
-            return abs(sigma2 - y[0, -1]) + abs(b - y[1, -1])
-
-        ratio = terminal_error(1e-3) / terminal_error(5e-4)
-        assert abs(ratio - 4.0) <= 0.4
 
     def test_norm_conserved(self, grid):
         w = to_wave(make_gaussian(GaussianParams(sigma2=0.5, b=1.0), grid))
