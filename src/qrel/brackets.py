@@ -19,6 +19,17 @@ rho ~ 1e-10 in double precision, while the square-root bump keeps the
 quadratic functionals exact for any bump size below u.  One sweep serves
 both components.
 
+Stacked evaluation
+------------------
+The sweep evaluates its functional once per stack of bumped states, not
+once per sample: the plus and minus bumps of up to ``STACK_SAMPLES`` grid
+samples become the C-contiguous rows of one stacked :class:`HydroState`,
+and the unbumped component enters as a single row that broadcasts against
+them (so an s-sweep of H_q transforms the density once per stack).  Every
+grid operator treats each row as it treats a lone field, so each member's
+value, and hence every quotient, is bit for bit the one a lone bumped
+state would give.
+
 Derivatives with respect to rho are unconstrained; restricted to
 normalized densities they carry an additive-constant gauge, so field
 comparisons subtract the density-weighted mean of both sides.  Bracket
@@ -85,6 +96,8 @@ def poisson_bracket(a: FunctionalTag, b: FunctionalTag, state: HydroState,
     is a rounding-level bound from the integrand magnitude.
     ``method="finite-difference-oracle"`` rebuilds all four derivative
     fields with the bump oracle; its estimate comes from bump refinement.
+    The closed form also takes a stacked state, with one value and one
+    estimate per member.
     """
     if method == "closed-form":
         da_rho = variational_derivative(a, state, "rho", convention)
@@ -93,7 +106,7 @@ def poisson_bracket(a: FunctionalTag, b: FunctionalTag, state: HydroState,
         db_s = variational_derivative(b, state, "s", convention)
         value = bracket_of_fields(state.grid, da_rho, da_s, db_rho, db_s)
         scale = state.grid.quadrature(np.abs(da_rho * db_s) + np.abs(db_rho * da_s))
-        return BracketResult(value=value, method=method, estimated_error=1e-14 * max(scale, 1.0))
+        return BracketResult(value=value, method=method, estimated_error=1e-14 * np.maximum(scale, 1.0))
     if method == "finite-difference-oracle":
         fields = {}
         err = 0.0
@@ -117,6 +130,21 @@ def poisson_bracket(a: FunctionalTag, b: FunctionalTag, state: HydroState,
 # one, and double-precision rounding alone would cap the accuracy near the
 # low-density edge of the comparison region.
 
+#: Grid samples per stack of bumped states, plus and minus rows together:
+#: 2**14 is 16 bumps at n = 512.  Each stack holds at least one bump.
+STACK_SAMPLES = 2**14
+
+
+def _bumped_rows(flat, idx, e, shape):
+    # plus rows u + e, then minus rows (u + e) - 2e: one bumped sample per row
+    k = idx.size
+    rows = np.tile(flat, (2 * k, 1))
+    plus, minus = np.arange(k), np.arange(k, 2 * k)
+    rows[plus, idx] += e
+    rows[minus, idx] = rows[plus, idx] - 2.0 * e
+    return rows.reshape((2 * k,) + shape)
+
+
 def _fd_sweep(func, state, component, eps, mask):
     # Bumps act on s itself, or on u = sqrt(rho) with d/drho = (d/du) / (2u).
     grid = state.grid
@@ -125,24 +153,26 @@ def _fd_sweep(func, state, component, eps, mask):
     rho = state.rho.astype(np.longdouble)
     s_field = state.s.astype(np.longdouble)
     on_s = component == "s"
-    if on_s:
-        flat = s_field.ravel()
-        bumped_state = lambda b: HydroState(grid, rho, b.reshape(grid.shape), state.hbar, state.mass)
-    else:
-        flat = state.sqrt_rho.astype(np.longdouble).ravel()
-        bumped_state = lambda b: HydroState(grid, (b**2).reshape(grid.shape), s_field, state.hbar, state.mass)
+    flat = (s_field if on_s else state.sqrt_rho.astype(np.longdouble)).ravel()
     eps = np.longdouble(eps)
-    for idx in np.flatnonzero(mask.ravel()):
-        # bump below the local amplitude so sqrt(rho) keeps its sign; u = 0 has no such bump
-        e = eps if on_s else min(eps, 0.5 * flat[idx])
-        if e <= 0.0:
-            continue
-        bumped = flat.copy()
-        bumped[idx] += e
-        plus = func(bumped_state(bumped))
-        bumped[idx] -= 2.0 * e
-        minus = func(bumped_state(bumped))
-        quotient = (plus - minus) / (2.0 * e * cell)
+    index = np.flatnonzero(mask.ravel())
+    # bump below the local amplitude so sqrt(rho) keeps its sign; u = 0 has no such bump
+    bump = np.full(index.size, eps) if on_s else np.minimum(eps, 0.5 * flat[index])
+    index, bump = index[bump > 0.0], bump[bump > 0.0]
+    per_stack = max(1, STACK_SAMPLES // (2 * grid.size))
+    for start in range(0, index.size, per_stack):
+        idx, e = index[start:start + per_stack], bump[start:start + per_stack]
+        k = idx.size
+        # the state copies the rows; they are not held past it
+        if on_s:
+            stack = HydroState(grid, rho[np.newaxis], _bumped_rows(flat, idx, e, grid.shape),
+                               state.hbar, state.mass)
+        else:
+            stack = HydroState(grid, _bumped_rows(flat, idx, e, grid.shape) ** 2, s_field[np.newaxis],
+                               state.hbar, state.mass)
+        # a functional blind to the bumped component gives one value for the stack
+        values = np.broadcast_to(func(stack), (2 * k,))
+        quotient = (values[:k] - values[k:]) / (2.0 * e * cell)
         out.ravel()[idx] = quotient if on_s else quotient / (2.0 * flat[idx])
     return out
 
@@ -154,7 +184,10 @@ def fd_functional_derivative(tag, state: HydroState, component: str = "rho",
 
     Centered quotients of single-sample bumps normalized by the cell
     volume.  Points outside ``where`` (default: rho > 1e-12) are returned
-    as zero.
+    as zero.  A callable receives a stacked :class:`HydroState` of bumped
+    states (long double, one member per bump direction and sample) and
+    must return one value per member, computed for each member as for a
+    lone state; every tagged functional does.
     """
     if component not in ("rho", "s"):
         raise ValueError(f"component must be 'rho' or 's', got {component!r}")
@@ -197,7 +230,8 @@ def jacobi_defect(state: HydroState, epsilon: float = 1e-6) -> tuple:
     Given the verified pair identities {S, H_q} = K_q and {S, K_q} = H_q,
     the cyclic sum collapses to {S, {H_q, K_q}}, which must vanish because
     {H_q, K_q} is invariant under the dilatation flow.  The inner bracket
-    is a composite scalar, so its derivative fields come from the oracle.
+    is a composite scalar, so its derivative fields come from the oracle,
+    which evaluates it on stacks of bumped states, one value per member.
 
     Returns (defect, inner_bracket_value).
     """

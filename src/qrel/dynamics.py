@@ -186,7 +186,7 @@ class _TauMarcher:
                 f"stability guard: noise budget {self.noise_budget:.1f} exceeded "
                 f"{NOISE_BUDGET_MAX:g} after {self.steps_done} steps",
                 steps_completed=self.steps_done, wavefield=w)
-        check_nodeless_interior(w.rho)
+        check_nodeless_interior(w)
 
     def step(self, direction: float = 1.0):
         """One Strang step of size direction*dtau, guards checked first."""
@@ -237,6 +237,11 @@ def evolve_tau(w: WaveField, dtau: float, steps: int = 1) -> WaveField:
 # hydrodynamic form
 
 
+def _check_flow(flow: str):
+    if flow not in ("t", "tau"):
+        raise ValueError(f"flow must be 't' or 'tau', got {flow!r}")
+
+
 def hydro_rhs(state: HydroState, flow: str) -> tuple:
     """Continuity and (quantum) Hamilton-Jacobi right-hand sides.
 
@@ -245,8 +250,7 @@ def hydro_rhs(state: HydroState, flow: str) -> tuple:
     sign +1 for the t-flow and -1 for the tau-flow (the companion flow
     differs only by the sign of the quantum potential).
     """
-    if flow not in ("t", "tau"):
-        raise ValueError(f"flow must be 't' or 'tau', got {flow!r}")
+    _check_flow(flow)
     grads = phase_gradient(state)
     flux = [state.rho * g / state.mass for g in grads]
     drho = -state.grid.divergence(flux)
@@ -282,8 +286,10 @@ def _flow_fields(w0: WaveField, flow: str, step: float, back: int, ahead: int):
     Each t-flow field is one propagator application from w0, and the
     marcher is None.  The backward tau-steps run at once, so a guard trip
     there raises from this call; the forward fields are generated lazily,
-    and a forward guard trip raises from the generator.
+    and a forward guard trip raises from the generator.  A flow name other
+    than "t" or "tau" is refused.
     """
+    _check_flow(flow)
     if flow == "t":
         return (evolve_t(w0, step * j) for j in range(-back, ahead + 1)), None
     behind = _TauMarcher(w0, step)
@@ -299,6 +305,21 @@ def _flow_fields(w0: WaveField, flow: str, step: float, back: int, ahead: int):
             yield marcher.field
 
     return itertools.chain(reversed(earlier), (w0,), forward()), marcher
+
+
+def _probe_fields(w: WaveField, flow: str, step: float, reach: int, probe: str) -> list:
+    """The fields at indices -reach..reach of a flow, for a probe of ``w``.
+
+    A guard trip on either side, at any step, is raised in one shape: a
+    :class:`ResolutionGuardError` naming the probe, with no completed
+    steps and ``w`` as its field.
+    """
+    try:
+        stream, _ = _flow_fields(w, flow, step, reach, reach)
+        return list(stream)
+    except ResolutionGuardError as err:
+        raise ResolutionGuardError(f"guard tripped while probing {probe}: {err}",
+                                   steps_completed=0, wavefield=w) from err
 
 
 def _record(j: int, step: float, window, convention: str) -> TrajectoryRecord:
@@ -327,8 +348,6 @@ def run_trajectory(w0: WaveField, flow: str, step: float, steps: int,
     those five fields are kept alive.  If a tau-flow guard trips, the
     window shrinks to the certified part and the trajectory is marked.
     """
-    if flow not in ("t", "tau"):
-        raise ValueError(f"flow must be 't' or 'tau', got {flow!r}")
     if step <= 0:
         raise ValueError(f"step must be positive, got {step!r}")
 
@@ -359,13 +378,7 @@ def continuity_residual(w: WaveField, flow: str, dstep: float = 1e-3) -> float:
     discrete solutions of either flow this measures the integrator's
     consistency with d(rho)/dtheta + div(rho grad s / m) = 0.
     """
-    stream, _ = _flow_fields(w, flow, dstep, 2, 2)
-    try:
-        fields = list(stream)
-    except ResolutionGuardError as err:
-        raise ResolutionGuardError(f"guard tripped while probing continuity: {err}",
-                                   steps_completed=0, wavefield=w) from err
-    return _stencil_residual(fields, dstep)
+    return _stencil_residual(_probe_fields(w, flow, dstep, 2, "continuity"), dstep)
 
 
 def measured_rates(values, step: float) -> np.ndarray:
@@ -391,7 +404,7 @@ def uncertainty_rates(state, flow: str, dstep: float = 1e-4) -> tuple:
     w = _as_wave(state)
 
     def centered(d):
-        minus, _, plus = _flow_fields(w, flow, d, 1, 1)[0]
+        minus, _, plus = _probe_fields(w, flow, d, 1, "uncertainty rates")
         ddx2 = (wave_delta_x2(plus) - wave_delta_x2(minus)) / (2.0 * d)
         ddp2 = (wave_delta_p2_q(plus) - wave_delta_p2_q(minus)) / (2.0 * d)
         return np.array([ddx2, ddp2])
@@ -409,9 +422,9 @@ def cross_flow_defect(state, dstep: float = 2e-4) -> tuple:
     the sum vanish; returns (dk_dt, dh_dtau, defect).
     """
     w = _as_wave(state)
-    tm, _, tp = _flow_fields(w, "t", dstep, 1, 1)[0]
+    tm, _, tp = _probe_fields(w, "t", dstep, 1, "the cross-flow defect")
     dk_dt = (wave_k_q(tp) - wave_k_q(tm)) / (2.0 * dstep)
-    um, _, up = _flow_fields(w, "tau", dstep, 1, 1)[0]
+    um, _, up = _probe_fields(w, "tau", dstep, 1, "the cross-flow defect")
     dh_dtau = (wave_h_q(up) - wave_h_q(um)) / (2.0 * dstep)
     return dk_dt, dh_dtau, dk_dt + dh_dtau
 

@@ -83,7 +83,7 @@ def sqrt_density_curvature(state: HydroState) -> np.ndarray:
     Raises a degenerate-state error for densities with interior nodes,
     where the ratio is meaningless on the support itself.
     """
-    check_nodeless_interior(state.rho)
+    check_nodeless_interior(state)
     u = state.sqrt_rho
     return state.grid.laplacian(u) / np.maximum(u, np.sqrt(RHO_FLOOR))
 
@@ -96,6 +96,14 @@ def kinetic_integral(state: HydroState) -> float:
 
 # ---------------------------------------------------------------------------
 # scalar functionals on HydroState
+#
+# Every evaluator also takes a stacked state (see HydroState) and returns
+# one value per member; the bracket oracle evaluates its bumps this way.
+
+
+def _per_member(value, grid):
+    # a stack's per-member values, shaped to broadcast against its fields
+    return value.reshape(value.shape + (1,) * grid.dim) if np.ndim(value) else value
 
 
 def fisher_information(state: HydroState) -> float:
@@ -112,7 +120,7 @@ def delta_x2(state: HydroState, convention: str = "consistent") -> float:
     """
     _check_convention(convention)
     integral = fisher_integral(state)
-    if integral <= 1e-12:
+    if np.any(integral <= 1e-12):
         raise DegenerateStateError("Fisher integral vanishes; delta_x2 undefined for this state")
     factor = 4.0 if convention == "consistent" else 2.0
     return 1.0 / (factor * integral)
@@ -126,7 +134,7 @@ def sigma_x2(state) -> float:
     """
     total = 0.0
     for xc in state.grid.coords:
-        mean = state.grid.quadrature(state.rho * xc)
+        mean = _per_member(state.grid.quadrature(state.rho * xc), state.grid)
         total += state.grid.quadrature(state.rho * (xc - mean) ** 2)
     return total
 
@@ -213,7 +221,9 @@ def variational_derivative(tag: FunctionalTag, state: HydroState, component: str
     ``component`` is ``"rho"`` or ``"s"``.  Derivatives with respect to rho
     are the unconstrained ones; restricting to normalized densities leaves
     them defined only up to an additive constant, which comparisons must
-    mod out (the bracket engine's oracle does).
+    mod out (the bracket engine's oracle does).  A stacked state gives
+    one field per member; a field that cannot differ between members may
+    come back unstacked and broadcasts against the others.
     """
     if component not in ("rho", "s"):
         raise ValueError(f"component must be 'rho' or 's', got {component!r}")
@@ -231,17 +241,17 @@ def variational_derivative(tag: FunctionalTag, state: HydroState, component: str
             return zero
         _check_convention(convention)
         integral = fisher_integral(state)
-        if integral <= 1e-12:
+        if np.any(integral <= 1e-12):
             raise DegenerateStateError("Fisher integral vanishes; delta_x2 derivative undefined")
         factor = 4.0 if convention == "consistent" else 2.0
-        return sqrt_density_curvature(state) / (factor * integral**2)
+        return sqrt_density_curvature(state) / (factor * _per_member(integral, state.grid) ** 2)
 
     if tag is FunctionalTag.SIGMA_X2:
         if component == "s":
             return zero
-        out = np.zeros(state.grid.shape)
+        out = np.zeros(state.rho.shape)
         for xc in state.grid.coords:
-            mean = state.grid.quadrature(state.rho * xc)
+            mean = _per_member(state.grid.quadrature(state.rho * xc), state.grid)
             out += xc**2 - 2.0 * mean * xc
         return out
 

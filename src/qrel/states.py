@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigurationError, DegenerateStateError
+from .errors import ConfigurationError, DegenerateStateError, GridMismatchError
 from .grid import Grid
 
 #: Density regularizer used in every division by rho or |psi|^2.  Small
@@ -45,6 +45,11 @@ class HydroState:
     Invariants: rho >= 0 everywhere and quadrature(rho) = 1 (constructors
     normalize to ~1e-15; construction rejects fields off by more than
     1e-4).  Instances are immutable and safe to share across threads.
+
+    ``rho`` and ``s`` may be stacks (see :class:`Grid`) whose leading
+    shapes broadcast against each other; the state then holds one member
+    per entry of the broadcast stack, and the invariants hold for every
+    member.  The bracket oracle evaluates its bumped states this way.
     """
 
     grid: Grid
@@ -56,6 +61,12 @@ class HydroState:
     def __post_init__(self):
         object.__setattr__(self, "rho", _read_only(self.grid.bind(self.rho), "real"))
         object.__setattr__(self, "s", _read_only(self.grid.bind(self.s), "real"))
+        if self.rho.shape != self.s.shape:
+            try:
+                np.broadcast_shapes(self.rho.shape, self.s.shape)
+            except ValueError:
+                raise GridMismatchError(f"rho stack {self.rho.shape} and s stack {self.s.shape} "
+                                        "do not broadcast") from None
         if not self.hbar > 0:
             raise ConfigurationError(f"hbar must be positive, got {self.hbar!r}")
         if not self.mass > 0:
@@ -65,6 +76,8 @@ class HydroState:
         # Loose safety net only: constructors normalize to ~1e-15, and the
         # bracket oracle's bumped states sit within ~1e-6 of unit mass.
         norm = self.grid.quadrature(self.rho)
+        if np.ndim(norm):  # a stack: its worst member decides
+            norm = norm.flat[np.argmax(np.abs(norm - 1.0))]
         if abs(norm - 1.0) > 1e-4:
             raise DegenerateStateError(f"rho is not normalized: quadrature(rho) = {norm!r}")
 
@@ -96,6 +109,8 @@ class WaveField:
 
     def __post_init__(self):
         object.__setattr__(self, "psi", _read_only(self.grid.bind(self.psi), "complex"))
+        if self.psi.shape != self.grid.shape:  # the cached transforms take no stack
+            raise GridMismatchError(f"psi shape {self.psi.shape} does not match grid shape {self.grid.shape}")
         if not self.hbar > 0:
             raise ConfigurationError(f"hbar must be positive, got {self.hbar!r}")
         if not self.mass > 0:
@@ -230,21 +245,25 @@ def from_wave(w: WaveField, strict: bool = False) -> HydroState:
     return HydroState(grid=w.grid, rho=rho, s=w.s, hbar=w.hbar, mass=w.mass)
 
 
-def check_nodeless_interior(rho: np.ndarray):
+def check_nodeless_interior(state):
     """Reject densities with (near-)nodes inside their support.
 
     Quantum-potential fields divide by sqrt(rho); exterior tails are
     harmless (every use carries a density weight) but an interior dip
     below 1e-15 of the peak makes those fields meaningless where they
-    matter.  Only the 1-D case has a well-defined interior.
+    matter.  Only the 1-D case has a well-defined interior; every member
+    of a stack of 1-D densities is checked.  Reads only the grid and the
+    density, so ``state`` may be a :class:`HydroState` or a
+    :class:`WaveField`.
     """
-    if rho.ndim != 1:
+    if state.grid.dim != 1:
         return
-    peak = float(rho.max())
-    body = np.flatnonzero(rho > 1e-6 * peak)
-    interior = rho[body[0]:body[-1] + 1]
-    if float(interior.min()) < 1e-15 * peak:
-        raise DegenerateStateError("density has an interior node; quantum-potential fields undefined")
+    for member in state.rho.reshape(-1, state.grid.n):
+        peak = float(member.max())
+        body = np.flatnonzero(member > 1e-6 * peak)
+        interior = member[body[0]:body[-1] + 1]
+        if float(interior.min()) < 1e-15 * peak:
+            raise DegenerateStateError("density has an interior node; quantum-potential fields undefined")
 
 
 def phase_gradient(obj) -> list:

@@ -6,8 +6,10 @@ import pytest
 from qrel import (
     FunctionalTag,
     GaussianParams,
+    HydroState,
     delta_p2_q,
     delta_x2,
+    evaluate,
     fd_functional_derivative,
     generator_check,
     h_q,
@@ -17,7 +19,7 @@ from qrel import (
     poisson_bracket,
     variational_derivative,
 )
-from qrel.brackets import bracket_of_fields, subtract_rho_mean
+from qrel.brackets import ORACLE_RHO_CUTOFF, bracket_of_fields, subtract_rho_mean
 
 T = FunctionalTag
 
@@ -126,6 +128,64 @@ class TestOracle:
     def test_error_estimate_returned(self, minimal):
         field, est = fd_functional_derivative(T.H_Q, minimal, "s", return_error=True)
         assert est < 1e-8
+
+
+def per_sample_sweep(func, state, component, eps, mask):
+    """The bump oracle one lone bumped state at a time: the independent reference."""
+    grid = state.grid
+    out = np.zeros(grid.shape)
+    rho = state.rho.astype(np.longdouble)
+    s_field = state.s.astype(np.longdouble)
+    on_s = component == "s"
+    flat = (s_field if on_s else state.sqrt_rho.astype(np.longdouble)).ravel()
+    eps = np.longdouble(eps)
+    for idx in np.flatnonzero(mask.ravel()):
+        e = eps if on_s else min(eps, 0.5 * flat[idx])
+        if e <= 0.0:
+            continue
+        values = []
+        for value in (flat[idx] + e, flat[idx] + e - 2.0 * e):
+            bumped = flat.copy()
+            bumped[idx] = value
+            if on_s:
+                lone = HydroState(grid, rho, bumped.reshape(grid.shape), state.hbar, state.mass)
+            else:
+                lone = HydroState(grid, (bumped**2).reshape(grid.shape), s_field, state.hbar, state.mass)
+            values.append(func(lone))
+        quotient = (values[0] - values[1]) / (2.0 * e * grid.cell_volume)
+        out.ravel()[idx] = quotient if on_s else quotient / (2.0 * flat[idx])
+    return out
+
+
+def inner_bracket(st):
+    return poisson_bracket(T.H_Q, T.K_Q, st).value
+
+
+def width_bracket(st):
+    return poisson_bracket(T.SIGMA_X2, T.H_Q, st).value
+
+
+def fisher_width_bracket(st):
+    return poisson_bracket(T.DELTA_X2, T.K_Q, st).value
+
+
+class TestStackedOracleMatchesPerSampleReference:
+    """Stacked sweeps give, bit for bit, the fields and error estimates of lone bumps."""
+
+    @pytest.mark.parametrize("tag", [T.S_GEN, T.H_Q, T.K_Q, T.DELTA_X2, inner_bracket,
+                                     width_bracket, fisher_width_bracket],
+                             ids=["s_gen", "h_q", "k_q", "delta_x2", "callable",
+                                  "callable_sigma_x2", "callable_delta_x2"])
+    @pytest.mark.parametrize("component", ["rho", "s"])
+    def test_bit_identical(self, generic, tag, component):
+        func = tag if callable(tag) else (lambda st: evaluate(tag, st))
+        mask = generic.rho > ORACLE_RHO_CUTOFF
+        coarse = per_sample_sweep(func, generic, component, 1e-5, mask)
+        fine = per_sample_sweep(func, generic, component, 0.5 * 1e-5, mask)
+        field, est = fd_functional_derivative(tag, generic, component, return_error=True)
+        assert np.array_equal(field, fine)
+        assert est == float(np.abs(fine - coarse).max())
+        assert np.abs(field).max() > 0.0 or (tag is T.DELTA_X2 and component == "s")
 
 
 class TestGeneratorCheck:

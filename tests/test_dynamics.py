@@ -170,6 +170,40 @@ class TestContinuityResidual:
         assert continuity_residual(minimal_wave, "tau", 1e-3) < 1e-5
 
 
+class TestProbeRefusals:
+    """Every probe refuses an unknown flow, and reports a guard trip in one shape."""
+
+    def test_unknown_flow_refused(self, minimal_wave):
+        probes = [lambda: continuity_residual(minimal_wave, "sideways"),
+                  lambda: uncertainty_rates(minimal_wave, "sideways"),
+                  lambda: run_trajectory(minimal_wave, "sideways", 1e-3, 5)]
+        for probe in probes:
+            with pytest.raises(ValueError, match="flow must be 't' or 'tau', got 'sideways'"):
+                probe()
+
+    @pytest.mark.parametrize("probe", ["continuity", "uncertainty rates", "the cross-flow defect"])
+    def test_guard_trip_on_a_backward_step(self, grid, probe):
+        # sigma2 = 0.13 is below the resolution floor 25 h^2 = 0.153, so the
+        # first step, which is backward, trips
+        w = to_wave(make_gaussian(GaussianParams(sigma2=0.13, b=-6.0), grid))
+        call = {"continuity": lambda: continuity_residual(w, "tau", 1e-3),
+                "uncertainty rates": lambda: uncertainty_rates(w, "tau", 1e-3),
+                "the cross-flow defect": lambda: cross_flow_defect(w, 1e-3)}[probe]
+        with pytest.raises(ResolutionGuardError,
+                           match=f"guard tripped while probing {probe}: resolution guard.*after 0 steps") as err:
+            call()
+        assert err.value.steps_completed == 0
+        assert err.value.wavefield is w
+
+    def test_guard_trip_on_a_forward_step(self, grid):
+        w = to_wave(make_gaussian(GaussianParams(sigma2=0.17, b=-3.0), grid))
+        with pytest.raises(ResolutionGuardError,
+                           match="guard tripped while probing continuity: resolution guard.*after 1 steps") as err:
+            continuity_residual(w, "tau", 3e-2)
+        assert err.value.steps_completed == 0
+        assert err.value.wavefield is w
+
+
 class TestTrajectories:
     def test_t_flow_columns(self, minimal_wave):
         traj = run_trajectory(minimal_wave, "t", 0.05, 80)

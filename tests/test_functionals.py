@@ -198,3 +198,26 @@ class TestDegenerateDensities:
         # exterior sub-floor tails never trip the interior-node guard
         field = variational_derivative(T.H_Q, minimal, "rho")
         assert np.isfinite(field[minimal.rho > 1e-12]).all()
+
+
+class TestStackedEvaluation:
+    """Each tag evaluator returns, for a stack, bit for bit each member's lone value."""
+
+    @pytest.mark.parametrize("tag", list(T))
+    @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+    def test_per_member_values(self, battery, tag, dtype):
+        members = [state for _, state in battery[::6]]
+        grid = members[0].grid
+        stack = HydroState(grid=grid, rho=np.stack([m.rho for m in members]).astype(dtype),
+                           s=np.stack([m.s for m in members]).astype(dtype))
+        values = evaluate(tag, stack)
+        assert np.shape(values) == (len(members),)
+        for i, m in enumerate(members):
+            lone = HydroState(grid=grid, rho=m.rho.astype(dtype), s=m.s.astype(dtype))
+            assert values[i] == evaluate(tag, lone)
+
+    def test_vanishing_fisher_refused_per_member(self, grid, minimal):
+        rho = np.stack([minimal.rho, np.full(grid.shape, 1.0 / grid.length)])
+        stack = HydroState(grid=grid, rho=rho, s=minimal.s)
+        with pytest.raises(DegenerateStateError):
+            delta_x2(stack)

@@ -8,6 +8,7 @@ from qrel import (
     DegenerateStateError,
     GaussianParams,
     Grid,
+    GridMismatchError,
     HydroState,
     WaveField,
     from_wave,
@@ -19,6 +20,7 @@ from qrel import (
     sigma_x2,
     to_wave,
 )
+from qrel.states import check_nodeless_interior
 
 
 class TestMakeGaussian:
@@ -134,3 +136,42 @@ class TestPhaseGradientOfHydroState:
         expected = -grid.coords[0] + 2.0
         interior = np.abs(grid.coords[0]) < grid.length / 2 - 2 * grid.spacing
         assert np.abs((ds - expected)[interior]).max() < 1e-12
+
+
+class TestStackedHydroState:
+    """Leading axes of rho and s broadcast; every member keeps the invariants."""
+
+    def test_members_broadcast(self, grid, minimal):
+        wide = make_gaussian(GaussianParams(sigma2=2.0), grid)
+        stack = HydroState(grid=grid, rho=np.stack([minimal.rho, wide.rho]), s=minimal.s[np.newaxis])
+        assert stack.norm.shape == (2,)
+        assert np.abs(stack.norm - 1.0).max() < 1e-12
+
+    def test_one_member_off_normalization_rejected(self, grid, minimal):
+        rho = np.stack([minimal.rho, 1.001 * minimal.rho, minimal.rho])
+        with pytest.raises(DegenerateStateError, match="not normalized"):
+            HydroState(grid=grid, rho=rho, s=minimal.s)
+
+    def test_one_member_negative_rejected(self, grid, minimal):
+        rho = np.stack([minimal.rho] * 3)
+        rho[1, 7] = -1e-300
+        with pytest.raises(DegenerateStateError, match="negative"):
+            HydroState(grid=grid, rho=rho, s=minimal.s)
+
+    def test_stacks_that_do_not_broadcast_rejected(self, grid, minimal):
+        with pytest.raises(GridMismatchError):
+            HydroState(grid=grid, rho=np.stack([minimal.rho] * 3), s=np.stack([minimal.s] * 2))
+
+    def test_stacked_wave_field_rejected(self, grid, minimal):
+        psi = np.sqrt(minimal.rho) * np.exp(1j * minimal.s)
+        with pytest.raises(GridMismatchError):
+            WaveField(grid=grid, psi=np.stack([psi] * 2))
+
+    def test_one_noded_member_refused(self, grid, minimal):
+        x = grid.coords[0]
+        noded = x**2 * np.exp(-(x**2) / 2.0)
+        noded /= grid.quadrature(noded)
+        check_nodeless_interior(HydroState(grid=grid, rho=np.stack([minimal.rho] * 2), s=minimal.s))
+        stack = HydroState(grid=grid, rho=np.stack([minimal.rho, noded, minimal.rho]), s=minimal.s)
+        with pytest.raises(DegenerateStateError, match="interior node"):
+            check_nodeless_interior(stack)
