@@ -32,11 +32,11 @@ state = make_gaussian(GaussianParams(sigma2=1.0, b=1.0), grid)
 print("=" * 70)
 print("1. The dilatation generator rotates the Hamiltonian pair")
 print("=" * 70)
-print(f"  {{S, H_q}} = {poisson_bracket(T.S_GEN, T.H_Q, state).value:+.10f}"
+print(f"  {{S, H_q}} = {poisson_bracket(T.S_GEN, T.H_Q, state):+.10f}"
       f"   vs k_q = {k_q(state):+.10f}")
-print(f"  {{S, K_q}} = {poisson_bracket(T.S_GEN, T.K_Q, state).value:+.10f}"
+print(f"  {{S, K_q}} = {poisson_bracket(T.S_GEN, T.K_Q, state):+.10f}"
       f"   vs h_q = {h_q(state):+.10f}")
-print(f"  {{P, H_q}} = {poisson_bracket(T.P_TRANSLATION, T.H_Q, state).value:+.2e}"
+print(f"  {{P, H_q}} = {poisson_bracket(T.P_TRANSLATION, T.H_Q, state):+.2e}"
       "   (translations commute with the free Hamiltonian)")
 
 print()

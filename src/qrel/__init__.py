@@ -8,7 +8,6 @@ and its norm-preserving nonlinear companion in tau.
 """
 
 from .brackets import (
-    BracketResult,
     GeneratorCheck,
     fd_functional_derivative,
     generator_check,
@@ -75,7 +74,7 @@ from .states import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BracketResult", "ConfigurationError", "DegenerateStateError", "FunctionalTag",
+    "ConfigurationError", "DegenerateStateError", "FunctionalTag",
     "GaussianOdeState", "GaussianParams", "GeneratorCheck", "Grid", "GridMismatchError",
     "HydroState", "QrelError", "ResolutionGuardError",
     "ScenarioConfig", "Trajectory", "TrajectoryRecord", "UncertaintyPair", "WaveField",

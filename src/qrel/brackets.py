@@ -17,7 +17,8 @@ the exact chain rule d/drho = (d/du) / (2u), u = sqrt(rho): a bump of
 rho itself cannot stay positive and resolve the derivative at
 rho ~ 1e-10 in double precision, while the square-root bump keeps the
 quadratic functionals exact for any bump size below u.  One sweep serves
-both components.
+both components, and one sweep at one bump size makes each oracle field;
+the oracle returns the field alone, with no error estimate.
 
 Stacked evaluation
 ------------------
@@ -52,15 +53,6 @@ ORACLE_RHO_CUTOFF = 1e-12
 
 
 @dataclass(frozen=True)
-class BracketResult:
-    """Bracket value with the method that produced it and an error estimate."""
-
-    value: float
-    method: str
-    estimated_error: float
-
-
-@dataclass(frozen=True)
 class GeneratorCheck:
     """Both sides of the infinitesimal dilatation identity and their residual."""
 
@@ -89,36 +81,22 @@ def subtract_rho_mean(field: np.ndarray, state: HydroState, where: np.ndarray) -
 
 def poisson_bracket(a: FunctionalTag, b: FunctionalTag, state: HydroState,
                     method: str = "closed-form", convention: str = "consistent",
-                    epsilon: float = 1e-5) -> BracketResult:
-    """Evaluate {a, b} on ``state``.
+                    epsilon: float = 5e-6) -> float:
+    """Value of {a, b} on ``state``.
 
-    ``method="closed-form"`` uses the derivative rules; the error estimate
-    is a rounding-level bound from the integrand magnitude.
+    ``method="closed-form"`` uses the derivative rules and also takes a
+    stacked state, with one value per member.
     ``method="finite-difference-oracle"`` rebuilds all four derivative
-    fields with the bump oracle; its estimate comes from bump refinement.
-    The closed form also takes a stacked state, with one value and one
-    estimate per member.
+    fields with the bump oracle, one sweep at ``epsilon`` each.
     """
     if method == "closed-form":
-        da_rho = variational_derivative(a, state, "rho", convention)
-        da_s = variational_derivative(a, state, "s", convention)
-        db_rho = variational_derivative(b, state, "rho", convention)
-        db_s = variational_derivative(b, state, "s", convention)
-        value = bracket_of_fields(state.grid, da_rho, da_s, db_rho, db_s)
-        scale = state.grid.quadrature(np.abs(da_rho * db_s) + np.abs(db_rho * da_s))
-        return BracketResult(value=value, method=method, estimated_error=1e-14 * np.maximum(scale, 1.0))
-    if method == "finite-difference-oracle":
-        fields = {}
-        err = 0.0
-        for tag, comp in ((a, "rho"), (a, "s"), (b, "rho"), (b, "s")):
-            field, est = fd_functional_derivative(tag, state, comp, epsilon=epsilon,
-                                                  convention=convention, return_error=True)
-            fields[(tag, comp)] = field
-            err = max(err, est)
-        value = bracket_of_fields(state.grid, fields[(a, "rho")], fields[(a, "s")],
-                                  fields[(b, "rho")], fields[(b, "s")])
-        return BracketResult(value=value, method=method, estimated_error=err)
-    raise ValueError(f"unknown bracket method {method!r}")
+        derive = lambda tag, comp: variational_derivative(tag, state, comp, convention)
+    elif method == "finite-difference-oracle":
+        derive = lambda tag, comp: fd_functional_derivative(tag, state, comp, epsilon=epsilon,
+                                                            convention=convention)
+    else:
+        raise ValueError(f"unknown bracket method {method!r}")
+    return bracket_of_fields(state.grid, derive(a, "rho"), derive(a, "s"), derive(b, "rho"), derive(b, "s"))
 
 
 # ---------------------------------------------------------------------------
@@ -178,16 +156,17 @@ def _fd_sweep(func, state, component, eps, mask):
 
 
 def fd_functional_derivative(tag, state: HydroState, component: str = "rho",
-                             epsilon: float = 1e-5, where: np.ndarray = None,
-                             convention: str = "consistent", return_error: bool = False):
+                             epsilon: float = 5e-6, where: np.ndarray = None,
+                             convention: str = "consistent") -> np.ndarray:
     """Oracle derivative field of ``tag`` (or any callable of a state).
 
-    Centered quotients of single-sample bumps normalized by the cell
-    volume.  Points outside ``where`` (default: rho > 1e-12) are returned
-    as zero.  A callable receives a stacked :class:`HydroState` of bumped
-    states (long double, one member per bump direction and sample) and
-    must return one value per member, computed for each member as for a
-    lone state; every tagged functional does.
+    One sweep of centered quotients of single-sample bumps of size
+    ``epsilon``, normalized by the cell volume.  Points outside ``where``
+    (default: rho > 1e-12) are returned as zero.  A callable receives a
+    stacked :class:`HydroState` of bumped states (long double, one member
+    per bump direction and sample) and must return one value per member,
+    computed for each member as for a lone state; every tagged functional
+    does.
     """
     if component not in ("rho", "s"):
         raise ValueError(f"component must be 'rho' or 's', got {component!r}")
@@ -196,12 +175,7 @@ def fd_functional_derivative(tag, state: HydroState, component: str = "rho",
     func = tag if callable(tag) else (lambda st: evaluate(tag, st, convention))
     if where is None:
         where = state.rho > ORACLE_RHO_CUTOFF
-    field = _fd_sweep(func, state, component, epsilon, where)
-    refined = _fd_sweep(func, state, component, 0.5 * epsilon, where)
-    est = float(np.abs(refined - field).max())
-    if return_error:
-        return refined, est
-    return refined
+    return _fd_sweep(func, state, component, epsilon, where)
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +198,7 @@ def generator_check(state: HydroState, dalpha: float = 1e-4,
                           residual=abs(rate - closed), dalpha=dalpha)
 
 
-def jacobi_defect(state: HydroState, epsilon: float = 1e-6) -> tuple:
+def jacobi_defect(state: HydroState, epsilon: float = 5e-7) -> tuple:
     """Spot check of the Jacobi identity on (S, H_q, K_q).
 
     Given the verified pair identities {S, H_q} = K_q and {S, K_q} = H_q,
@@ -235,7 +209,7 @@ def jacobi_defect(state: HydroState, epsilon: float = 1e-6) -> tuple:
 
     Returns (defect, inner_bracket_value).
     """
-    inner = lambda st: poisson_bracket(FunctionalTag.H_Q, FunctionalTag.K_Q, st).value
+    inner = lambda st: poisson_bracket(FunctionalTag.H_Q, FunctionalTag.K_Q, st)
     d_rho = fd_functional_derivative(inner, state, "rho", epsilon=epsilon)
     d_s = fd_functional_derivative(inner, state, "s", epsilon=epsilon)
     ds_rho = variational_derivative(FunctionalTag.S_GEN, state, "rho")

@@ -72,9 +72,18 @@ def _expect(cond, message):
         raise ConfigurationError(message)
 
 
+def _is_number(value) -> bool:
+    # bool is an int subclass, but true/false are not numbers in a scenario
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def _finite(value, name):
+    _expect(_is_number(value), f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
+
 def _positive(value, name):
-    _expect(isinstance(value, (int, float)) and math.isfinite(value) and value > 0,
-            f"{name} must be a positive finite number, got {value!r}")
+    _expect(_is_number(value) and value > 0, f"{name} must be a positive finite number, got {value!r}")
     return float(value)
 
 
@@ -85,14 +94,10 @@ def config_from_dict(raw: dict) -> ScenarioConfig:
 
     grid = raw.get("grid", {})
     _expect(isinstance(grid, dict), "grid must be an object")
-    n = grid.get("n", cfg.grid_n)
-    _expect(isinstance(n, int) and n >= 16 and (n & (n - 1)) == 0,
-            f"grid.n must be a power of two >= 16, got {n!r}")
-    cfg.grid_n = n
     cfg.grid_length = _positive(grid.get("length", cfg.grid_length), "grid.length")
-    dim = grid.get("dim", cfg.grid_dim)
-    _expect(dim in (1, 2, 3), f"grid.dim must be 1, 2 or 3, got {dim!r}")
-    cfg.grid_dim = dim
+    # the grid validates n and dim itself, naming the field
+    checked = Grid(n=grid.get("n", cfg.grid_n), length=cfg.grid_length, dim=grid.get("dim", cfg.grid_dim))
+    cfg.grid_n, cfg.grid_dim = checked.n, checked.dim
 
     units = raw.get("units", {})
     _expect(isinstance(units, dict), "units must be an object")
@@ -108,13 +113,8 @@ def config_from_dict(raw: dict) -> ScenarioConfig:
         sigma2 = _positive(state.get("sigma2", 1.0), "state.sigma2")
         for key in state:
             _expect(key in ("kind", "sigma2", "b", "c", "p0", "x0"), f"state.{key} is not a known field")
-        cfg.state_params = GaussianParams(
-            sigma2=sigma2,
-            b=float(state.get("b", 0.0)),
-            c=float(state.get("c", 0.0)),
-            p0=float(state.get("p0", 0.0)),
-            x0=float(state.get("x0", 0.0)),
-        )
+        rest = {key: _finite(state.get(key, 0.0), f"state.{key}") for key in ("b", "c", "p0", "x0")}
+        cfg.state_params = GaussianParams(sigma2=sigma2, **rest)
     else:
         path = state.get("path", "")
         _expect(isinstance(path, str) and path, "state.path is required for wave_file states")
@@ -127,14 +127,13 @@ def config_from_dict(raw: dict) -> ScenarioConfig:
     cfg.flow = kind
     cfg.step = _positive(flow.get("step", cfg.step), "flow.step")
     duration = flow.get("duration", cfg.duration)
-    _expect(isinstance(duration, (int, float)) and math.isfinite(duration) and duration >= 0,
+    _expect(_is_number(duration) and duration >= 0,
             f"flow.duration must be a nonnegative finite number, got {duration!r}")
     cfg.duration = float(duration)
 
     alphas = raw.get("alphas", list(cfg.alphas))
-    _expect(isinstance(alphas, list) and all(isinstance(a, (int, float)) for a in alphas),
-            "alphas must be a list of numbers")
-    cfg.alphas = tuple(float(a) for a in alphas)
+    _expect(isinstance(alphas, list), "alphas must be a list of numbers")
+    cfg.alphas = tuple(_finite(a, f"alphas[{i}]") for i, a in enumerate(alphas))
 
     suites = raw.get("suites", list(cfg.suites))
     _expect(isinstance(suites, list) and suites, "suites must be a nonempty list")

@@ -23,8 +23,9 @@ wavenumber k grow like exp(hbar k^2 tau / 2m).  On a spectral grid this
 amplifies roundoff at the highest modes catastrophically, even though the
 smooth solution itself is benign.  The integrator therefore projects each
 step onto the band |k - kbar| <= k_c actually occupied by the solution
-(kbar and the momentum dispersion are measured spectrally;
-k_c^2 = BAND_WIDTH_FACTOR * dk^2 keeps truncation at the 1e-14 level),
+(kbar and the momentum dispersion are measured spectrally, and
+k_c^2 = BAND_WIDTH_FACTOR * dk^2; for Gaussian spectra this keeps
+truncation at the 1e-14 level, but not for others: see BAND_WIDTH_FACTOR),
 and it accrues a noise budget B = sum (hbar k_c^2 / 2m) dtau, the log of
 the worst-case amplification inside the band.  Runs stop at
 NOISE_BUDGET_MAX, where the measured gap to the Gaussian ODE oracle is
@@ -61,8 +62,14 @@ from .functionals import (
 from .states import (RHO_FLOOR, HydroState, WaveField, check_nodeless_interior,
                      phase_gradient, to_wave)
 
-#: k_c^2 in units of the measured momentum dispersion; exp(-128/4) ~ 1e-14
-#: of the spectral amplitude is discarded at the band edge.
+#: k_c^2 in units of the measured momentum dispersion.  For a Gaussian
+#: spectrum exp(-128/4) ~ 1e-14 of the spectral amplitude is discarded at
+#: the band edge (1.6e-14 of the peak for sigma2=1, b=0.5, p0=2).  That
+#: bound holds for Gaussian spectra only: on the two-component mixture
+#: state of ROADMAP item 1 (non-Gaussian tau-flow oracle) k_c = 4.34, and
+#: |psi_hat| at the sample nearest the edge is still 6.3e-5 of its peak,
+#: with no guard flagging the loss.  Choosing k_c from the measured
+#: spectral tail is ROADMAP item 1's work.
 BAND_WIDTH_FACTOR = 128.0
 
 #: Maximum accrued noise budget before the stability guard trips.

@@ -53,7 +53,9 @@ class Grid:
             raise ConfigurationError(f"grid.n must be a power of two >= 16, got {self.n!r}")
         if not self.length > 0:
             raise ConfigurationError(f"grid.length must be positive, got {self.length!r}")
-        if self.dim not in (1, 2, 3):
+        # an integer type, so that 1.0 and True are refused rather than compared equal to 1
+        if isinstance(self.dim, bool) or not isinstance(self.dim, (int, np.integer)) \
+                or self.dim not in (1, 2, 3):
             raise ConfigurationError(f"grid.dim must be 1, 2 or 3, got {self.dim!r}")
 
     @property

@@ -22,6 +22,7 @@ from . import functionals as fn
 from . import group as gr
 from . import oracles as orc
 from .config import ScenarioConfig
+from .errors import ConfigurationError
 from .grid import Grid
 from .report import Report, bound, compare, info
 from .states import GaussianParams, make_double_gaussian, make_gaussian, to_wave
@@ -237,16 +238,16 @@ def suite_brackets(cfg: ScenarioConfig):
     for state in (sample, moving):
         for a in tags:
             for b in tags:
-                worst = max(worst, abs(br.poisson_bracket(a, b, state).value
-                                       + br.poisson_bracket(b, a, state).value))
+                worst = max(worst, abs(br.poisson_bracket(a, b, state)
+                                       + br.poisson_bracket(b, a, state)))
     checks.append(bound("antisymmetry over tag pairs", worst, 1e-12, provenance="bracket algebra"))
 
     def identity_residuals(item):
         _, state = item
-        sh = br.poisson_bracket(T.S_GEN, T.H_Q, state).value
-        sk = br.poisson_bracket(T.S_GEN, T.K_Q, state).value
+        sh = br.poisson_bracket(T.S_GEN, T.H_Q, state)
+        sk = br.poisson_bracket(T.S_GEN, T.K_Q, state)
         kq, hq = fn.k_q(state), fn.h_q(state)
-        ph = abs(br.poisson_bracket(T.P_TRANSLATION, T.H_Q, state).value)
+        ph = abs(br.poisson_bracket(T.P_TRANSLATION, T.H_Q, state))
         return max(abs(sh - kq) - max(1e-8, 1e-6 * abs(kq)), 0.0), \
             max(abs(sk - hq) - max(1e-8, 1e-6 * abs(hq)), 0.0), ph
 
@@ -263,8 +264,8 @@ def suite_brackets(cfg: ScenarioConfig):
     checks.append(bound("closed-form vs oracle derivative fields (rho > 1e-10)",
                         oracle_field_error([state]), 1e-6, provenance="finite-difference oracle"))
 
-    value_closed = br.poisson_bracket(T.S_GEN, T.H_Q, state).value
-    value_oracle = br.poisson_bracket(T.S_GEN, T.H_Q, state, method="finite-difference-oracle").value
+    value_closed = br.poisson_bracket(T.S_GEN, T.H_Q, state)
+    value_oracle = br.poisson_bracket(T.S_GEN, T.H_Q, state, method="finite-difference-oracle")
     checks.append(bound("bracket value: closed vs oracle",
                         abs(value_closed - value_oracle) / max(1e-8, 1e-6 * abs(value_closed)),
                         1.0, provenance="finite-difference oracle"))
@@ -307,9 +308,11 @@ def suite_dynamics(cfg: ScenarioConfig):
                         provenance="spreading oracle"))
 
     def tau_error(dtau):
+        # the oracle is read where the integration ends, steps * dtau, which is 0.5 only
+        # when dtau divides it
         steps = int(round(0.5 / dtau))
         out = dyn.evolve_tau(minimal, dtau, steps)
-        _, y = orc.integrate_gaussian_ode(orc.GaussianOdeState(1.0, 0.0), "tau", [0.5], hb, m)
+        _, y = orc.integrate_gaussian_ode(orc.GaussianOdeState(1.0, 0.0), "tau", [steps * dtau], hb, m)
         sig2 = fn.sigma_x2(out)
         rho = out.rho
         xc = grid.coords[0]
@@ -326,9 +329,13 @@ def suite_dynamics(cfg: ScenarioConfig):
 
     battery = battery_states(grid, hb, m)
 
-    def tau_run(state):
+    def tau_run(label, state):
         traj = dyn.run_trajectory(to_wave(state), "tau", cfg.step, int(round(0.5 / cfg.step)),
                                   cfg.convention)
+        if len(traj.records) < 5:
+            raise ConfigurationError(
+                f"flow.step: {cfg.step!r} leaves the battery tau-run {label} with {len(traj.records)} "
+                "certified records; the 4th-order rate stencil needs 5")
         s_gen = traj.column("s_gen")
         h_q = traj.column("h_q")
         mono = float(np.diff(s_gen).min())
@@ -339,7 +346,7 @@ def suite_dynamics(cfg: ScenarioConfig):
         norm_drift = float(np.abs(traj.column("norm") - 1.0).max())
         return mono, rel, resid, hq_min, norm_drift, traj.guard_tripped, traj.column("k_q")
 
-    results = {label: tau_run(state) for label, state in battery}
+    results = {label: tau_run(label, state) for label, state in battery}
     checks.append(bound("Lyapunov: s_gen nondecreasing (battery tau-runs)",
                         -min(r[0] for r in results.values()), 1e-12, provenance="Lyapunov generator"))
     checks.append(bound("Lyapunov: d(s_gen)/dtau = h_q (relative, battery)",

@@ -19,6 +19,7 @@ from qrel import (
     poisson_bracket,
     variational_derivative,
 )
+from qrel import brackets
 from qrel.brackets import ORACLE_RHO_CUTOFF, bracket_of_fields, subtract_rho_mean
 
 T = FunctionalTag
@@ -40,36 +41,36 @@ def generic(grid):
 class TestBracketValues:
     def test_self_bracket_vanishes(self, generic):
         for tag in (T.H_Q, T.S_GEN, T.DELTA_P2_Q):
-            assert poisson_bracket(tag, tag, generic).value == 0.0
+            assert poisson_bracket(tag, tag, generic) == 0.0
 
     def test_antisymmetry_all_pairs(self, generic):
         for a in ALL_TAGS:
             for b in ALL_TAGS:
-                fwd = poisson_bracket(a, b, generic).value
-                rev = poisson_bracket(b, a, generic).value
+                fwd = poisson_bracket(a, b, generic)
+                rev = poisson_bracket(b, a, generic)
                 assert abs(fwd + rev) < 1e-12
 
     def test_dilatation_generates_companion(self, chirped):
         # {S, H_q} on the b=1 Gaussian equals k_q = 0.375
         res = poisson_bracket(T.S_GEN, T.H_Q, chirped)
-        assert abs(res.value - 0.375) < 1e-8
-        assert abs(res.value - k_q(chirped)) < 1e-8
+        assert abs(res - 0.375) < 1e-8
+        assert abs(res - k_q(chirped)) < 1e-8
 
     def test_companion_generates_hamiltonian(self, minimal):
         res = poisson_bracket(T.S_GEN, T.K_Q, minimal)
-        assert abs(res.value - 0.125) < 1e-8
-        assert abs(res.value - h_q(minimal)) < 1e-8
+        assert abs(res - 0.125) < 1e-8
+        assert abs(res - h_q(minimal)) < 1e-8
 
     def test_identities_on_battery(self, battery):
         for label, state in battery:
-            sh = poisson_bracket(T.S_GEN, T.H_Q, state).value
-            sk = poisson_bracket(T.S_GEN, T.K_Q, state).value
+            sh = poisson_bracket(T.S_GEN, T.H_Q, state)
+            sk = poisson_bracket(T.S_GEN, T.K_Q, state)
             assert abs(sh - k_q(state)) <= max(1e-8, 1e-6 * abs(k_q(state))), label
             assert abs(sk - h_q(state)) <= max(1e-8, 1e-6 * abs(h_q(state))), label
 
     def test_translations_commute_with_hamiltonian(self, battery):
         for label, state in battery:
-            assert abs(poisson_bracket(T.P_TRANSLATION, T.H_Q, state).value) < 1e-8, label
+            assert abs(poisson_bracket(T.P_TRANSLATION, T.H_Q, state)) < 1e-8, label
 
     def test_bilinearity_of_the_field_bracket(self, generic):
         grid = generic.grid
@@ -84,8 +85,7 @@ class TestBracketValues:
     def test_closed_form_vs_oracle_value(self, generic):
         closed = poisson_bracket(T.S_GEN, T.H_Q, generic)
         oracle = poisson_bracket(T.S_GEN, T.H_Q, generic, method="finite-difference-oracle")
-        assert abs(closed.value - oracle.value) <= max(1e-8, 1e-6 * abs(closed.value))
-        assert oracle.method == "finite-difference-oracle"
+        assert abs(closed - oracle) <= max(1e-8, 1e-6 * abs(closed))
 
 
 class TestOracle:
@@ -125,9 +125,22 @@ class TestOracle:
             with pytest.raises(ValueError):
                 fd_functional_derivative(T.H_Q, minimal, component, epsilon=-1e-5)
 
-    def test_error_estimate_returned(self, minimal):
-        field, est = fd_functional_derivative(T.H_Q, minimal, "s", return_error=True)
-        assert est < 1e-8
+    def test_one_sweep_per_field(self, minimal, monkeypatch):
+        sweeps = []
+        honest = brackets._fd_sweep
+
+        def counted(*args):
+            sweeps.append(args[3])
+            return honest(*args)
+
+        monkeypatch.setattr(brackets, "_fd_sweep", counted)
+        fd_functional_derivative(T.H_Q, minimal, "s", epsilon=1e-5)
+        assert sweeps == [1e-5]
+
+    def test_bump_refinement_agrees(self, minimal):
+        coarse = fd_functional_derivative(T.H_Q, minimal, "s", epsilon=1e-5)
+        fine = fd_functional_derivative(T.H_Q, minimal, "s", epsilon=5e-6)
+        assert np.abs(fine - coarse).max() < 1e-8
 
 
 def per_sample_sweep(func, state, component, eps, mask):
@@ -158,19 +171,19 @@ def per_sample_sweep(func, state, component, eps, mask):
 
 
 def inner_bracket(st):
-    return poisson_bracket(T.H_Q, T.K_Q, st).value
+    return poisson_bracket(T.H_Q, T.K_Q, st)
 
 
 def width_bracket(st):
-    return poisson_bracket(T.SIGMA_X2, T.H_Q, st).value
+    return poisson_bracket(T.SIGMA_X2, T.H_Q, st)
 
 
 def fisher_width_bracket(st):
-    return poisson_bracket(T.DELTA_X2, T.K_Q, st).value
+    return poisson_bracket(T.DELTA_X2, T.K_Q, st)
 
 
 class TestStackedOracleMatchesPerSampleReference:
-    """Stacked sweeps give, bit for bit, the fields and error estimates of lone bumps."""
+    """A stacked sweep gives, bit for bit, the field of lone bumps."""
 
     @pytest.mark.parametrize("tag", [T.S_GEN, T.H_Q, T.K_Q, T.DELTA_X2, inner_bracket,
                                      width_bracket, fisher_width_bracket],
@@ -180,11 +193,9 @@ class TestStackedOracleMatchesPerSampleReference:
     def test_bit_identical(self, generic, tag, component):
         func = tag if callable(tag) else (lambda st: evaluate(tag, st))
         mask = generic.rho > ORACLE_RHO_CUTOFF
-        coarse = per_sample_sweep(func, generic, component, 1e-5, mask)
-        fine = per_sample_sweep(func, generic, component, 0.5 * 1e-5, mask)
-        field, est = fd_functional_derivative(tag, generic, component, return_error=True)
-        assert np.array_equal(field, fine)
-        assert est == float(np.abs(fine - coarse).max())
+        reference = per_sample_sweep(func, generic, component, 5e-6, mask)
+        field = fd_functional_derivative(tag, generic, component, epsilon=5e-6)
+        assert np.array_equal(field, reference)
         assert np.abs(field).max() > 0.0 or (tag is T.DELTA_X2 and component == "s")
 
 

@@ -5,6 +5,7 @@ import math
 import os
 
 import numpy as np
+import pytest
 
 from qrel.cli import main
 from qrel.report import TRAJECTORY_HEADER
@@ -45,10 +46,23 @@ class TestVerify:
         ratios = [c for c in informational if "paper-literal" in c["name"]]
         assert ratios and abs(ratios[0]["measured"] - 2.0) < 1e-6
 
-    def test_malformed_config_names_field(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, grid={"n": 500})
-        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-        assert "grid.n" in capsys.readouterr().err
+    @pytest.mark.parametrize("overrides, suite, field", [
+        ({"grid": {"n": 500}}, "group", "grid.n"),
+        ({"grid": {"dim": 1.0}}, "group", "grid.dim"),
+        ({"state": {"b": math.nan}}, "group", "state.b"),
+        ({"state": {"p0": "fast"}}, "group", "state.p0"),
+        ({"state": {"x0": [1]}}, "group", "state.x0"),
+        ({"alphas": [math.nan]}, "group", "alphas"),
+        ({"alphas": [math.inf]}, "group", "alphas"),
+        ({"alphas": [True]}, "group", "alphas"),
+        # two steps of 0.2 give 3 records; the rate stencil needs 5
+        ({"flow": {"step": 0.2}}, "dynamics", "flow.step"),
+    ], ids=["grid-n", "grid-dim-float", "state-b-nan", "state-p0-string", "state-x0-list",
+            "alphas-nan", "alphas-infinity", "alphas-bool", "flow-step-coarse"])
+    def test_malformed_config_names_field(self, tmp_path, capsys, overrides, suite, field):
+        cfg = write_config(tmp_path, **overrides)
+        assert main(["verify", "--suite", suite, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert field in capsys.readouterr().err
 
     def test_unknown_suite_rejected(self, tmp_path):
         assert main(["verify", "--suite", "nonsense", "--out", str(tmp_path / "o")]) == 2

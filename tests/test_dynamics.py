@@ -389,3 +389,15 @@ class TestPotentialClamp:
         for label, state in battery[:3]:
             traj = dyn_mod.run_trajectory(to_wave(state), "tau", 1e-3, 50)
             assert traj.clamp_events == 0, label
+
+
+class TestDynamicsSuite:
+    def test_ode_oracle_read_where_the_integration_ends(self):
+        # 167 steps of 0.003 end at tau = 0.501; an oracle read at 0.5 fails both checks
+        from qrel.config import ScenarioConfig
+        from qrel.suites import suite_dynamics
+
+        checks = {c.name: c for c in suite_dynamics(ScenarioConfig(step=0.003))[0]}
+        for name in ("tau-flow vs Gaussian ODE oracle (sigma2+b at tau=0.5)",
+                     "tau-flow order-2 convergence (error ratio)"):
+            assert checks[name].passed, (name, checks[name].measured)
