@@ -25,6 +25,7 @@ from .dynamics import (
     hydro_rhs,
     inner_product,
     measured_rates,
+    run_trajectories,
     run_trajectory,
     uncertainty_rates,
 )
@@ -84,7 +85,7 @@ __all__ = [
     "gaussian_observables", "generator_check", "h_cl", "h_q", "hydro_rhs", "inner_product",
     "integrate_gaussian_ode", "jacobi_defect", "k_q", "load_config", "make_double_gaussian",
     "make_gaussian", "measured_rates", "mix_hk", "mix_times", "p_translation",
-    "phase_gradient", "poisson_bracket", "product_law", "run_trajectory", "s_gen",
+    "phase_gradient", "poisson_bracket", "product_law", "run_trajectories", "run_trajectory", "s_gen",
     "sigma_x2", "to_wave", "transform_uncertainty", "uncertainty_pair", "uncertainty_rates",
     "variational_derivative",
 ]

@@ -87,13 +87,21 @@ def _positive(value, name):
     return float(value)
 
 
+def _known_fields(section: dict, prefix: str, known: tuple):
+    # a misspelt key would otherwise run the default in its place
+    for key in section:
+        _expect(key in known, f"{prefix}{key} is not a known field")
+
+
 def config_from_dict(raw: dict) -> ScenarioConfig:
     """Build and validate a scenario from parsed JSON."""
     cfg = ScenarioConfig()
     _expect(isinstance(raw, dict), "config root must be a JSON object")
+    _known_fields(raw, "", ("grid", "units", "state", "flow", "alphas", "suites", "convention"))
 
     grid = raw.get("grid", {})
     _expect(isinstance(grid, dict), "grid must be an object")
+    _known_fields(grid, "grid.", ("n", "length", "dim"))
     cfg.grid_length = _positive(grid.get("length", cfg.grid_length), "grid.length")
     # the grid validates n and dim itself, naming the field
     checked = Grid(n=grid.get("n", cfg.grid_n), length=cfg.grid_length, dim=grid.get("dim", cfg.grid_dim))
@@ -101,6 +109,7 @@ def config_from_dict(raw: dict) -> ScenarioConfig:
 
     units = raw.get("units", {})
     _expect(isinstance(units, dict), "units must be an object")
+    _known_fields(units, "units.", ("hbar", "mass"))
     cfg.hbar = _positive(units.get("hbar", cfg.hbar), "units.hbar")
     cfg.mass = _positive(units.get("mass", cfg.mass), "units.mass")
 
@@ -110,18 +119,19 @@ def config_from_dict(raw: dict) -> ScenarioConfig:
     _expect(kind in ("gaussian", "wave_file"), f"state.kind must be 'gaussian' or 'wave_file', got {kind!r}")
     cfg.state_kind = kind
     if kind == "gaussian":
+        _known_fields(state, "state.", ("kind", "sigma2", "b", "c", "p0", "x0"))
         sigma2 = _positive(state.get("sigma2", 1.0), "state.sigma2")
-        for key in state:
-            _expect(key in ("kind", "sigma2", "b", "c", "p0", "x0"), f"state.{key} is not a known field")
         rest = {key: _finite(state.get(key, 0.0), f"state.{key}") for key in ("b", "c", "p0", "x0")}
         cfg.state_params = GaussianParams(sigma2=sigma2, **rest)
     else:
+        _known_fields(state, "state.", ("kind", "path"))
         path = state.get("path", "")
         _expect(isinstance(path, str) and path, "state.path is required for wave_file states")
         cfg.wave_path = path
 
     flow = raw.get("flow", {})
     _expect(isinstance(flow, dict), "flow must be an object")
+    _known_fields(flow, "flow.", ("kind", "step", "duration"))
     kind = flow.get("kind", cfg.flow)
     _expect(kind in ("t", "tau"), f"flow.kind must be 't' or 'tau', got {kind!r}")
     cfg.flow = kind

@@ -35,23 +35,31 @@ Both guards mark the trajectory rather than silently degrading it.
 
 Trajectories
 ------------
-:func:`run_trajectory` consumes the fields of a run as a stream and keeps
-only the five of the current stencil window alive; each field caches its
-transform and gradients, which the integrator step and the record share.
-One stream of a flow's fields around the initial one serves the runner
-and every probe that differentiates along a flow: the continuity
-residual, the uncertainty rates and the cross-flow defect.
+:func:`run_trajectories` marches a stack of fields (see :class:`Grid`)
+as one: every transform, guard and record acts on all live members at
+once, and each member gets bit for bit the trajectory its lone run
+gives.  A member that trips a guard leaves the stack, and the others
+march on.  :func:`run_trajectory` is the stack-of-one call.  The runner
+consumes the fields of a run as a stream and keeps only the five of the
+current stencil window alive; each field caches its transform and
+gradients, which the integrator step and the record share.  Records are
+written row by row into one float64 column per :class:`TrajectoryRecord`
+field, and a :class:`Trajectory` reads its columns back as rows.  One
+stream of a flow's fields around the initial one serves the runner and
+every probe that differentiates along a flow: the continuity residual,
+the uncertainty rates and the cross-flow defect.
 """
 
 import collections
-import itertools
+import collections.abc
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ResolutionGuardError
+from .errors import GridMismatchError, ResolutionGuardError
 from .functionals import (
+    _per_member,
     sigma_x2,
     wave_delta_p2_q,
     wave_delta_x2,
@@ -104,24 +112,52 @@ class TrajectoryRecord:
     continuity_residual: float
 
 
-@dataclass
+_RECORD_FIELDS = tuple(f.name for f in fields(TrajectoryRecord))
+
+
+class _Rows(collections.abc.Sequence):
+    """A trajectory's columns read as a sequence of :class:`TrajectoryRecord` rows."""
+
+    def __init__(self, columns: dict):
+        self._columns = columns
+
+    def __len__(self) -> int:
+        return len(self._columns["step"])
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        row = {name: float(self._columns[name][index]) for name in _RECORD_FIELDS}
+        return TrajectoryRecord(**{**row, "step": int(row["step"])})
+
+
+@dataclass(frozen=True)
 class Trajectory:
-    """Records plus guard/clamp diagnostics for one run."""
+    """Records plus guard/clamp diagnostics for one run, stored by column.
+
+    ``columns`` maps each :class:`TrajectoryRecord` field to a read-only
+    float64 array with one entry per record; :attr:`records` reads them
+    as rows.
+    """
 
     flow: str
     step: float
-    records: list
+    columns: dict
     requested_steps: int
     guard_tripped: bool = False
     guard_reason: str = ""
     clamp_events: int = 0
 
     @property
+    def records(self) -> _Rows:
+        return _Rows(self.columns)
+
+    @property
     def last_valid_step(self) -> int:
-        return self.records[-1].step if self.records else -1
+        return len(self.records) - 1
 
     def column(self, name: str) -> np.ndarray:
-        return np.array([getattr(r, name) for r in self.records])
+        return self.columns[name]
 
 
 def _kinetic_phase(grid, hbar, mass, dt):
@@ -132,31 +168,49 @@ def evolve_t(w: WaveField, dt: float) -> WaveField:
     """Exact free propagator: each mode times exp(-i hbar k^2 dt / 2m)."""
     if dt == 0.0:
         return w
-    psi = np.fft.ifftn(_kinetic_phase(w.grid, w.hbar, w.mass, dt) * w.psi_hat)
+    psi = w.grid._ifftn(_kinetic_phase(w.grid, w.hbar, w.mass, dt) * w.psi_hat)
     return WaveField(grid=w.grid, psi=psi, hbar=w.hbar, mass=w.mass)
 
 
 def _spectral_band(grid, psi_hat):
+    """The mean wavenumber along each axis and the momentum dispersion, per member."""
+    axes = grid._trailing_axes
     weights = np.abs(psi_hat) ** 2
-    total = weights.sum()
+    total = weights.sum(axis=axes)
     kbar = []
     dk2 = 0.0
     for ax in range(grid.dim):
         shape = [1] * grid.dim
         shape[ax] = grid.n
         k_ax = grid.wavenumbers.reshape(shape)
-        mean = (k_ax * weights).sum() / total
+        mean = (k_ax * weights).sum(axis=axes) / total
         kbar.append(mean)
-        dk2 += (((k_ax - mean) ** 2) * weights).sum() / total
+        dk2 += (((k_ax - _per_member(mean, grid)) ** 2) * weights).sum(axis=axes) / total
     return kbar, dk2
 
 
-class _TauMarcher:
-    """Stateful stepper for the companion flow with guards and diagnostics.
+def _one_field(w: WaveField) -> WaveField:
+    if w.psi.shape != w.grid.shape:
+        raise GridMismatchError(f"expected one field of shape {w.grid.shape}, got psi of shape {w.psi.shape}")
+    return w
 
-    ``field`` is the current wave field.  The guards, the step's transform
-    and every observer of the field read its cache, so each field of a run
-    is transformed once.
+
+def _raise_first(stopped: dict):
+    """Raise the error of the first member a guard stopped, if any."""
+    if stopped:
+        raise stopped[min(stopped)]
+
+
+class _TauMarcher:
+    """Stateful stepper for the companion flow of a stack, with guards and diagnostics.
+
+    ``field`` is the stack of live members and ``members`` their indices
+    in the stack the marcher started from; a lone field is a stack of one
+    without a member axis, so that its per-member values are scalars.  A
+    member that trips a guard leaves the stack unstepped; every other
+    member steps on, bit for bit as it would alone.  The guards, the
+    step's transform and every observer of the field read its cache, so
+    each field of a run is transformed once.
     """
 
     def __init__(self, w: WaveField, dtau: float):
@@ -167,8 +221,10 @@ class _TauMarcher:
         if w.psi.dtype != np.complex128:
             w = WaveField(grid=w.grid, psi=w.psi.astype(complex), hbar=w.hbar, mass=w.mass)
         self.field = w
-        self.noise_budget = 0.0
-        self.clamp_events = 0
+        self.stacked = w.psi.ndim > w.grid.dim
+        self.members = np.arange(len(w.psi) if self.stacked else 1)
+        self.noise_budget = np.zeros(w.psi.shape[:1] if self.stacked else ())
+        self.clamp_events = np.zeros(len(self.members), dtype=int)  # by starting index
         self.steps_done = 0
         self._guard_floor = RESOLUTION_CELLS * self.grid.spacing**2
         self._kc2_floor = 9.0 * (2.0 * math.pi / self.grid.length) ** 2
@@ -181,62 +237,92 @@ class _TauMarcher:
             self._half_kinetic[direction] = np.exp(-0.25j * self.hbar * self.grid.k_squared * dt / self.mass)
         return self._half_kinetic[direction]
 
-    def _check_guards(self):
-        w = self.field
-        if sigma_x2(w) <= self._guard_floor:
-            raise ResolutionGuardError(
-                f"resolution guard: sigma_x2 fell to {sigma_x2(w):.3e} <= "
-                f"{self._guard_floor:.3e} after {self.steps_done} steps",
-                steps_completed=self.steps_done, wavefield=w)
-        if self.noise_budget > NOISE_BUDGET_MAX:
-            raise ResolutionGuardError(
-                f"stability guard: noise budget {self.noise_budget:.1f} exceeded "
-                f"{NOISE_BUDGET_MAX:g} after {self.steps_done} steps",
-                steps_completed=self.steps_done, wavefield=w)
-        check_nodeless_interior(w)
+    def _guard_trips(self) -> dict:
+        """Guard messages of the live members that trip, by position in the stack."""
+        spread = sigma_x2(self.field)
+        unresolved = spread <= self._guard_floor
+        spent = self.noise_budget > NOISE_BUDGET_MAX
+        if not (unresolved | spent).any():
+            return {}
+        trips = {}
+        for i in np.flatnonzero(unresolved):
+            trips[i] = (f"resolution guard: sigma_x2 fell to {np.ravel(spread)[i]:.3e} <= "
+                        f"{self._guard_floor:.3e} after {self.steps_done} steps")
+        for i in np.flatnonzero(spent):
+            trips.setdefault(i, f"stability guard: noise budget {np.ravel(self.noise_budget)[i]:.1f} "
+                                f"exceeded {NOISE_BUDGET_MAX:g} after {self.steps_done} steps")
+        return trips
 
-    def step(self, direction: float = 1.0):
-        """One Strang step of size direction*dtau, guards checked first."""
-        self._check_guards()
-        dt = direction * self.dtau
-        psi_hat = self.field.psi_hat
-        kbar, dk2 = _spectral_band(self.grid, psi_hat)
-        kc2 = max(BAND_WIDTH_FACTOR * dk2, self._kc2_floor)
-        kc2 = min(kc2, (0.95 * math.pi / self.grid.spacing) ** 2)
-        krel2 = np.zeros(self.grid.shape)
+    def step(self, direction: float = 1.0) -> dict:
+        """One Strang step of size direction*dtau for every live member, guards checked first.
+
+        Returns the members the guards stopped, by starting index, each
+        with the :class:`ResolutionGuardError` its lone run raises.  A
+        member with an interior node raises for the whole stack.
+        """
+        stopped = {}
+        trips = self._guard_trips()
+        if trips:
+            keep = np.ones(len(self.members), dtype=bool)
+            keep[list(trips)] = False
+            for i, message in trips.items():
+                member = int(self.members[i])
+                stopped[member] = ResolutionGuardError(
+                    message, steps_completed=self.steps_done, member=member,
+                    wavefield=self.field.take(i) if self.stacked else self.field)
+            self.members = self.members[keep]
+            if not self.members.size:
+                return stopped
+            self.field = self.field.take(keep)
+            self.noise_budget = self.noise_budget[keep]
+        check_nodeless_interior(self.field)
+
+        half_kin = self._band_half_kinetic(direction)
+        psi = self._rotate(self.grid._ifftn(self.field.psi_hat * half_kin), direction * self.dtau)
+        psi = self.grid._ifftn(self.grid._fftn(psi) * half_kin)
+        self.field = WaveField(grid=self.grid, psi=psi, hbar=self.hbar, mass=self.mass)
+        self.steps_done += 1
+        return stopped
+
+    def _band_half_kinetic(self, direction: float) -> np.ndarray:
+        """The half kinetic step on each member's band |k - kbar| <= k_c, zero outside.
+
+        Accrues each member's noise budget for the band.  (The helpers of
+        :meth:`step` keep its temporaries alive no longer than they are used.)
+        """
+        kbar, dk2 = _spectral_band(self.grid, self.field.psi_hat)
+        kc2 = np.maximum(BAND_WIDTH_FACTOR * dk2, self._kc2_floor)
+        kc2 = np.minimum(kc2, (0.95 * math.pi / self.grid.spacing) ** 2)
+        krel2 = 0.0
         for ax in range(self.grid.dim):
             shape = [1] * self.grid.dim
             shape[ax] = self.grid.n
-            krel2 = krel2 + (self.grid.wavenumbers.reshape(shape) - kbar[ax]) ** 2
-        mask = krel2 <= kc2
-        half_kin = self._half_kinetic_phase(direction) * mask
+            krel2 = krel2 + (self.grid.wavenumbers.reshape(shape) - _per_member(kbar[ax], self.grid)) ** 2
+        self.noise_budget += 0.5 * self.hbar * kc2 * self.dtau / self.mass
+        return self._half_kinetic_phase(direction) * (krel2 <= _per_member(kc2, self.grid))
 
-        psi = np.fft.ifftn(psi_hat * half_kin)
+    def _rotate(self, psi: np.ndarray, dt: float) -> np.ndarray:
+        """The pointwise phase rotation by the clamped potential W, counting clamp events."""
         u = np.abs(psi)
         W = (self.hbar**2 / self.mass) * self.grid.laplacian(u) / np.maximum(u, math.sqrt(RHO_FLOOR))
         clipped = np.abs(W) > W_MAX
         if clipped.any():
-            self.clamp_events += int(clipped.sum())
+            self.clamp_events[self.members] += clipped.sum(axis=self.grid._trailing_axes)
             W = np.clip(W, -W_MAX, W_MAX)
-        psi = psi * np.exp(-1j * W * dt / self.hbar)
-        psi = np.fft.ifftn(np.fft.fftn(psi) * half_kin)
-        self.field = WaveField(grid=self.grid, psi=psi, hbar=self.hbar, mass=self.mass)
-
-        self.noise_budget += 0.5 * self.hbar * kc2 * self.dtau / self.mass
-        self.steps_done += 1
+        return psi * np.exp(-1j * W * dt / self.hbar)
 
 
 def evolve_tau(w: WaveField, dtau: float, steps: int = 1) -> WaveField:
-    """Integrate the companion flow for ``steps`` Strang steps of ``dtau``.
+    """Integrate the companion flow of one field for ``steps`` Strang steps of ``dtau``.
 
     Raises :class:`ResolutionGuardError` when a guard trips; the exception
     carries the completed step count and the last valid field.
     """
     if dtau == 0.0 or steps == 0:
         return w
-    marcher = _TauMarcher(w, dtau)
+    marcher = _TauMarcher(_one_field(w), dtau)
     for _ in range(steps):
-        marcher.step()
+        _raise_first(marcher.step())
     return marcher.field
 
 
@@ -277,41 +363,53 @@ def hydro_rhs(state: HydroState, flow: str) -> tuple:
 _STENCIL_WIDTH = 5
 
 
-def _stencil_residual(window, dstep):
-    """4th-order centered d(rho)/dtheta plus div(flux) at the window center, max-normalized."""
-    rhos = [f.rho for f in window]
+def _stencil_residual(rhos, w, dstep):
+    """4th-order centered d(rho)/dtheta plus div(flux) at ``w``, max-normalized per member.
+
+    ``rhos`` are the densities of the five stencil fields, ``w`` the middle one.
+    """
     drho = (-rhos[4] + 8.0 * rhos[3] - 8.0 * rhos[1] + rhos[0]) / (12.0 * dstep)
-    w = window[2]
     flux = [w.hbar * np.imag(np.conj(w.psi) * g) / w.mass for g in w.grad_psi]
     resid = drho + w.grid.divergence(flux)
-    return float(np.abs(resid).max() / rhos[2].max())
+    axes = w.grid._trailing_axes
+    return np.abs(resid).max(axis=axes) / w.rho.max(axis=axes)
 
 
 def _flow_fields(w0: WaveField, flow: str, step: float, back: int, ahead: int):
-    """Fields of a flow at indices -back..ahead, and the forward tau-marcher.
+    """Stacked fields of a flow at indices -back..ahead, and the forward tau-marcher.
 
-    Each t-flow field is one propagator application from w0, and the
-    marcher is None.  The backward tau-steps run at once, so a guard trip
-    there raises from this call; the forward fields are generated lazily,
-    and a forward guard trip raises from the generator.  A flow name other
-    than "t" or "tau" is refused.
+    The stream yields (field, stopped) pairs: ``stopped`` maps the
+    starting index of each member a guard stopped just before this field
+    to its error, and the field holds the members still live.  Each
+    t-flow field is one propagator application from w0, no member stops,
+    and the marcher is None.  The backward tau-steps run at once, so a
+    guard trip there raises from this call; the forward fields are
+    generated lazily, and the stream ends early once no member is left.
+    A flow name other than "t" or "tau" is refused.
     """
     _check_flow(flow)
     if flow == "t":
-        return (evolve_t(w0, step * j) for j in range(-back, ahead + 1)), None
+        return ((evolve_t(w0, step * j), {}) for j in range(-back, ahead + 1)), None
+    # a field of the run's own, so that its caches stay off the caller's w0; the
+    # stream holds each field only until it has been yielded
+    w0 = WaveField(grid=w0.grid, psi=w0.psi, hbar=w0.hbar, mass=w0.mass)
     behind = _TauMarcher(w0, step)
-    earlier = []
+    earlier = [(w0, {})]
     for _ in range(back):
-        behind.step(direction=-1.0)
-        earlier.append(behind.field)
+        _raise_first(behind.step(direction=-1.0))
+        earlier.append((behind.field, {}))
     marcher = _TauMarcher(w0, step)
 
-    def forward():
+    def stream():
+        while earlier:
+            yield earlier.pop()
         for _ in range(ahead):
-            marcher.step()
-            yield marcher.field
+            stopped = marcher.step()
+            yield marcher.field, stopped
+            if not marcher.members.size:
+                return
 
-    return itertools.chain(reversed(earlier), (w0,), forward()), marcher
+    return stream(), marcher
 
 
 def _probe_fields(w: WaveField, flow: str, step: float, reach: int, probe: str) -> list:
@@ -322,60 +420,109 @@ def _probe_fields(w: WaveField, flow: str, step: float, reach: int, probe: str) 
     steps and ``w`` as its field.
     """
     try:
-        stream, _ = _flow_fields(w, flow, step, reach, reach)
-        return list(stream)
+        stream, _ = _flow_fields(_one_field(w), flow, step, reach, reach)
+        out = []
+        for field, stopped in stream:
+            _raise_first(stopped)
+            out.append(field)
+        return out
     except ResolutionGuardError as err:
         raise ResolutionGuardError(f"guard tripped while probing {probe}: {err}",
                                    steps_completed=0, wavefield=w) from err
 
 
-def _record(j: int, step: float, window, convention: str) -> TrajectoryRecord:
-    w = window[2]
-    return TrajectoryRecord(
-        step=j,
-        time=j * step,
-        h_q=wave_h_q(w),
-        k_q=wave_k_q(w),
-        s_gen=wave_s_gen(w),
-        delta_x2=wave_delta_x2(w, convention),
-        delta_p2_q=wave_delta_p2_q(w),
-        norm=w.norm,
-        continuity_residual=_stencil_residual(window, step),
-    )
+def _write_record(columns: dict, where, j: int, step: float, rhos, w: WaveField, convention: str):
+    """Row ``j`` of every live member's observable columns, from the fields ``w`` at index j.
+
+    ``rhos`` are the densities of the stencil around ``w``.  The step and
+    time columns follow from the row index and are built once a run ends.
+    """
+    row = {
+        "h_q": wave_h_q(w),
+        "k_q": wave_k_q(w),
+        "s_gen": wave_s_gen(w),
+        "delta_x2": wave_delta_x2(w, convention),
+        "delta_p2_q": wave_delta_p2_q(w),
+        "norm": w.norm,
+        "continuity_residual": _stencil_residual(rhos, w, step),
+    }
+    for name, value in row.items():
+        columns[name][where, j] = value
+
+
+def run_trajectories(w0: WaveField, flow: str, step: float, steps: int,
+                     convention: str = "consistent") -> list:
+    """Integrate every member of the stack ``w0`` and return one trajectory per member.
+
+    ``w0`` holds one member axis before the grid axes, or none: a lone
+    field is a stack of one.  The members march as one stack, and each
+    member's trajectory equals, bit for bit, the one
+    :func:`run_trajectory` gives it alone.  The runner integrates two
+    helper steps beyond each end of the reporting window so every emitted
+    record carries a 4th-order centered continuity residual.  Fields are
+    consumed as a stream: a row of records is written as soon as its
+    window of five fields is complete, and only the densities of those
+    five, with the fields from the middle one on, are kept alive.  If a
+    tau-flow guard trips for a member, that member's window shrinks to
+    its certified part, its trajectory is marked, and it leaves the
+    stack.  A member that trips before its first record raises the error
+    its lone run raises; where several do, the first to trip (the lowest
+    index among those tripping at once) decides.
+    """
+    if step <= 0:
+        raise ValueError(f"step must be positive, got {step!r}")
+    if w0.psi.ndim > w0.grid.dim + 1:
+        raise GridMismatchError(f"a stack has one member axis, got psi of shape {w0.psi.shape}")
+    count = len(w0.psi) if w0.psi.ndim > w0.grid.dim else 1
+    columns = {name: np.empty((count, steps + 1)) for name in _RECORD_FIELDS if name not in ("step", "time")}
+    lengths = np.zeros(count, dtype=int)  # records written per member
+    rows = 0
+    reasons = [""] * count
+    live = np.arange(count)
+    where = slice(None)  # the live members' rows of the columns: all of them until a trip
+    fields, marcher = _flow_fields(w0, flow, step, 2, steps + 2)
+    # the window: the densities of the stencil, and the fields from its middle on,
+    # each dropped once its record is written
+    rhos = collections.deque(maxlen=_STENCIL_WIDTH)
+    pending = collections.deque(maxlen=_STENCIL_WIDTH // 2 + 1)
+    for w, stopped in fields:
+        if stopped:
+            for i, err in sorted(stopped.items()):
+                if not lengths[i]:
+                    raise ResolutionGuardError(
+                        f"guard tripped before any record could be certified: {err}",
+                        steps_completed=err.steps_completed, wavefield=err.wavefield, member=i) from err
+                reasons[i] = str(err)
+            keep = ~np.isin(live, list(stopped))
+            live = where = live[keep]
+            if not live.size:
+                break
+            rhos = collections.deque((r[keep] for r in rhos), maxlen=rhos.maxlen)
+            pending = collections.deque((f.take(keep) for f in pending), maxlen=pending.maxlen)
+        rhos.append(w.rho)
+        pending.append(w)
+        if len(rhos) == _STENCIL_WIDTH:
+            _write_record(columns, where, rows, step, rhos, pending.popleft(), convention)
+            rows += 1
+            lengths[where] = rows
+    clamps = marcher.clamp_events if marcher else np.zeros(count, dtype=int)
+    trajectories = []
+    for i, length in enumerate(lengths):
+        index = np.arange(length, dtype=float)
+        member = {"step": index, "time": index * step, **{name: block[i, :length] for name, block in columns.items()}}
+        for column in member.values():
+            column.setflags(write=False)
+        trajectories.append(Trajectory(flow=flow, step=step, requested_steps=steps,
+                                       columns={name: member[name] for name in _RECORD_FIELDS},
+                                       guard_tripped=bool(reasons[i]), guard_reason=reasons[i],
+                                       clamp_events=int(clamps[i])))
+    return trajectories
 
 
 def run_trajectory(w0: WaveField, flow: str, step: float, steps: int,
                    convention: str = "consistent") -> Trajectory:
-    """Integrate a flow and return per-step records.
-
-    The runner integrates two helper steps beyond each end of the
-    reporting window so every emitted record carries a 4th-order centered
-    continuity residual.  Fields are consumed as a stream: a record is
-    emitted as soon as its window of five fields is complete, and only
-    those five fields are kept alive.  If a tau-flow guard trips, the
-    window shrinks to the certified part and the trajectory is marked.
-    """
-    if step <= 0:
-        raise ValueError(f"step must be positive, got {step!r}")
-
-    fields, marcher = _flow_fields(w0, flow, step, 2, steps + 2)
-    window = collections.deque(maxlen=_STENCIL_WIDTH)
-    records = []
-    guard_reason = ""
-    try:
-        for w in fields:
-            window.append(w)
-            if len(window) == _STENCIL_WIDTH:
-                records.append(_record(len(records), step, window, convention))
-    except ResolutionGuardError as err:
-        guard_reason = str(err)
-        if not records:
-            raise ResolutionGuardError(
-                f"guard tripped before any record could be certified: {guard_reason}",
-                steps_completed=len(window) - 3, wavefield=window[-1]) from err
-    return Trajectory(flow=flow, step=step, records=records, requested_steps=steps,
-                      guard_tripped=bool(guard_reason), guard_reason=guard_reason,
-                      clamp_events=marcher.clamp_events if marcher else 0)
+    """Integrate one field and return per-step records: :func:`run_trajectories` of a stack of one."""
+    return run_trajectories(_one_field(w0), flow, step, steps, convention)[0]
 
 
 def continuity_residual(w: WaveField, flow: str, dstep: float = 1e-3) -> float:
@@ -385,7 +532,8 @@ def continuity_residual(w: WaveField, flow: str, dstep: float = 1e-3) -> float:
     discrete solutions of either flow this measures the integrator's
     consistency with d(rho)/dtheta + div(rho grad s / m) = 0.
     """
-    return _stencil_residual(_probe_fields(w, flow, dstep, 2, "continuity"), dstep)
+    fields = _probe_fields(w, flow, dstep, 2, "continuity")
+    return float(_stencil_residual([f.rho for f in fields], fields[2], dstep))
 
 
 def measured_rates(values, step: float) -> np.ndarray:

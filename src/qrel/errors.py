@@ -21,10 +21,13 @@ class ResolutionGuardError(QrelError):
     """Integration window exceeded a resolution or stability guard.
 
     Carries the number of completed steps and the last valid wave field so
-    callers can keep the trustworthy part of a trajectory.
+    callers can keep the trustworthy part of a trajectory, and the index
+    of the stack member that tripped (0 for a lone field; None from a
+    probe).
     """
 
-    def __init__(self, message, steps_completed, wavefield=None):
+    def __init__(self, message, steps_completed, wavefield=None, member=None):
         super().__init__(message)
         self.steps_completed = steps_completed
         self.wavefield = wavefield
+        self.member = member

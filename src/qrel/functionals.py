@@ -289,7 +289,8 @@ def variational_derivative(tag: FunctionalTag, state: HydroState, component: str
 # momentum integral hbar^2 |grad psi|^2 is conserved exactly by the free
 # propagator, which keeps the conservation columns of trajectory records
 # at the rounding floor.  The gradients are the field's cached ones, so a
-# record costs no transform beyond those of the field itself.
+# record costs no transform beyond those of the field itself.  A stacked
+# field gives one value per member.
 
 
 def wave_fisher_integral(w: WaveField) -> float:
@@ -311,7 +312,7 @@ def wave_k_q(w: WaveField) -> float:
 def wave_delta_x2(w: WaveField, convention: str = "consistent") -> float:
     _check_convention(convention)
     integral = wave_fisher_integral(w)
-    if integral <= 1e-12:
+    if np.less_equal(integral, 1e-12).any():
         raise DegenerateStateError("Fisher integral vanishes; delta_x2 undefined for this field")
     return 1.0 / ((4.0 if convention == "consistent" else 2.0) * integral)
 

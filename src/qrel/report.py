@@ -126,5 +126,4 @@ def table_csv(header, rows) -> str:
 
 def trajectory_csv(traj: Trajectory) -> str:
     """One row per record, one column per :class:`TrajectoryRecord` field."""
-    return table_csv(_TRAJECTORY_COLUMNS,
-                     ([getattr(r, name) for name in _TRAJECTORY_COLUMNS] for r in traj.records))
+    return table_csv(_TRAJECTORY_COLUMNS, zip(*(traj.column(name).tolist() for name in _TRAJECTORY_COLUMNS)))

@@ -33,7 +33,8 @@ def _read_only(a: np.ndarray, kind: str) -> np.ndarray:
         dtype = np.longdouble if a.dtype == np.longdouble else np.float64
     else:
         dtype = np.clongdouble if a.dtype in (np.clongdouble, np.longdouble) else np.complex128
-    out = np.array(a, dtype=dtype)
+    # C order, so that each member of a stack is summed as it is alone (Grid.quadrature)
+    out = np.array(a, dtype=dtype, order="C")
     out.setflags(write=False)
     return out
 
@@ -100,6 +101,11 @@ class WaveField:
     gradients of psi and |psi| are computed once on first use and kept
     read-only, so every observable and integrator step that reads the
     same field shares them.
+
+    ``psi`` may be a stack (see :class:`Grid`): the caches then hold one
+    member per entry of the stack, each bit for bit its lone value, and
+    every wave-field observable returns one value per member.  The
+    stacked tau-runner marches its members this way.
     """
 
     grid: Grid
@@ -109,8 +115,6 @@ class WaveField:
 
     def __post_init__(self):
         object.__setattr__(self, "psi", _read_only(self.grid.bind(self.psi), "complex"))
-        if self.psi.shape != self.grid.shape:  # the cached transforms take no stack
-            raise GridMismatchError(f"psi shape {self.psi.shape} does not match grid shape {self.grid.shape}")
         if not self.hbar > 0:
             raise ConfigurationError(f"hbar must be positive, got {self.hbar!r}")
         if not self.mass > 0:
@@ -130,12 +134,12 @@ class WaveField:
         only occur where |psi| is negligible, and are harmless there
         because every use of s carries a rho weight.
         """
-        return _read_only(self.hbar * _unwrap_from_center(np.angle(self.psi)), "real")
+        return _read_only(self.hbar * _unwrap_from_center(np.angle(self.psi), self.grid.dim), "real")
 
     @cached_property
     def psi_hat(self) -> np.ndarray:
-        """``np.fft.fftn(psi)``."""
-        h = np.fft.fftn(self.psi)
+        """The transform of psi over the grid axes."""
+        h = self.grid._fftn(self.psi)
         h.setflags(write=False)
         return h
 
@@ -152,6 +156,24 @@ class WaveField:
     @property
     def norm(self) -> float:
         return self.grid.quadrature(self.rho)
+
+    def take(self, index) -> "WaveField":
+        """Members of a stack, with every cache computed so far.
+
+        A boolean mask ``index`` selects a stack of members; an integer
+        gives that member as a lone field.
+        """
+        out = WaveField(grid=self.grid, psi=self.psi[index], hbar=self.hbar, mass=self.mass)
+        for name in _CACHES:
+            if name in self.__dict__:  # where cached_property keeps a computed value
+                value = self.__dict__[name]
+                taken = _read_only_all([a[index] for a in (value if isinstance(value, tuple) else (value,))])
+                out.__dict__[name] = taken if isinstance(value, tuple) else taken[0]
+        return out
+
+
+#: The cached properties of a :class:`WaveField`.
+_CACHES = ("rho", "s", "psi_hat", "grad_psi", "grad_amplitude")
 
 
 def _read_only_all(arrays) -> tuple:
@@ -225,11 +247,12 @@ def to_wave(state: HydroState) -> WaveField:
     return WaveField(grid=state.grid, psi=psi, hbar=state.hbar, mass=state.mass)
 
 
-def _unwrap_from_center(angles: np.ndarray) -> np.ndarray:
+def _unwrap_from_center(angles: np.ndarray, dim: int) -> np.ndarray:
+    # unwraps the trailing ``dim`` grid axes of each member, never a stack axis
     out = angles
-    for ax in range(angles.ndim):
+    for ax in range(-dim, 0):
         out = np.unwrap(out, axis=ax)
-    center = tuple(n // 2 for n in angles.shape)
+    center = (...,) + tuple(n // 2 for n in angles.shape[-dim:]) + (np.newaxis,) * dim
     return out - out[center] + angles[center]
 
 

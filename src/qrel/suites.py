@@ -22,10 +22,10 @@ from . import functionals as fn
 from . import group as gr
 from . import oracles as orc
 from .config import ScenarioConfig
-from .errors import ConfigurationError
+from .errors import ConfigurationError, ResolutionGuardError
 from .grid import Grid
 from .report import Report, bound, compare, info
-from .states import GaussianParams, make_double_gaussian, make_gaussian, to_wave
+from .states import GaussianParams, WaveField, make_double_gaussian, make_gaussian, to_wave
 
 ORIENTATION_NOTE = ("orientation: parameter flows follow dA/dalpha = {A, S}, "
                     "with {S, H_q} = K_q and {S, K_q} = H_q")
@@ -328,10 +328,17 @@ def suite_dynamics(cfg: ScenarioConfig):
                           provenance="step halving"))
 
     battery = battery_states(grid, hb, m)
+    stack = WaveField(grid=grid, psi=np.stack([to_wave(state).psi for _, state in battery]), hbar=hb, mass=m)
+    try:
+        trajectories = dyn.run_trajectories(stack, "tau", cfg.step, int(round(0.5 / cfg.step)), cfg.convention)
+    except ResolutionGuardError as err:
+        if not err.steps_completed:
+            raise  # the battery state itself trips, before any step
+        raise ConfigurationError(
+            f"flow.step: {cfg.step!r} leaves the battery tau-run {battery[err.member][0]} with no "
+            f"certified record ({err})") from err
 
-    def tau_run(label, state):
-        traj = dyn.run_trajectory(to_wave(state), "tau", cfg.step, int(round(0.5 / cfg.step)),
-                                  cfg.convention)
+    def tau_run(label, traj):
         if len(traj.records) < 5:
             raise ConfigurationError(
                 f"flow.step: {cfg.step!r} leaves the battery tau-run {label} with {len(traj.records)} "
@@ -346,7 +353,7 @@ def suite_dynamics(cfg: ScenarioConfig):
         norm_drift = float(np.abs(traj.column("norm") - 1.0).max())
         return mono, rel, resid, hq_min, norm_drift, traj.guard_tripped, traj.column("k_q")
 
-    results = {label: tau_run(label, state) for label, state in battery}
+    results = {label: tau_run(label, traj) for (label, _), traj in zip(battery, trajectories)}
     checks.append(bound("Lyapunov: s_gen nondecreasing (battery tau-runs)",
                         -min(r[0] for r in results.values()), 1e-12, provenance="Lyapunov generator"))
     checks.append(bound("Lyapunov: d(s_gen)/dtau = h_q (relative, battery)",

@@ -57,8 +57,17 @@ class TestVerify:
         ({"alphas": [True]}, "group", "alphas"),
         # two steps of 0.2 give 3 records; the rate stencil needs 5
         ({"flow": {"step": 0.2}}, "dynamics", "flow.step"),
+        # misspelt keys are refused rather than replaced by their defaults
+        ({"grid": {"N": 256, "lenght": 10}}, "group", "grid.N"),
+        ({"grid": {"lenght": 10}}, "group", "grid.lenght"),
+        ({"units": {"hbarr": 2}}, "group", "units.hbarr"),
+        ({"flow": {"stpe": 0.1}}, "group", "flow.stpe"),
+        ({"state": {"kind": "wave_file", "path": "psi.npy", "sigma2": 1.0}}, "group", "state.sigma2"),
+        ({"suite": ["group"]}, "group", "suite is not a known field"),
     ], ids=["grid-n", "grid-dim-float", "state-b-nan", "state-p0-string", "state-x0-list",
-            "alphas-nan", "alphas-infinity", "alphas-bool", "flow-step-coarse"])
+            "alphas-nan", "alphas-infinity", "alphas-bool", "flow-step-coarse",
+            "grid-key-N", "grid-key-lenght", "units-key-hbarr", "flow-key-stpe", "wave-file-key-sigma2",
+            "root-key-suite"])
     def test_malformed_config_names_field(self, tmp_path, capsys, overrides, suite, field):
         cfg = write_config(tmp_path, **overrides)
         assert main(["verify", "--suite", suite, "--config", cfg, "--out", str(tmp_path / "o")]) == 2

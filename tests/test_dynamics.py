@@ -9,6 +9,7 @@ from qrel import (
     GaussianOdeState,
     GaussianParams,
     Grid,
+    GridMismatchError,
     HydroState,
     ResolutionGuardError,
     TrajectoryRecord,
@@ -24,6 +25,7 @@ from qrel import (
     integrate_gaussian_ode,
     make_gaussian,
     measured_rates,
+    run_trajectories,
     run_trajectory,
     sigma_x2,
     to_wave,
@@ -37,6 +39,7 @@ from qrel.functionals import (
     wave_p_translation,
     wave_s_gen,
 )
+from qrel.report import TRAJECTORY_HEADER, table_csv, trajectory_csv
 from qrel.states import phase_gradient
 
 
@@ -312,6 +315,133 @@ class TestTrajectoryRecordsMatchFreshFields:
         assert len(calls) <= 12 * len(traj.records)
 
 
+def _stack(waves):
+    return WaveField(grid=waves[0].grid, psi=np.stack([w.psi for w in waves]))
+
+
+def assert_same_trajectory(got, want):
+    """Field for field and bit for bit: records, columns and diagnostics."""
+    assert list(got.records) == list(want.records)
+    for name, column in want.columns.items():
+        assert got.column(name).tobytes() == column.tobytes(), name
+    assert (got.flow, got.step, got.requested_steps) == (want.flow, want.step, want.requested_steps)
+    assert (got.guard_tripped, got.guard_reason, got.clamp_events) == \
+        (want.guard_tripped, want.guard_reason, want.clamp_events)
+
+
+class TestStackedRunner:
+    """One stacked call gives every member, bit for bit, its lone trajectory."""
+
+    def test_battery_stack_matches_lone_runs(self, battery):
+        # in 300 steps ten members trip the stability guard, at five different steps, and
+        # eight run the full window
+        waves = [to_wave(state) for _, state in battery]
+        stacked = run_trajectories(_stack(waves), "tau", 1e-3, 300)
+        assert len(stacked) == len(waves)
+        assert sum(t.guard_tripped for t in stacked) == 10
+        for wave, traj in zip(waves, stacked):
+            assert_same_trajectory(traj, run_trajectory(wave, "tau", 1e-3, 300))
+
+    def test_mixed_stack_with_each_guard(self, grid, minimal_wave):
+        resolution = to_wave(make_gaussian(GaussianParams(sigma2=0.17, b=-3.0), grid))
+        noise = to_wave(make_gaussian(GaussianParams(sigma2=0.5, b=-1.0), grid))
+        waves = [resolution, noise, minimal_wave]
+        stacked = run_trajectories(_stack(waves), "tau", 1e-3, 250)
+        assert "resolution guard" in stacked[0].guard_reason
+        assert "stability guard" in stacked[1].guard_reason
+        assert not stacked[2].guard_tripped and len(stacked[2].records) == 251
+        assert stacked[0].last_valid_step < stacked[1].last_valid_step < stacked[2].last_valid_step
+        for wave, traj in zip(waves, stacked):
+            assert_same_trajectory(traj, run_trajectory(wave, "tau", 1e-3, 250))
+
+    def test_t_flow_stack(self, grid, minimal_wave):
+        moving = to_wave(make_gaussian(GaussianParams(sigma2=0.5, b=1.0, p0=2.0), grid))
+        stacked = run_trajectories(_stack([minimal_wave, moving]), "t", 0.05, 20)
+        for wave, traj in zip([minimal_wave, moving], stacked):
+            assert_same_trajectory(traj, run_trajectory(wave, "t", 0.05, 20))
+
+    @pytest.mark.parametrize("sigma2, b, dtau, shape", [
+        # below the resolution floor already: the first, backward, step trips, unwrapped
+        (0.13, -6.0, 1e-3, "^resolution guard: .* after 0 steps$"),
+        # the second forward step trips, before the window of the first record is full
+        (0.17, -3.0, 3e-2, "^guard tripped before any record could be certified: resolution guard: .* after 1 steps$"),
+    ], ids=["backward", "forward"])
+    def test_member_tripping_before_its_first_record_raises_as_alone(self, grid, minimal_wave,
+                                                                     sigma2, b, dtau, shape):
+        tripping = to_wave(make_gaussian(GaussianParams(sigma2=sigma2, b=b), grid))
+        with pytest.raises(ResolutionGuardError, match=shape) as alone:
+            run_trajectory(tripping, "tau", dtau, 10)
+        with pytest.raises(ResolutionGuardError) as stacked:
+            run_trajectories(_stack([minimal_wave, tripping, minimal_wave]), "tau", dtau, 10)
+        assert str(stacked.value) == str(alone.value)
+        assert stacked.value.steps_completed == alone.value.steps_completed
+        assert stacked.value.wavefield.psi.tobytes() == alone.value.wavefield.psi.tobytes()
+        assert (alone.value.member, stacked.value.member) == (0, 1)
+
+    def test_non_contiguous_stack(self, battery):
+        waves = [to_wave(state) for _, state in battery[:4]]
+        psi = np.stack([w.psi for w in waves], axis=-1).T  # members along the innermost stride
+        assert not psi.flags.c_contiguous
+        stack = WaveField(grid=waves[0].grid, psi=psi)
+        assert stack.psi.flags.c_contiguous
+        for wave, traj in zip(waves, run_trajectories(stack, "tau", 1e-3, 20)):
+            assert_same_trajectory(traj, run_trajectory(wave, "tau", 1e-3, 20))
+
+    def test_stack_shapes(self, minimal_wave):
+        (lone,) = run_trajectories(minimal_wave, "tau", 1e-3, 5)  # a lone field is a stack of one
+        assert_same_trajectory(lone, run_trajectory(minimal_wave, "tau", 1e-3, 5))
+        with pytest.raises(GridMismatchError, match="one member axis"):
+            run_trajectories(WaveField(grid=minimal_wave.grid, psi=minimal_wave.psi[None, None]), "tau", 1e-3, 5)
+        with pytest.raises(GridMismatchError, match="expected one field"):
+            run_trajectory(_stack([minimal_wave] * 2), "tau", 1e-3, 5)
+
+    def test_fft_calls_per_record_step_counted_once_per_stack(self, grid, minimal_wave, monkeypatch):
+        params = (GaussianParams(sigma2=2.0, b=1.0), GaussianParams(sigma2=1.0, b=0.5, p0=2.0))
+        waves = [minimal_wave] + [to_wave(make_gaussian(p, grid)) for p in params]
+        calls = []
+        for name in ("fftn", "ifftn"):
+            def counted(*args, _original=getattr(np.fft, name), **kwargs):
+                calls.append(1)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, counted)
+        stacked = run_trajectories(_stack(waves), "tau", 1e-3, 20)
+        assert all(len(t.records) == 21 for t in stacked)
+        assert len(calls) <= 12 * 21
+
+
+class TestColumnarTrajectory:
+    """A trajectory stores one float64 column per record field and reads them as rows."""
+
+    @staticmethod
+    def runs(grid, minimal_wave):
+        tripping = to_wave(make_gaussian(GaussianParams(sigma2=0.17, b=-3.0), grid))
+        t_run = run_trajectory(minimal_wave, "t", 0.05, 30)
+        tau_run = run_trajectory(tripping, "tau", 1e-3, 50)
+        assert tau_run.guard_tripped and not t_run.guard_tripped
+        return t_run, tau_run
+
+    def test_csv_equals_row_by_row_rendering(self, grid, minimal_wave):
+        names = TRAJECTORY_HEADER.split(",")
+        for traj in self.runs(grid, minimal_wave):
+            reference = table_csv(names, ([getattr(r, name) for name in names] for r in traj.records))
+            assert trajectory_csv(traj) == reference
+
+    def test_columns_and_rows(self, grid, minimal_wave):
+        for traj in self.runs(grid, minimal_wave):
+            for name in TRAJECTORY_HEADER.split(","):
+                column = traj.column(name)
+                assert column.dtype == np.float64 and column.shape == (len(traj.records),)
+                assert not column.flags.writeable
+            last = traj.records[-1]
+            assert isinstance(last, TrajectoryRecord) and isinstance(last.step, int)
+            assert last == TrajectoryRecord(**{name: traj.column(name)[-1] for name in TRAJECTORY_HEADER.split(",")})
+            assert last.step == traj.last_valid_step == len(traj.records) - 1
+            assert traj.records[::10] == [traj.records[i] for i in range(0, len(traj.records), 10)]
+            with pytest.raises(TypeError):
+                traj.records[0] = last
+
+
 class TestRates:
     def test_chirped_tau_rates(self, grid):
         # d(dx2)/dtau = 2 b sigma2 = 2; d(dp2)/dtau = -b/sigma2 = -1
@@ -382,6 +512,16 @@ class TestPotentialClamp:
         monkeypatch.setattr(dyn_mod, "W_MAX", 1e-3)
         traj = dyn_mod.run_trajectory(minimal_wave, "tau", 1e-3, 5)
         assert traj.clamp_events > 0
+
+    def test_clamp_events_counted_per_member(self, grid, minimal_wave, monkeypatch):
+        import qrel.dynamics as dyn_mod
+
+        # W = x^2/4 - 1/2 on the minimal Gaussian: only part of the box is clipped
+        monkeypatch.setattr(dyn_mod, "W_MAX", 1.0)
+        waves = [minimal_wave, to_wave(make_gaussian(GaussianParams(sigma2=0.5, b=1.0), grid))]
+        stacked = dyn_mod.run_trajectories(_stack(waves), "tau", 1e-3, 5)
+        alone = [dyn_mod.run_trajectory(w, "tau", 1e-3, 5).clamp_events for w in waves]
+        assert [t.clamp_events for t in stacked] == alone and alone[0] != alone[1]
 
     def test_no_clamping_on_battery_states(self, battery):
         import qrel.dynamics as dyn_mod

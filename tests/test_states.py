@@ -162,11 +162,6 @@ class TestStackedHydroState:
         with pytest.raises(GridMismatchError):
             HydroState(grid=grid, rho=np.stack([minimal.rho] * 3), s=np.stack([minimal.s] * 2))
 
-    def test_stacked_wave_field_rejected(self, grid, minimal):
-        psi = np.sqrt(minimal.rho) * np.exp(1j * minimal.s)
-        with pytest.raises(GridMismatchError):
-            WaveField(grid=grid, psi=np.stack([psi] * 2))
-
     def test_one_noded_member_refused(self, grid, minimal):
         x = grid.coords[0]
         noded = x**2 * np.exp(-(x**2) / 2.0)
@@ -175,3 +170,56 @@ class TestStackedHydroState:
         stack = HydroState(grid=grid, rho=np.stack([minimal.rho, noded, minimal.rho]), s=minimal.s)
         with pytest.raises(DegenerateStateError, match="interior node"):
             check_nodeless_interior(stack)
+
+
+class TestStackedWaveField:
+    """Every cache of a stacked field holds, bit for bit, each member's lone value."""
+
+    CACHES = ("rho", "s", "psi_hat", "grad_psi", "grad_amplitude")
+
+    @staticmethod
+    def members(grid):
+        # phases that differ by more than pi between members at the same sample, so an
+        # unwrap along the member axis would show in s
+        params = (GaussianParams(sigma2=1.0, b=1.0, p0=2.0), GaussianParams(sigma2=0.5, b=-1.0, c=3.0),
+                  GaussianParams(sigma2=2.0, x0=1.5))
+        return [to_wave(make_gaussian(p, grid)) for p in params]
+
+    @classmethod
+    def assert_caches_equal(cls, stacked, lone):
+        for name in cls.CACHES:
+            got, want = getattr(stacked, name), getattr(lone, name)
+            for g, w in zip(got, want) if isinstance(want, tuple) else [(got, want)]:
+                assert g.tobytes() == w.tobytes(), name
+
+    @pytest.mark.parametrize("dim, n, length", [(1, 512, 40.0), (2, 64, 36.0)], ids=["1d", "2d"])
+    def test_caches_match_members(self, dim, n, length):
+        grid = Grid(n=n, length=length, dim=dim)
+        members = self.members(grid)
+        stack = WaveField(grid=grid, psi=np.stack([m.psi for m in members]))
+        for i, member in enumerate(members):
+            self.assert_caches_equal(stack.take(i), member)
+        assert np.array_equal(stack.norm, [m.norm for m in members])
+
+    def test_take_keeps_computed_caches(self, grid):
+        members = self.members(grid)
+        stack = WaveField(grid=grid, psi=np.stack([m.psi for m in members]))
+        stack.psi_hat, stack.grad_psi
+        kept = stack.take(np.array([True, False, True]))
+        assert {"psi_hat", "grad_psi"} <= set(vars(kept)) and "rho" not in vars(kept)
+        assert not kept.psi_hat.flags.writeable
+        self.assert_caches_equal(kept.take(1), members[2])
+
+    def test_non_contiguous_stack_made_contiguous(self, grid):
+        members = self.members(grid)
+        psi = np.stack([m.psi for m in members], axis=-1).T  # members along the innermost stride
+        assert not psi.flags.c_contiguous
+        stack = WaveField(grid=grid, psi=psi)
+        assert stack.psi.flags.c_contiguous
+        for i, member in enumerate(members):
+            self.assert_caches_equal(stack.take(i), member)
+
+    def test_wrong_trailing_shape_rejected(self, grid, minimal):
+        psi = np.sqrt(minimal.rho) * np.exp(1j * minimal.s)
+        with pytest.raises(GridMismatchError):
+            WaveField(grid=grid, psi=np.stack([psi[::2]] * 2))
