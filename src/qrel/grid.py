@@ -5,6 +5,16 @@ periodic box.  The box is deliberately large compared to the states of
 interest so that localized fields decay below 1e-12 before the boundary;
 spectral differentiation and rectangle-rule quadrature are then accurate
 to machine precision for band-limited integrands.
+
+First derivatives of a real field (``gradient``, ``divergence``) go
+through the rfftn half spectrum, which holds every independent mode of
+a real field at half the work of a complex transform; complex fields
+keep the full spectrum.  The Laplacian stays on complex transforms for
+both.  The quantum potential ``laplacian(sqrt rho) / sqrt rho`` divides
+by sqrt rho ~ 1e-6 at the rim of its comparison region, so it magnifies
+the Laplacian's rounding noise: on the half spectrum the functionals
+suite's quantum-potential field check reads 1.9e-8 against its 1e-8
+bound, against 5.0e-9 on the full spectrum.
 """
 
 from dataclasses import dataclass
@@ -120,6 +130,12 @@ class Grid:
         return tuple(factors)
 
     @cached_property
+    def _half_derivative_factors(self) -> tuple:
+        # the same factors on the rfftn half spectrum, whose last axis holds
+        # the n//2 + 1 non-negative wavenumbers (rfftfreq), Nyquist zeroed
+        return tuple(f[..., : self.n // 2 + 1] for f in self._derivative_factors)
+
+    @cached_property
     def _trailing_axes(self) -> tuple:
         return tuple(range(-self.dim, 0))
 
@@ -132,6 +148,18 @@ class Grid:
 
     def _ifftn(self, f: np.ndarray) -> np.ndarray:
         return np.fft.ifftn(f, s=self.shape, axes=self._trailing_axes)
+
+    def _rfftn(self, f: np.ndarray) -> np.ndarray:
+        return np.fft.rfftn(f, s=self.shape, axes=self._trailing_axes)
+
+    def _irfftn(self, f: np.ndarray) -> np.ndarray:
+        return np.fft.irfftn(f, s=self.shape, axes=self._trailing_axes)
+
+    def _first_derivative_transforms(self, f: np.ndarray) -> tuple:
+        """Forward and inverse transform and ik factors for ``f``: the half spectrum for a real field."""
+        if np.iscomplexobj(f):
+            return self._fftn, self._ifftn, self._derivative_factors
+        return self._rfftn, self._irfftn, self._half_derivative_factors
 
     def bind(self, f: np.ndarray) -> np.ndarray:
         """Validate that ``f`` is a sample array, or a stack of them, on this grid."""
@@ -162,36 +190,39 @@ class Grid:
 
         Intended for fields that decay at the boundary (densities,
         amplitudes, wave functions).  Phase fields are generally not
-        periodic and must not be differentiated this way.  ``fhat``, when
-        given, must be the transform of ``f`` over the grid axes; it saves
+        periodic and must not be differentiated this way.  A real ``f``
+        goes through the rfftn half spectrum and gives real arrays of its
+        own precision; a complex ``f`` goes through the full spectrum.
+        ``fhat``, when given, must be that transform of ``f`` over the
+        grid axes (the half spectrum for a real ``f``); it saves
         recomputing the transform of a field whose transform is already
         held.
         """
         f = self.bind(f)
+        forward, inverse, factors = self._first_derivative_transforms(f)
         if fhat is None:
-            fhat = self._fftn(f)
-        real = not np.iscomplexobj(f)
-        out = []
-        for factor in self._derivative_factors:
-            g = self._ifftn(fhat * factor)
-            out.append(g.real if real else g)
-        return out
+            fhat = forward(f)
+        return [inverse(fhat * factor) for factor in factors]
 
     def divergence(self, components: list) -> np.ndarray:
         """Spectral divergence, the counterpart of :meth:`fd_divergence`.
 
         Each component is differentiated along its own axis only: one
-        transform pair per component.
+        transform pair per component, on the rfftn half spectrum for a
+        real component (see :meth:`gradient`).
         """
         out = 0
-        for comp, factor in zip(components, self._derivative_factors, strict=True):
+        for ax, comp in zip(range(self.dim), components, strict=True):
             comp = self.bind(comp)
-            g = self._ifftn(self._fftn(comp) * factor)
-            out = out + (g if np.iscomplexobj(comp) else g.real)
+            forward, inverse, factors = self._first_derivative_transforms(comp)
+            out = out + inverse(forward(comp) * factors[ax])
         return out
 
     def laplacian(self, f: np.ndarray) -> np.ndarray:
-        """Spectral Laplacian: multiplication by -|k|^2 in Fourier space."""
+        """Spectral Laplacian: multiplication by -|k|^2 in Fourier space.
+
+        Complex transforms for real fields too; see the module docstring.
+        """
         f = self.bind(f)
         g = self._ifftn(-self.k_squared * self._fftn(f))
         return g.real if not np.iscomplexobj(f) else g

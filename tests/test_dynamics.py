@@ -303,7 +303,7 @@ class TestTrajectoryRecordsMatchFreshFields:
         ("t", 0.05, 2, 64, 24.0)], ids=["tau-1d", "t-2d"])
     def test_fft_calls_per_record(self, flow, step, dim, n, length, monkeypatch):
         calls = []
-        for name in ("fftn", "ifftn"):
+        for name in ("fftn", "ifftn", "rfftn", "irfftn"):
             def counted(*args, _original=getattr(np.fft, name), **kwargs):
                 calls.append(1)
                 return _original(*args, **kwargs)
@@ -399,7 +399,7 @@ class TestStackedRunner:
         params = (GaussianParams(sigma2=2.0, b=1.0), GaussianParams(sigma2=1.0, b=0.5, p0=2.0))
         waves = [minimal_wave] + [to_wave(make_gaussian(p, grid)) for p in params]
         calls = []
-        for name in ("fftn", "ifftn"):
+        for name in ("fftn", "ifftn", "rfftn", "irfftn"):
             def counted(*args, _original=getattr(np.fft, name), **kwargs):
                 calls.append(1)
                 return _original(*args, **kwargs)

@@ -148,6 +148,48 @@ def test_long_double_fields_stay_long_double(grid):
     assert grid.laplacian(gaussian_density(grid, 1.0).astype(np.longdouble)).dtype == np.longdouble
 
 
+def _reference_derivative(grid, f, ax):
+    """d f / d x_ax from the full complex spectrum, Nyquist mode zeroed."""
+    k = 2.0 * np.pi * np.fft.fftfreq(grid.n, d=grid.spacing)
+    k[grid.n // 2] = 0.0
+    shape = [1] * grid.dim
+    shape[ax] = grid.n
+    return np.fft.ifftn(np.fft.fftn(f) * (1j * k.reshape(shape))).real
+
+
+def _owns_real_memory(a):
+    return a.base is None or not np.iscomplexobj(a.base)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+class TestRealFieldsOnTheHalfSpectrum:
+    """Real fields go through rfftn/irfftn and agree with the full complex spectrum."""
+
+    def test_gradient(self, dim, dtype):
+        g = Grid(n=16, length=10.0, dim=dim)
+        f = np.random.default_rng(dim).standard_normal(g.shape).astype(dtype)
+        for ax, got in enumerate(g.gradient(f)):
+            want = _reference_derivative(g, f, ax)
+            assert got.dtype == dtype
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+            assert _owns_real_memory(got)
+
+    def test_divergence(self, dim, dtype):
+        g = Grid(n=16, length=10.0, dim=dim)
+        rng = np.random.default_rng(10 + dim)
+        comps = [rng.standard_normal(g.shape).astype(dtype) for _ in range(dim)]
+        got = g.divergence(comps)
+        want = sum(_reference_derivative(g, c, ax) for ax, c in enumerate(comps))
+        assert got.dtype == dtype
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        assert _owns_real_memory(got)
+
+
+def test_amplitude_gradient_holds_no_complex_transform(minimal_wave):
+    assert all(_owns_real_memory(g) for g in minimal_wave.grad_amplitude)
+
+
 STACK_GRIDS = [Grid(n=64, length=20.0), Grid(n=32, length=20.0, dim=2)]
 LEAD = (2, 3)
 

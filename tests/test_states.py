@@ -76,6 +76,29 @@ class TestToWave:
                 array[0] = 0.0
 
 
+class TestStateArrays:
+    """A state copies every array it is built from, so no caller can change it."""
+
+    def test_writable_sources_are_copied(self, minimal):
+        psi = to_wave(minimal).psi.copy()
+        w = WaveField(grid=minimal.grid, psi=psi)
+        rho, s = minimal.rho.copy(), minimal.s.copy()
+        state = HydroState(grid=minimal.grid, rho=rho, s=s)
+        psi[:], rho[:], s[:] = 0.0, 0.0, 1.0
+        assert np.array_equal(w.psi, to_wave(minimal).psi)
+        assert np.array_equal(state.rho, minimal.rho) and np.array_equal(state.s, minimal.s)
+
+    def test_read_only_sources_are_copied(self, minimal):
+        # an owner may switch writes back on, so read-only is no promise
+        psi = to_wave(minimal).psi.copy()
+        psi.setflags(write=False)
+        w = WaveField(grid=minimal.grid, psi=psi)
+        assert w.psi is not psi
+        psi.setflags(write=True)
+        psi[:] = 0.0
+        assert np.array_equal(w.psi, to_wave(minimal).psi)
+
+
 class TestFromWave:
     def test_real_positive_field_has_zero_phase(self, minimal_wave):
         state = from_wave(minimal_wave)
