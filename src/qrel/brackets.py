@@ -80,20 +80,18 @@ def subtract_rho_mean(field: np.ndarray, state: HydroState, where: np.ndarray) -
 
 
 def poisson_bracket(a: FunctionalTag, b: FunctionalTag, state: HydroState,
-                    method: str = "closed-form", convention: str = "consistent",
-                    epsilon: float = 5e-6) -> float:
-    """Value of {a, b} on ``state``.
+                    method: str = "closed-form") -> float:
+    """Value of {a, b} on ``state`` (DELTA_X2 in the consistent convention).
 
     ``method="closed-form"`` uses the derivative rules and also takes a
     stacked state, with one value per member.
     ``method="finite-difference-oracle"`` rebuilds all four derivative
-    fields with the bump oracle, one sweep at ``epsilon`` each.
+    fields with the bump oracle, one sweep at its default bump size each.
     """
     if method == "closed-form":
-        derive = lambda tag, comp: variational_derivative(tag, state, comp, convention)
+        derive = lambda tag, comp: variational_derivative(tag, state, comp)
     elif method == "finite-difference-oracle":
-        derive = lambda tag, comp: fd_functional_derivative(tag, state, comp, epsilon=epsilon,
-                                                            convention=convention)
+        derive = lambda tag, comp: fd_functional_derivative(tag, state, comp)
     else:
         raise ValueError(f"unknown bracket method {method!r}")
     return bracket_of_fields(state.grid, derive(a, "rho"), derive(a, "s"), derive(b, "rho"), derive(b, "s"))
@@ -156,13 +154,13 @@ def _fd_sweep(func, state, component, eps, mask):
 
 
 def fd_functional_derivative(tag, state: HydroState, component: str = "rho",
-                             epsilon: float = 5e-6, where: np.ndarray = None,
-                             convention: str = "consistent") -> np.ndarray:
+                             epsilon: float = 5e-6, where: np.ndarray = None) -> np.ndarray:
     """Oracle derivative field of ``tag`` (or any callable of a state).
 
     One sweep of centered quotients of single-sample bumps of size
-    ``epsilon``, normalized by the cell volume.  Points outside ``where``
-    (default: rho > 1e-12) are returned as zero.  A callable receives a
+    ``epsilon``, normalized by the cell volume; a tag is evaluated as
+    :func:`evaluate` does (DELTA_X2 in the consistent convention).  Points
+    outside ``where`` (default: rho > 1e-12) are returned as zero.  A callable receives a
     stacked :class:`HydroState` of bumped states (long double, one member
     per bump direction and sample) and must return one value per member,
     computed for each member as for a lone state; every tagged functional
@@ -172,7 +170,7 @@ def fd_functional_derivative(tag, state: HydroState, component: str = "rho",
         raise ValueError(f"component must be 'rho' or 's', got {component!r}")
     if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon!r}")
-    func = tag if callable(tag) else (lambda st: evaluate(tag, st, convention))
+    func = tag if callable(tag) else (lambda st: evaluate(tag, st))
     if where is None:
         where = state.rho > ORACLE_RHO_CUTOFF
     return _fd_sweep(func, state, component, epsilon, where)
@@ -182,36 +180,37 @@ def fd_functional_derivative(tag, state: HydroState, component: str = "rho",
 # derived checks
 
 
-def generator_check(state: HydroState, dalpha: float = 1e-4,
-                    convention: str = "consistent") -> GeneratorCheck:
+def generator_check(state: HydroState, dalpha: float = 1e-4) -> GeneratorCheck:
     """Infinitesimal dilatation of the momentum dispersion vs its bracket.
 
     Compares the centered rate of delta_p2_q under dilatation with the
-    closed-form bracket -delta_p2_q + hbar^2 / (2 delta_x2); the centered
-    scheme converges at second order in ``dalpha``.
+    closed-form bracket -delta_p2_q + hbar^2 / (2 delta_x2), delta_x2 in
+    the consistent convention; the centered scheme converges at second
+    order in ``dalpha``.
     """
     dp2 = delta_p2_q(state)
-    dx2 = delta_x2(state, convention)
+    dx2 = delta_x2(state)
     closed = -dp2 + 0.5 * state.hbar**2 / dx2
     rate = (delta_p2_q(dilate(state, dalpha)) - delta_p2_q(dilate(state, -dalpha))) / (2.0 * dalpha)
     return GeneratorCheck(bracket_closed_form=closed, rate_finite_difference=rate,
                           residual=abs(rate - closed), dalpha=dalpha)
 
 
-def jacobi_defect(state: HydroState, epsilon: float = 5e-7) -> tuple:
+def jacobi_defect(state: HydroState) -> tuple:
     """Spot check of the Jacobi identity on (S, H_q, K_q).
 
     Given the verified pair identities {S, H_q} = K_q and {S, K_q} = H_q,
     the cyclic sum collapses to {S, {H_q, K_q}}, which must vanish because
     {H_q, K_q} is invariant under the dilatation flow.  The inner bracket
     is a composite scalar, so its derivative fields come from the oracle,
-    which evaluates it on stacks of bumped states, one value per member.
+    which evaluates it on stacks of bumped states, one value per member,
+    with bumps of 5e-7.
 
     Returns (defect, inner_bracket_value).
     """
     inner = lambda st: poisson_bracket(FunctionalTag.H_Q, FunctionalTag.K_Q, st)
-    d_rho = fd_functional_derivative(inner, state, "rho", epsilon=epsilon)
-    d_s = fd_functional_derivative(inner, state, "s", epsilon=epsilon)
+    d_rho = fd_functional_derivative(inner, state, "rho", epsilon=5e-7)
+    d_s = fd_functional_derivative(inner, state, "s", epsilon=5e-7)
     ds_rho = variational_derivative(FunctionalTag.S_GEN, state, "rho")
     ds_s = variational_derivative(FunctionalTag.S_GEN, state, "s")
     defect = bracket_of_fields(state.grid, ds_rho, ds_s, d_rho, d_s)

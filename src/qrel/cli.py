@@ -11,14 +11,12 @@ import argparse
 import os
 import sys
 
-from . import functionals as fn
-from . import group as gr
 from .config import SUITE_NAMES, load_config
 from .dynamics import run_trajectory
 from .errors import ConfigurationError, QrelError, ResolutionGuardError
 from .report import dumps17, format17, table_csv, trajectory_csv
 from .states import from_wave
-from .suites import ORIENTATION_NOTE, run_suites
+from .suites import ORIENTATION_NOTE, TRANSFORM_COLUMNS, _dilatation_sweep, run_suites
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -112,25 +110,10 @@ def cmd_transform(args) -> int:
         raise ConfigurationError("alphas: list must be nonempty for the transform command")
     grid = cfg.make_grid()
     state = cfg.make_state(grid) if cfg.state_kind == "gaussian" else from_wave(cfg.make_wave(grid))
-    pair = fn.uncertainty_pair(state, cfg.convention)
-    h0, k0 = fn.h_q(state), fn.k_q(state)
-    rows = []
-    worst = 0.0
-    for alpha in cfg.alphas:
-        dil = gr.dilate(state, alpha)
-        predicted = gr.transform_uncertainty(pair, alpha, cfg.hbar)
-        mix_h, mix_k = gr.mix_hk(h0, k0, alpha)
-        dx2 = fn.delta_x2(dil, cfg.convention)
-        dp2 = fn.delta_p2_q(dil)
-        hq, kq = fn.h_q(dil), fn.k_q(dil)
-        residual = max(abs(dx2 - predicted.dx2), abs(dp2 - predicted.dp2),
-                       abs(hq - mix_h), abs(kq - mix_k))
-        worst = max(worst, residual)
-        rows.append([alpha, dx2, dp2, hq, kq, predicted.dx2, predicted.dp2, mix_h, mix_k, residual])
-    header = ["alpha", "delta_x2", "delta_p2_q", "h_q", "k_q",
-              "predicted_dx2", "predicted_dp2", "predicted_h_q", "predicted_k_q", "residual"]
+    rows = _dilatation_sweep(state, cfg.alphas, cfg.convention)
+    worst = max(row["residual"] for row in rows)
     csv_path = os.path.join(args.out, "transform.csv")
-    _write(csv_path, table_csv(header, rows))
+    _write(csv_path, table_csv(TRANSFORM_COLUMNS, ([row[c] for c in TRANSFORM_COLUMNS] for row in rows)))
     summary = {
         "alphas": list(cfg.alphas),
         "max_residual": worst,

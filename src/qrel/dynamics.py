@@ -26,11 +26,13 @@ step onto the band |k - kbar| <= k_c actually occupied by the solution
 (kbar and the momentum dispersion are measured spectrally, and
 k_c^2 = BAND_WIDTH_FACTOR * dk^2; for Gaussian spectra this keeps
 truncation at the 1e-14 level, but not for others: see BAND_WIDTH_FACTOR),
-and it accrues a noise budget B = sum (hbar k_c^2 / 2m) dtau, the log of
-the worst-case amplification inside the band.  Runs stop at
-NOISE_BUDGET_MAX, where the measured gap to the Gaussian ODE oracle is
-about 1e-6, below the 1e-5 acceptance tolerances; contracting packets
-also stop at the resolution guard sigma_x2 > RESOLUTION_CELLS * spacing^2.
+and it accrues a noise budget B = sum (hbar k_c^2 / 2m) |dtau|, the log of
+the worst-case amplification inside the band; a backward march (the sign
+of its dtau is its direction) spends the budget as a forward one does.
+Runs stop at NOISE_BUDGET_MAX, where the measured gap to the Gaussian ODE
+oracle is about 1e-6, below the 1e-5 acceptance tolerances; contracting
+packets also stop at the resolution guard sigma_x2 > RESOLUTION_CELLS *
+spacing^2.
 Both guards mark the trajectory rather than silently degrading it.
 
 Trajectories
@@ -59,6 +61,7 @@ import numpy as np
 
 from .errors import GridMismatchError, ResolutionGuardError
 from .functionals import (
+    _curvature_quotient,
     _per_member,
     sigma_x2,
     wave_delta_p2_q,
@@ -67,8 +70,7 @@ from .functionals import (
     wave_k_q,
     wave_s_gen,
 )
-from .states import (RHO_FLOOR, HydroState, WaveField, check_nodeless_interior,
-                     phase_gradient, to_wave)
+from .states import HydroState, WaveField, check_nodeless_interior, phase_gradient, to_wave
 
 #: k_c^2 in units of the measured momentum dispersion.  For a Gaussian
 #: spectrum exp(-128/4) ~ 1e-14 of the spectral amplitude is discarded at
@@ -179,10 +181,7 @@ def _spectral_band(grid, psi_hat):
     total = weights.sum(axis=axes)
     kbar = []
     dk2 = 0.0
-    for ax in range(grid.dim):
-        shape = [1] * grid.dim
-        shape[ax] = grid.n
-        k_ax = grid.wavenumbers.reshape(shape)
+    for k_ax in grid._axis_wavenumbers:
         mean = (k_ax * weights).sum(axis=axes) / total
         kbar.append(mean)
         dk2 += (((k_ax - _per_member(mean, grid)) ** 2) * weights).sum(axis=axes) / total
@@ -210,7 +209,9 @@ class _TauMarcher:
     member that trips a guard leaves the stack unstepped; every other
     member steps on, bit for bit as it would alone.  The guards, the
     step's transform and every observer of the field read its cache, so
-    each field of a run is transformed once.
+    each field of a run is transformed once.  The sign of ``dtau`` is the
+    direction of the march: ``_TauMarcher(w, -step)`` steps backward, and
+    the noise budget accrues ``|dtau|`` either way.
     """
 
     def __init__(self, w: WaveField, dtau: float):
@@ -228,14 +229,8 @@ class _TauMarcher:
         self.steps_done = 0
         self._guard_floor = RESOLUTION_CELLS * self.grid.spacing**2
         self._kc2_floor = 9.0 * (2.0 * math.pi / self.grid.length) ** 2
-        self._half_kinetic = {}
-
-    def _half_kinetic_phase(self, direction: float) -> np.ndarray:
-        # unmasked exp(-i hbar k^2 dt / 4m); the band mask changes every step
-        if direction not in self._half_kinetic:
-            dt = direction * self.dtau
-            self._half_kinetic[direction] = np.exp(-0.25j * self.hbar * self.grid.k_squared * dt / self.mass)
-        return self._half_kinetic[direction]
+        # unmasked exp(-i hbar k^2 dtau / 4m); the band mask changes every step
+        self._half_kinetic = np.exp(-0.25j * self.hbar * self.grid.k_squared * dtau / self.mass)
 
     def _guard_trips(self) -> dict:
         """Guard messages of the live members that trip, by position in the stack."""
@@ -253,8 +248,8 @@ class _TauMarcher:
                                 f"exceeded {NOISE_BUDGET_MAX:g} after {self.steps_done} steps")
         return trips
 
-    def step(self, direction: float = 1.0) -> dict:
-        """One Strang step of size direction*dtau for every live member, guards checked first.
+    def step(self) -> dict:
+        """One Strang step of size dtau for every live member, guards checked first.
 
         Returns the members the guards stopped, by starting index, each
         with the :class:`ResolutionGuardError` its lone run raises.  A
@@ -277,14 +272,14 @@ class _TauMarcher:
             self.noise_budget = self.noise_budget[keep]
         check_nodeless_interior(self.field)
 
-        half_kin = self._band_half_kinetic(direction)
-        psi = self._rotate(self.grid._ifftn(self.field.psi_hat * half_kin), direction * self.dtau)
+        half_kin = self._band_half_kinetic()
+        psi = self._rotate(self.grid._ifftn(self.field.psi_hat * half_kin))
         psi = self.grid._ifftn(self.grid._fftn(psi) * half_kin)
         self.field = WaveField(grid=self.grid, psi=psi, hbar=self.hbar, mass=self.mass)
         self.steps_done += 1
         return stopped
 
-    def _band_half_kinetic(self, direction: float) -> np.ndarray:
+    def _band_half_kinetic(self) -> np.ndarray:
         """The half kinetic step on each member's band |k - kbar| <= k_c, zero outside.
 
         Accrues each member's noise budget for the band.  (The helpers of
@@ -293,27 +288,25 @@ class _TauMarcher:
         kbar, dk2 = _spectral_band(self.grid, self.field.psi_hat)
         kc2 = np.maximum(BAND_WIDTH_FACTOR * dk2, self._kc2_floor)
         kc2 = np.minimum(kc2, (0.95 * math.pi / self.grid.spacing) ** 2)
-        krel2 = 0.0
-        for ax in range(self.grid.dim):
-            shape = [1] * self.grid.dim
-            shape[ax] = self.grid.n
-            krel2 = krel2 + (self.grid.wavenumbers.reshape(shape) - _per_member(kbar[ax], self.grid)) ** 2
-        self.noise_budget += 0.5 * self.hbar * kc2 * self.dtau / self.mass
-        return self._half_kinetic_phase(direction) * (krel2 <= _per_member(kc2, self.grid))
+        krel2 = sum((k - _per_member(mean, self.grid)) ** 2
+                    for k, mean in zip(self.grid._axis_wavenumbers, kbar, strict=True))
+        self.noise_budget += 0.5 * self.hbar * kc2 * abs(self.dtau) / self.mass
+        return self._half_kinetic * (krel2 <= _per_member(kc2, self.grid))
 
-    def _rotate(self, psi: np.ndarray, dt: float) -> np.ndarray:
+    def _rotate(self, psi: np.ndarray) -> np.ndarray:
         """The pointwise phase rotation by the clamped potential W, counting clamp events."""
-        u = np.abs(psi)
-        W = (self.hbar**2 / self.mass) * self.grid.laplacian(u) / np.maximum(u, math.sqrt(RHO_FLOOR))
+        W = (self.hbar**2 / self.mass) * _curvature_quotient(self.grid, np.abs(psi))
         clipped = np.abs(W) > W_MAX
         if clipped.any():
             self.clamp_events[self.members] += clipped.sum(axis=self.grid._trailing_axes)
             W = np.clip(W, -W_MAX, W_MAX)
-        return psi * np.exp(-1j * W * dt / self.hbar)
+        return psi * np.exp(-1j * W * self.dtau / self.hbar)
 
 
 def evolve_tau(w: WaveField, dtau: float, steps: int = 1) -> WaveField:
     """Integrate the companion flow of one field for ``steps`` Strang steps of ``dtau``.
+
+    A negative ``dtau`` integrates backward, under the same guards.
 
     Raises :class:`ResolutionGuardError` when a guard trips; the exception
     carries the completed step count and the last valid field.
@@ -347,11 +340,9 @@ def hydro_rhs(state: HydroState, flow: str) -> tuple:
     grads = phase_gradient(state)
     flux = [state.rho * g / state.mass for g in grads]
     drho = -state.grid.divergence(flux)
-    u = state.sqrt_rho
-    curvature = state.grid.laplacian(u) / np.maximum(u, math.sqrt(RHO_FLOOR))
     sign = 1.0 if flow == "t" else -1.0
     ds = -sum(g**2 for g in grads) / (2.0 * state.mass) \
-        + sign * (state.hbar**2 / (2.0 * state.mass)) * curvature
+        + sign * (state.hbar**2 / (2.0 * state.mass)) * _curvature_quotient(state.grid, state.sqrt_rho)
     return drho, ds
 
 
@@ -393,10 +384,10 @@ def _flow_fields(w0: WaveField, flow: str, step: float, back: int, ahead: int):
     # a field of the run's own, so that its caches stay off the caller's w0; the
     # stream holds each field only until it has been yielded
     w0 = WaveField(grid=w0.grid, psi=w0.psi, hbar=w0.hbar, mass=w0.mass)
-    behind = _TauMarcher(w0, step)
+    behind = _TauMarcher(w0, -step)
     earlier = [(w0, {})]
     for _ in range(back):
-        _raise_first(behind.step(direction=-1.0))
+        _raise_first(behind.step())
         earlier.append((behind.field, {}))
     marcher = _TauMarcher(w0, step)
 

@@ -8,6 +8,9 @@ Conventions
   transformation law an identity and saturates the minimal-Gaussian
   product at hbar^2/4.  The historical factor-2 reading is available as
   ``convention="paper-literal"`` purely for documenting the discrepancy.
+  Only the reported dispersions (``delta_x2``, ``wave_delta_x2``,
+  ``uncertainty_pair``) take a convention; ``evaluate``, the derivative
+  rules and the bracket engine use the consistent one.
 * Gradients of the phase field use centered differences; amplitude
   fields (rho, sqrt(rho), psi) use spectral calculus.  Phase fields are
   generally not periodic on the box, and the density weight suppresses
@@ -62,9 +65,18 @@ class UncertaintyPair:
         return self.dx2 * self.dp2
 
 
-def _check_convention(convention: str):
+def _dispersion_factor(convention: str, integral) -> float:
+    """The factor c of delta_x2 = 1 / (c * integral): 4 when consistent, 2 when paper-literal.
+
+    Refuses an unknown convention, and a vanishing Fisher integral (e.g.
+    of the uniform density, whose dispersion is undefined on the periodic
+    box) with a degenerate-state error.
+    """
     if convention not in CONVENTIONS:
         raise ValueError(f"convention must be one of {CONVENTIONS}, got {convention!r}")
+    if np.any(integral <= 1e-12):
+        raise DegenerateStateError("Fisher integral vanishes; delta_x2 undefined for this state")
+    return 4.0 if convention == "consistent" else 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -77,6 +89,12 @@ def fisher_integral(state: HydroState) -> float:
     return state.grid.quadrature(sum(g**2 for g in grads))
 
 
+def _curvature_quotient(grid, u: np.ndarray) -> np.ndarray:
+    # laplacian(u)/u for an amplitude u, with u floored at sqrt(RHO_FLOOR): the
+    # quantum potential's quotient, shared by the functionals and both flows
+    return grid.laplacian(u) / np.maximum(u, np.sqrt(RHO_FLOOR))
+
+
 def sqrt_density_curvature(state: HydroState) -> np.ndarray:
     """Field laplacian(sqrt rho)/sqrt(rho), regularized below RHO_FLOOR.
 
@@ -84,8 +102,7 @@ def sqrt_density_curvature(state: HydroState) -> np.ndarray:
     where the ratio is meaningless on the support itself.
     """
     check_nodeless_interior(state)
-    u = state.sqrt_rho
-    return state.grid.laplacian(u) / np.maximum(u, np.sqrt(RHO_FLOOR))
+    return _curvature_quotient(state.grid, state.sqrt_rho)
 
 
 def kinetic_integral(state: HydroState) -> float:
@@ -112,18 +129,14 @@ def fisher_information(state: HydroState) -> float:
 
 
 def delta_x2(state: HydroState, convention: str = "consistent") -> float:
-    """Fisher dispersion of the position distribution.
+    """Fisher dispersion 1 / (c * integral |grad sqrt(rho)|^2) of the position distribution.
 
+    c is 4 in the consistent convention and 2 in the paper-literal one.
     Raises a degenerate-state error when the Fisher integral vanishes
-    (e.g. for the uniform density, whose dispersion is undefined on the
-    periodic box).
+    (see :func:`_dispersion_factor`).
     """
-    _check_convention(convention)
     integral = fisher_integral(state)
-    if np.any(integral <= 1e-12):
-        raise DegenerateStateError("Fisher integral vanishes; delta_x2 undefined for this state")
-    factor = 4.0 if convention == "consistent" else 2.0
-    return 1.0 / (factor * integral)
+    return 1.0 / (_dispersion_factor(convention, integral) * integral)
 
 
 def sigma_x2(state) -> float:
@@ -184,6 +197,7 @@ _EVALUATORS = {
     FunctionalTag.K_Q: k_q,
     FunctionalTag.S_GEN: s_gen,
     FunctionalTag.FISHER: fisher_information,
+    FunctionalTag.DELTA_X2: delta_x2,
     FunctionalTag.SIGMA_X2: sigma_x2,
     FunctionalTag.DELTA_P2_CL: delta_p2_cl,
     FunctionalTag.DELTA_P2_Q: delta_p2_q,
@@ -191,10 +205,8 @@ _EVALUATORS = {
 }
 
 
-def evaluate(tag: FunctionalTag, state: HydroState, convention: str = "consistent") -> float:
-    """Evaluate the tagged functional on ``state``."""
-    if tag is FunctionalTag.DELTA_X2:
-        return delta_x2(state, convention)
+def evaluate(tag: FunctionalTag, state: HydroState) -> float:
+    """Evaluate the tagged functional on ``state`` (DELTA_X2 in the consistent convention)."""
     return _EVALUATORS[tag](state)
 
 
@@ -214,12 +226,12 @@ def _grad_s_squared(state: HydroState) -> np.ndarray:
     return sum(g**2 for g in grads)
 
 
-def variational_derivative(tag: FunctionalTag, state: HydroState, component: str,
-                           convention: str = "consistent") -> np.ndarray:
+def variational_derivative(tag: FunctionalTag, state: HydroState, component: str) -> np.ndarray:
     """Closed-form functional derivative field delta(tag)/delta(component).
 
-    ``component`` is ``"rho"`` or ``"s"``.  Derivatives with respect to rho
-    are the unconstrained ones; restricting to normalized densities leaves
+    ``component`` is ``"rho"`` or ``"s"``, and DELTA_X2 is taken in the
+    consistent convention.  Derivatives with respect to rho are the
+    unconstrained ones; restricting to normalized densities leaves
     them defined only up to an additive constant, which comparisons must
     mod out (the bracket engine's oracle does).  A stacked state gives
     one field per member; a field that cannot differ between members may
@@ -239,11 +251,8 @@ def variational_derivative(tag: FunctionalTag, state: HydroState, component: str
     if tag is FunctionalTag.DELTA_X2:
         if component == "s":
             return zero
-        _check_convention(convention)
         integral = fisher_integral(state)
-        if np.any(integral <= 1e-12):
-            raise DegenerateStateError("Fisher integral vanishes; delta_x2 derivative undefined")
-        factor = 4.0 if convention == "consistent" else 2.0
+        factor = _dispersion_factor("consistent", integral)
         return sqrt_density_curvature(state) / (factor * _per_member(integral, state.grid) ** 2)
 
     if tag is FunctionalTag.SIGMA_X2:
@@ -310,11 +319,8 @@ def wave_k_q(w: WaveField) -> float:
 
 
 def wave_delta_x2(w: WaveField, convention: str = "consistent") -> float:
-    _check_convention(convention)
     integral = wave_fisher_integral(w)
-    if np.less_equal(integral, 1e-12).any():
-        raise DegenerateStateError("Fisher integral vanishes; delta_x2 undefined for this field")
-    return 1.0 / ((4.0 if convention == "consistent" else 2.0) * integral)
+    return 1.0 / (_dispersion_factor(convention, integral) * integral)
 
 
 def wave_s_gen(w: WaveField) -> float:

@@ -115,19 +115,21 @@ class Grid:
         return k2
 
     @cached_property
+    def _axis_wavenumbers(self) -> tuple:
+        # the wavenumbers along each axis, shaped to broadcast over the grid axes
+        # (read-only views of ``wavenumbers``)
+        return tuple(self.wavenumbers.reshape([self.n if ax == i else 1 for i in range(self.dim)])
+                     for ax in range(self.dim))
+
+    @cached_property
     def _derivative_factors(self) -> tuple:
         # ik per axis, broadcast-shaped; the Nyquist mode is zeroed so the
         # first-derivative operator stays a real antisymmetric map.
-        factors = []
-        kd = 1j * self.wavenumbers.copy()
-        kd[self.n // 2] = 0.0
-        for ax in range(self.dim):
-            shape = [1] * self.dim
-            shape[ax] = self.n
-            f = kd.reshape(shape)
+        nyquist = self.wavenumbers[self.n // 2]
+        factors = tuple(np.where(k == nyquist, 0j, 1j * k) for k in self._axis_wavenumbers)
+        for f in factors:
             f.setflags(write=False)
-            factors.append(f)
-        return tuple(factors)
+        return factors
 
     @cached_property
     def _half_derivative_factors(self) -> tuple:

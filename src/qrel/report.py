@@ -6,12 +6,11 @@ configurations produce byte-identical numeric content.
 """
 
 import io
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
-from .dynamics import Trajectory, TrajectoryRecord
+from .dynamics import _RECORD_FIELDS, Trajectory
 
-_TRAJECTORY_COLUMNS = tuple(f.name for f in fields(TrajectoryRecord))
-TRAJECTORY_HEADER = ",".join(_TRAJECTORY_COLUMNS)
+TRAJECTORY_HEADER = ",".join(_RECORD_FIELDS)
 
 
 def format17(x) -> str:
@@ -126,4 +125,4 @@ def table_csv(header, rows) -> str:
 
 def trajectory_csv(traj: Trajectory) -> str:
     """One row per record, one column per :class:`TrajectoryRecord` field."""
-    return table_csv(_TRAJECTORY_COLUMNS, zip(*(traj.column(name).tolist() for name in _TRAJECTORY_COLUMNS)))
+    return table_csv(_RECORD_FIELDS, zip(*(traj.column(name).tolist() for name in _RECORD_FIELDS)))

@@ -41,6 +41,41 @@ def battery_states(grid, hbar=1.0, mass=1.0):
             for p in battery_params()]
 
 
+#: Columns of the dilatation sweep table that ``qrel transform`` writes.
+TRANSFORM_COLUMNS = ("alpha", "delta_x2", "delta_p2_q", "h_q", "k_q",
+                     "predicted_dx2", "predicted_dp2", "predicted_h_q", "predicted_k_q", "residual")
+
+
+def _dilatation_sweep(state, alphas, convention: str = "consistent") -> list:
+    """One row per alpha: the dilated state's values beside the arithmetic laws' predictions.
+
+    A row maps each of ``TRANSFORM_COLUMNS`` (``residual`` is the worst gap
+    of delta_x2, delta_p2_q, h_q and k_q to their predictions) and the
+    group suite's gaps: ``dx2_gap`` and ``dp2_gap`` to the uncertainty law,
+    ``mix_gap`` of (h_q, k_q) to the hyperbolic mix, ``classical_gap`` of
+    delta_p2_cl and ``scale_gap`` of delta_x2 to e^-alpha times their
+    undilated values, and ``invariant_gap`` of h_q^2 - k_q^2.
+    """
+    pair = fn.uncertainty_pair(state, convention)
+    h0, k0 = fn.h_q(state), fn.k_q(state)
+    dp_cl0 = fn.delta_p2_cl(state)
+    rows = []
+    for a in alphas:
+        dil = gr.dilate(state, a)
+        predicted = gr.transform_uncertainty(pair, a, state.hbar)
+        mix_h, mix_k = gr.mix_hk(h0, k0, a)
+        dx2, dp2, hq, kq = fn.delta_x2(dil, convention), fn.delta_p2_q(dil), fn.h_q(dil), fn.k_q(dil)
+        gaps = {"dx2_gap": abs(dx2 - predicted.dx2), "dp2_gap": abs(dp2 - predicted.dp2),
+                "mix_gap": max(abs(hq - mix_h), abs(kq - mix_k))}
+        rows.append({"alpha": a, "delta_x2": dx2, "delta_p2_q": dp2, "h_q": hq, "k_q": kq,
+                     "predicted_dx2": predicted.dx2, "predicted_dp2": predicted.dp2,
+                     "predicted_h_q": mix_h, "predicted_k_q": mix_k, "residual": max(gaps.values()), **gaps,
+                     "classical_gap": abs(fn.delta_p2_cl(dil) - math.exp(-a) * dp_cl0),
+                     "scale_gap": abs(dx2 - math.exp(-a) * pair.dx2),
+                     "invariant_gap": abs((hq**2 - kq**2) - (h0**2 - k0**2))})
+    return rows
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -69,42 +104,21 @@ def suite_group(cfg: ScenarioConfig):
     checks.append(bound("composition T_a.T_b = T_{a+b} (20x20 lattice)", worst, 1e-12,
                         provenance="group law"))
 
-    battery = battery_states(grid, hb, cfg.mass)
     alphas = cfg.alphas
-
-    def consistency(item):
-        _, state = item
-        pair = fn.uncertainty_pair(state, "consistent")
-        h0, k0 = fn.h_q(state), fn.k_q(state)
-        dp_cl0 = fn.delta_p2_cl(state)
-        worst_dx2 = worst_dp2 = worst_cl = worst_scale = worst_mix = worst_inv = 0.0
-        for a in alphas:
-            dil = gr.dilate(state, a)
-            predicted = gr.transform_uncertainty(pair, a, hb)
-            worst_dx2 = max(worst_dx2, abs(fn.delta_x2(dil, "consistent") - predicted.dx2))
-            worst_dp2 = max(worst_dp2, abs(fn.delta_p2_q(dil) - predicted.dp2))
-            worst_cl = max(worst_cl, abs(fn.delta_p2_cl(dil) - math.exp(-a) * dp_cl0))
-            worst_scale = max(worst_scale, abs(fn.delta_x2(dil, "consistent") - math.exp(-a) * pair.dx2))
-            hm, km = gr.mix_hk(h0, k0, a)
-            hd, kd = fn.h_q(dil), fn.k_q(dil)
-            worst_mix = max(worst_mix, abs(hd - hm), abs(kd - km))
-            worst_inv = max(worst_inv, abs((hd**2 - kd**2) - (h0**2 - k0**2)))
-        return worst_dx2, worst_dp2, worst_cl, worst_scale, worst_mix, worst_inv
-
-    results = [consistency(item) for item in battery]
-    worst_dx2, worst_dp2, worst_cl, worst_scale, worst_mix, worst_inv = (
-        max(r[i] for r in results) for i in range(6))
+    rows = [row for _, state in battery_states(grid, hb, cfg.mass) for row in _dilatation_sweep(state, alphas)]
+    worst_gap = lambda gap: max((row[gap] for row in rows), default=0.0)
     checks.append(bound("dilatation consistency: delta_x2 vs arithmetic law (battery x alphas)",
-                        worst_dx2, 1e-9, provenance="dilatation consistency"))
+                        worst_gap("dx2_gap"), 1e-9, provenance="dilatation consistency"))
     checks.append(bound("dilatation consistency: delta_p2_q vs arithmetic law (battery x alphas)",
-                        worst_dp2, 1e-9, provenance="dilatation consistency"))
-    checks.append(bound("classical scaling: delta_p2_cl * e^alpha invariant", worst_cl, 1e-10,
+                        worst_gap("dp2_gap"), 1e-9, provenance="dilatation consistency"))
+    checks.append(bound("classical scaling: delta_p2_cl * e^alpha invariant", worst_gap("classical_gap"), 1e-10,
                         provenance="classical transformation"))
-    checks.append(bound("dispersion scaling: delta_x2 * e^alpha invariant", worst_scale, 1e-12,
+    checks.append(bound("dispersion scaling: delta_x2 * e^alpha invariant", worst_gap("scale_gap"), 1e-12,
                         provenance="classical transformation"))
-    checks.append(bound("generator mixing: (h_q,k_q)(dilated) vs hyperbolic mix", worst_mix, 1e-10,
+    checks.append(bound("generator mixing: (h_q,k_q)(dilated) vs hyperbolic mix", worst_gap("mix_gap"), 1e-10,
                         provenance="generator mixing"))
-    checks.append(bound("mixing invariant h^2 - k^2", worst_inv, 1e-10, provenance="generator mixing"))
+    checks.append(bound("mixing invariant h^2 - k^2", worst_gap("invariant_gap"), 1e-10,
+                        provenance="generator mixing"))
 
     if cfg.convention == "paper-literal":
         state = make_gaussian(GaussianParams(sigma2=1.0), grid, hb, cfg.mass)
@@ -193,7 +207,7 @@ def suite_functionals(cfg: ScenarioConfig):
                         0.0, provenance="Cramer-Rao"))
 
     x = grid.coords[0]
-    expected_field = -0.5 * (x**2 / 4.0 - 0.5)
+    expected_field = -(hb**2 / (2.0 * m)) * (x**2 / 4.0 - 0.5)
     measured_field = fn.variational_derivative(fn.FunctionalTag.H_Q, minimal, "rho")
     mask = minimal.rho > 1e-12
     checks.append(bound("dH_q/drho quantum potential field (minimal Gaussian)",
@@ -242,22 +256,18 @@ def suite_brackets(cfg: ScenarioConfig):
                                        + br.poisson_bracket(b, a, state)))
     checks.append(bound("antisymmetry over tag pairs", worst, 1e-12, provenance="bracket algebra"))
 
-    def identity_residuals(item):
-        _, state = item
-        sh = br.poisson_bracket(T.S_GEN, T.H_Q, state)
-        sk = br.poisson_bracket(T.S_GEN, T.K_Q, state)
+    beyond_sh = beyond_sk = worst_ph = 0.0
+    for _, state in battery:
         kq, hq = fn.k_q(state), fn.h_q(state)
-        ph = abs(br.poisson_bracket(T.P_TRANSLATION, T.H_Q, state))
-        return max(abs(sh - kq) - max(1e-8, 1e-6 * abs(kq)), 0.0), \
-            max(abs(sk - hq) - max(1e-8, 1e-6 * abs(hq)), 0.0), ph
-
-    results = [identity_residuals(item) for item in battery]
+        sh, sk = br.poisson_bracket(T.S_GEN, T.H_Q, state), br.poisson_bracket(T.S_GEN, T.K_Q, state)
+        beyond_sh = max(beyond_sh, abs(sh - kq) - max(1e-8, 1e-6 * abs(kq)))
+        beyond_sk = max(beyond_sk, abs(sk - hq) - max(1e-8, 1e-6 * abs(hq)))
+        worst_ph = max(worst_ph, abs(br.poisson_bracket(T.P_TRANSLATION, T.H_Q, state)))
     checks.append(bound("{S, H_q} = K_q (battery, beyond max(1e-8, 1e-6 rel))",
-                        max(r[0] for r in results), 0.0, provenance="bracket identity"))
+                        beyond_sh, 0.0, provenance="bracket identity"))
     checks.append(bound("{S, K_q} = H_q (battery, beyond max(1e-8, 1e-6 rel))",
-                        max(r[1] for r in results), 0.0, provenance="bracket identity"))
-    checks.append(bound("{P, H_q} = 0 (battery)", max(r[2] for r in results), 1e-8,
-                        provenance="translation invariance"))
+                        beyond_sk, 0.0, provenance="bracket identity"))
+    checks.append(bound("{P, H_q} = 0 (battery)", worst_ph, 1e-8, provenance="translation invariance"))
 
     # closed form vs oracle fields on a representative state
     state = make_gaussian(GaussianParams(sigma2=1.0, b=-1.0), grid, hb, m)
@@ -338,38 +348,34 @@ def suite_dynamics(cfg: ScenarioConfig):
             f"flow.step: {cfg.step!r} leaves the battery tau-run {battery[err.member][0]} with no "
             f"certified record ({err})") from err
 
-    def tau_run(label, traj):
+    runs = {label: traj for (label, _), traj in zip(battery, trajectories)}
+    for label, traj in runs.items():
         if len(traj.records) < 5:
             raise ConfigurationError(
                 f"flow.step: {cfg.step!r} leaves the battery tau-run {label} with {len(traj.records)} "
                 "certified records; the 4th-order rate stencil needs 5")
-        s_gen = traj.column("s_gen")
-        h_q = traj.column("h_q")
-        mono = float(np.diff(s_gen).min())
-        rates = dyn.measured_rates(s_gen, cfg.step)
-        rel = float(np.abs((rates - h_q[2:-2]) / h_q[2:-2]).max())
-        resid = float(traj.column("continuity_residual").max())
-        hq_min = float(h_q.min())
-        norm_drift = float(np.abs(traj.column("norm") - 1.0).max())
-        return mono, rel, resid, hq_min, norm_drift, traj.guard_tripped, traj.column("k_q")
-
-    results = {label: tau_run(label, traj) for (label, _), traj in zip(battery, trajectories)}
+    s_gens = [traj.column("s_gen") for traj in trajectories]
+    h_qs = [traj.column("h_q") for traj in trajectories]
     checks.append(bound("Lyapunov: s_gen nondecreasing (battery tau-runs)",
-                        -min(r[0] for r in results.values()), 1e-12, provenance="Lyapunov generator"))
-    checks.append(bound("Lyapunov: d(s_gen)/dtau = h_q (relative, battery)",
-                        max(r[1] for r in results.values()), 1e-5, provenance="Lyapunov generator"))
-    checks.append(bound("continuity residual (battery tau-runs)", max(r[2] for r in results.values()), 1e-5,
+                        -min(float(np.diff(s).min()) for s in s_gens), 1e-12, provenance="Lyapunov generator"))
+    rel = max(float(np.abs((dyn.measured_rates(s, cfg.step) - h[2:-2]) / h[2:-2]).max())
+              for s, h in zip(s_gens, h_qs))
+    checks.append(bound("Lyapunov: d(s_gen)/dtau = h_q (relative, battery)", rel, 1e-5,
+                        provenance="Lyapunov generator"))
+    checks.append(bound("continuity residual (battery tau-runs)",
+                        max(float(traj.column("continuity_residual").max()) for traj in trajectories), 1e-5,
                         provenance="continuity"))
-    checks.append(bound("h_q >= 0 along tau-runs", -min(r[3] for r in results.values()), 0.0,
+    checks.append(bound("h_q >= 0 along tau-runs", -min(float(h.min()) for h in h_qs), 0.0,
                         provenance="energy positivity"))
-    checks.append(bound("tau-flow norm drift (battery)", max(r[4] for r in results.values()), 1e-10,
+    checks.append(bound("tau-flow norm drift (battery)",
+                        max(float(np.abs(traj.column("norm") - 1.0).max()) for traj in trajectories), 1e-10,
                         provenance="norm conservation"))
-    notes.append(f"tau-run guards tripped on {sum(1 for r in results.values() if r[5])} of {len(results)} "
+    notes.append(f"tau-run guards tripped on {sum(traj.guard_tripped for traj in trajectories)} of {len(runs)} "
                  "battery states (contracting/wide-spectrum packets; windows certified by guards)")
 
     chirped = make_gaussian(GaussianParams(sigma2=1.0, b=1.0), grid, hb, m)
     ddx2, ddp2 = dyn.uncertainty_rates(chirped, "tau")
-    checks.append(compare("rate product (b=1 tau-flow)", ddx2 * ddp2, -2.0, 1e-4,
+    checks.append(compare("rate product (b=1 tau-flow)", ddx2 * ddp2, -2.0 * hb**2 / m**2, 1e-4,
                           provenance="Gaussian rate algebra"))
     products = []
     for _, state in battery:
@@ -391,12 +397,12 @@ def suite_dynamics(cfg: ScenarioConfig):
                         provenance="free-flow conservation"))
 
     dk_dt, dh_dtau, defect = dyn.cross_flow_defect(chirped)
-    checks.append(compare("d(k_q)/dt along t-flow (b=1, sigma2=1)", dk_dt, 0.5, 1e-5,
+    checks.append(compare("d(k_q)/dt along t-flow (b=1, sigma2=1)", dk_dt, hb**2 / (2.0 * m**2), 1e-5,
                           provenance="Gaussian rate algebra"))
     checks.append(bound("cross-flow holomorphy defect", abs(defect), 1e-6,
                         provenance="holomorphic pair"))
 
-    kq = results["s2=1,b=0,p0=0"][6]  # the k_q column of the battery's run of `minimal`
+    kq = runs["s2=1,b=0,p0=0"].column("k_q")  # the battery's run of `minimal`
     checks.append(bound("tau-flow conserves its generator k_q", float(np.abs(kq - kq[0]).max()),
                         1e-6, provenance="generator conservation"))
     mover = to_wave(make_gaussian(GaussianParams(sigma2=1.0, p0=2.0), grid, hb, m))

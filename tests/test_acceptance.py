@@ -230,3 +230,16 @@ def test_13_cramer_rao(catalogue):
               ["functionals: Cramer-Rao on battery (sigma_x2 >= delta_x2)",
                "functionals: Cramer-Rao equality on Gaussians", strict],
               stricter=[(gap > 0.0, f"bimodal state gap {gap:.3e} not positive")])
+
+
+def test_unit_dependent_expectations_follow_hbar_and_mass():
+    """The checks whose expected values carry hbar and m pass away from hbar = m = 1."""
+    hbar, mass = 0.7, 1.3
+    report = run_suites(ScenarioConfig(hbar=hbar, mass=mass, suites=("functionals", "dynamics")))
+    checks = {c.name: c for c in report.checks}
+    field = checks["functionals: dH_q/drho quantum potential field (minimal Gaussian)"]
+    rate = checks["dynamics: rate product (b=1 tau-flow)"]
+    dk_dt = checks["dynamics: d(k_q)/dt along t-flow (b=1, sigma2=1)"]
+    assert field.passed, field
+    assert rate.passed and rate.expected == pytest.approx(-2.0 * hbar**2 / mass**2), rate
+    assert dk_dt.passed and dk_dt.expected == pytest.approx(hbar**2 / (2.0 * mass**2)), dk_dt

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from qrel.cli import main
+from qrel.config import load_config
 from qrel.report import TRAJECTORY_HEADER
+from qrel.suites import _dilatation_sweep
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -165,6 +167,18 @@ class TestTransform:
         assert main(["transform", "--config", cfg, "--out", str(out)]) == 0
         summary = json.loads((out / "transform_summary.json").read_text())
         assert summary["max_residual"] < 1e-9
+
+    @pytest.mark.parametrize("convention", ["consistent", "paper-literal"])
+    def test_residual_column_is_the_shared_sweep(self, tmp_path, convention):
+        """The table's residuals are the rows of the sweep the group suite reduces."""
+        alphas = [-1.5, 0.0, 0.7, math.log(4.0)]
+        cfg = write_config(tmp_path, alphas=alphas, convention=convention)
+        out = tmp_path / "out"
+        assert main(["transform", "--config", cfg, "--out", str(out)]) == 0
+        _, cols = read_csv_columns(out / "transform.csv")
+        rows = _dilatation_sweep(load_config(cfg).make_state(), alphas, convention)
+        assert cols["residual"].tolist() == [row["residual"] for row in rows]
+        assert cols["alpha"].tolist() == alphas
 
     def test_empty_alpha_list_rejected(self, tmp_path):
         cfg = write_config(tmp_path, alphas=[])
