@@ -18,7 +18,6 @@ from .config import ScenarioConfig, config_from_dict, load_config
 from .dynamics import (
     Trajectory,
     TrajectoryRecord,
-    continuity_residual,
     cross_flow_defect,
     evolve_t,
     evolve_tau,
@@ -79,7 +78,7 @@ __all__ = [
     "GaussianOdeState", "GaussianParams", "GeneratorCheck", "Grid", "GridMismatchError",
     "HydroState", "QrelError", "ResolutionGuardError",
     "ScenarioConfig", "Trajectory", "TrajectoryRecord", "UncertaintyPair", "WaveField",
-    "config_from_dict", "continuity_residual", "cross_flow_defect", "delta_p2_cl",
+    "config_from_dict", "cross_flow_defect", "delta_p2_cl",
     "delta_p2_q", "delta_x2", "dilate", "evaluate", "evolve_t", "evolve_tau",
     "fd_functional_derivative", "fisher_information", "free_packet_sigma_x2", "from_wave",
     "gaussian_observables", "generator_check", "h_cl", "h_q", "hydro_rhs", "inner_product",

@@ -59,7 +59,6 @@ class GeneratorCheck:
     bracket_closed_form: float
     rate_finite_difference: float
     residual: float
-    dalpha: float
 
 
 def bracket_of_fields(grid, da_rho, da_s, db_rho, db_s) -> float:
@@ -193,7 +192,7 @@ def generator_check(state: HydroState, dalpha: float = 1e-4) -> GeneratorCheck:
     closed = -dp2 + 0.5 * state.hbar**2 / dx2
     rate = (delta_p2_q(dilate(state, dalpha)) - delta_p2_q(dilate(state, -dalpha))) / (2.0 * dalpha)
     return GeneratorCheck(bracket_closed_form=closed, rate_finite_difference=rate,
-                          residual=abs(rate - closed), dalpha=dalpha)
+                          residual=abs(rate - closed))
 
 
 def jacobi_defect(state: HydroState) -> tuple:

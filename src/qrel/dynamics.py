@@ -48,8 +48,10 @@ gradients, which the integrator step and the record share.  Records are
 written row by row into one float64 column per :class:`TrajectoryRecord`
 field, and a :class:`Trajectory` reads its columns back as rows.  One
 stream of a flow's fields around the initial one serves the runner and
-every probe that differentiates along a flow: the continuity residual,
-the uncertainty rates and the cross-flow defect.
+both probes that differentiate along a flow: the uncertainty rates and
+the cross-flow defect.  :func:`evolve_tau` and the probes take stacks
+too, with the same discipline: each member's result is bit for bit its
+lone result, and where guards trip, the first member to trip raises.
 """
 
 import collections
@@ -194,6 +196,13 @@ def _one_field(w: WaveField) -> WaveField:
     return w
 
 
+def _members(w: WaveField) -> np.ndarray:
+    """The indices of the members of ``w``; a lone field is a stack of one."""
+    if w.psi.ndim > w.grid.dim + 1:
+        raise GridMismatchError(f"a stack has one member axis, got psi of shape {w.psi.shape}")
+    return np.arange(len(w.psi) if w.psi.ndim > w.grid.dim else 1)
+
+
 def _raise_first(stopped: dict):
     """Raise the error of the first member a guard stopped, if any."""
     if stopped:
@@ -222,8 +231,8 @@ class _TauMarcher:
         if w.psi.dtype != np.complex128:
             w = WaveField(grid=w.grid, psi=w.psi.astype(complex), hbar=w.hbar, mass=w.mass)
         self.field = w
+        self.members = _members(w)
         self.stacked = w.psi.ndim > w.grid.dim
-        self.members = np.arange(len(w.psi) if self.stacked else 1)
         self.noise_budget = np.zeros(w.psi.shape[:1] if self.stacked else ())
         self.clamp_events = np.zeros(len(self.members), dtype=int)  # by starting index
         self.steps_done = 0
@@ -304,16 +313,20 @@ class _TauMarcher:
 
 
 def evolve_tau(w: WaveField, dtau: float, steps: int = 1) -> WaveField:
-    """Integrate the companion flow of one field for ``steps`` Strang steps of ``dtau``.
+    """Integrate the companion flow for ``steps`` Strang steps of ``dtau``.
 
-    A negative ``dtau`` integrates backward, under the same guards.
+    ``w`` is one field or a stack with one member axis; the members march
+    as one, each bit for bit as it would alone.  A negative ``dtau``
+    integrates backward, under the same guards.
 
-    Raises :class:`ResolutionGuardError` when a guard trips; the exception
-    carries the completed step count and the last valid field.
+    Raises :class:`ResolutionGuardError` when a guard trips for any
+    member: the first to trip (the lowest index among those tripping at
+    once) raises the error its lone run raises, which carries the
+    completed step count, the member's last valid field and its index.
     """
     if dtau == 0.0 or steps == 0:
         return w
-    marcher = _TauMarcher(_one_field(w), dtau)
+    marcher = _TauMarcher(w, dtau)
     for _ in range(steps):
         _raise_first(marcher.step())
     return marcher.field
@@ -354,12 +367,17 @@ def hydro_rhs(state: HydroState, flow: str) -> tuple:
 _STENCIL_WIDTH = 5
 
 
+def _centered_rate(window, step: float):
+    """4th-order centered d/dtheta at the middle of five samples ``step`` apart."""
+    return (-window[4] + 8.0 * window[3] - 8.0 * window[1] + window[0]) / (12.0 * step)
+
+
 def _stencil_residual(rhos, w, dstep):
     """4th-order centered d(rho)/dtheta plus div(flux) at ``w``, max-normalized per member.
 
     ``rhos`` are the densities of the five stencil fields, ``w`` the middle one.
     """
-    drho = (-rhos[4] + 8.0 * rhos[3] - 8.0 * rhos[1] + rhos[0]) / (12.0 * dstep)
+    drho = _centered_rate(rhos, dstep)
     flux = [w.hbar * np.imag(np.conj(w.psi) * g) / w.mass for g in w.grad_psi]
     resid = drho + w.grid.divergence(flux)
     axes = w.grid._trailing_axes
@@ -403,23 +421,25 @@ def _flow_fields(w0: WaveField, flow: str, step: float, back: int, ahead: int):
     return stream(), marcher
 
 
-def _probe_fields(w: WaveField, flow: str, step: float, reach: int, probe: str) -> list:
-    """The fields at indices -reach..reach of a flow, for a probe of ``w``.
+def _probe_fields(w: WaveField, flow: str, step: float, probe: str) -> tuple:
+    """The fields one step before and one step after ``w`` along a flow, for a probe of ``w``.
 
-    A guard trip on either side, at any step, is raised in one shape: a
-    :class:`ResolutionGuardError` naming the probe, with no completed
-    steps and ``w`` as its field.
+    ``w`` may be a stack.  A guard trip, on either side, is raised in one
+    shape: a :class:`ResolutionGuardError` naming the probe, with no
+    completed steps, and the first member to trip with its field as it
+    was given (``w`` itself for a lone field).
     """
     try:
-        stream, _ = _flow_fields(_one_field(w), flow, step, reach, reach)
+        stream, _ = _flow_fields(w, flow, step, 1, 1)
         out = []
         for field, stopped in stream:
             _raise_first(stopped)
             out.append(field)
-        return out
+        return out[0], out[2]
     except ResolutionGuardError as err:
-        raise ResolutionGuardError(f"guard tripped while probing {probe}: {err}",
-                                   steps_completed=0, wavefield=w) from err
+        raise ResolutionGuardError(f"guard tripped while probing {probe}: {err}", steps_completed=0,
+                                   wavefield=w.take(err.member) if w.psi.ndim > w.grid.dim else w,
+                                   member=err.member) from err
 
 
 def _write_record(columns: dict, where, j: int, step: float, rhos, w: WaveField, convention: str):
@@ -462,9 +482,7 @@ def run_trajectories(w0: WaveField, flow: str, step: float, steps: int,
     """
     if step <= 0:
         raise ValueError(f"step must be positive, got {step!r}")
-    if w0.psi.ndim > w0.grid.dim + 1:
-        raise GridMismatchError(f"a stack has one member axis, got psi of shape {w0.psi.shape}")
-    count = len(w0.psi) if w0.psi.ndim > w0.grid.dim else 1
+    count = len(_members(w0))
     columns = {name: np.empty((count, steps + 1)) for name in _RECORD_FIELDS if name not in ("step", "time")}
     lengths = np.zeros(count, dtype=int)  # records written per member
     rows = 0
@@ -516,21 +534,10 @@ def run_trajectory(w0: WaveField, flow: str, step: float, steps: int,
     return run_trajectories(_one_field(w0), flow, step, steps, convention)[0]
 
 
-def continuity_residual(w: WaveField, flow: str, dstep: float = 1e-3) -> float:
-    """Instantaneous continuity residual of a field under a flow.
-
-    Evolves two steps each way and applies the trajectory stencil; for
-    discrete solutions of either flow this measures the integrator's
-    consistency with d(rho)/dtheta + div(rho grad s / m) = 0.
-    """
-    fields = _probe_fields(w, flow, dstep, 2, "continuity")
-    return float(_stencil_residual([f.rho for f in fields], fields[2], dstep))
-
-
 def measured_rates(values, step: float) -> np.ndarray:
     """4th-order centered d/dtheta of a record column (interior points)."""
     v = np.asarray(values, dtype=float)
-    return (-v[4:] + 8.0 * v[3:-1] - 8.0 * v[1:-3] + v[:-4]) / (12.0 * step)
+    return _centered_rate([v[j:j - 4 or None] for j in range(5)], step)
 
 
 # ---------------------------------------------------------------------------
@@ -545,32 +552,31 @@ def uncertainty_rates(state, flow: str, dstep: float = 1e-4) -> tuple:
     """Centered rates of (delta_x2, delta_p2_q) along a flow.
 
     One Richardson refinement of the centered difference (steps dstep and
-    dstep/2) absorbs the leading truncation term.
+    dstep/2) absorbs the leading truncation term.  A lone state gives two
+    floats; a stack gives two arrays with one rate per member, each bit for
+    bit the member's lone rate.
     """
     w = _as_wave(state)
 
     def centered(d):
-        minus, _, plus = _probe_fields(w, flow, d, 1, "uncertainty rates")
-        ddx2 = (wave_delta_x2(plus) - wave_delta_x2(minus)) / (2.0 * d)
-        ddp2 = (wave_delta_p2_q(plus) - wave_delta_p2_q(minus)) / (2.0 * d)
-        return np.array([ddx2, ddp2])
+        minus, plus = _probe_fields(w, flow, d, "uncertainty rates")
+        return ((wave_delta_x2(plus) - wave_delta_x2(minus)) / (2.0 * d),
+                (wave_delta_p2_q(plus) - wave_delta_p2_q(minus)) / (2.0 * d))
 
-    coarse = centered(dstep)
-    fine = centered(0.5 * dstep)
-    refined = (4.0 * fine - coarse) / 3.0
-    return float(refined[0]), float(refined[1])
+    coarse, fine = centered(dstep), centered(0.5 * dstep)
+    return tuple((4.0 * f - c) / 3.0 for f, c in zip(fine, coarse, strict=True))
 
 
 def cross_flow_defect(state, dstep: float = 2e-4) -> tuple:
     """d(k_q)/dt along the t-flow plus d(h_q)/dtau along the tau-flow.
 
     The holomorphy of the generator pair in the combined time plane makes
-    the sum vanish; returns (dk_dt, dh_dtau, defect).
+    the sum vanish; returns (dk_dt, dh_dtau, defect), per member for a stack.
     """
     w = _as_wave(state)
-    tm, _, tp = _probe_fields(w, "t", dstep, 1, "the cross-flow defect")
+    tm, tp = _probe_fields(w, "t", dstep, "the cross-flow defect")
     dk_dt = (wave_k_q(tp) - wave_k_q(tm)) / (2.0 * dstep)
-    um, _, up = _probe_fields(w, "tau", dstep, 1, "the cross-flow defect")
+    um, up = _probe_fields(w, "tau", dstep, "the cross-flow defect")
     dh_dtau = (wave_h_q(up) - wave_h_q(um)) / (2.0 * dstep)
     return dk_dt, dh_dtau, dk_dt + dh_dtau
 

@@ -22,8 +22,7 @@ class ResolutionGuardError(QrelError):
 
     Carries the number of completed steps and the last valid wave field so
     callers can keep the trustworthy part of a trajectory, and the index
-    of the stack member that tripped (0 for a lone field; None from a
-    probe).
+    of the stack member that tripped (0 for a lone field).
     """
 
     def __init__(self, message, steps_completed, wavefield=None, member=None):

@@ -32,16 +32,16 @@ class Check:
 
 def compare(name, measured, expected, tolerance, provenance="", asserted=True) -> Check:
     """Check |measured - expected| <= tolerance."""
-    return Check(name=name, measured=float(measured), expected=float(expected),
-                 tolerance=float(tolerance), passed=abs(measured - expected) <= tolerance,
-                 provenance=provenance, asserted=asserted)
+    measured, expected, tolerance = float(measured), float(expected), float(tolerance)
+    return Check(name=name, measured=measured, expected=expected, tolerance=tolerance,
+                 passed=abs(measured - expected) <= tolerance, provenance=provenance, asserted=asserted)
 
 
 def bound(name, measured, tolerance, provenance="", asserted=True) -> Check:
     """Check measured <= tolerance (for residual maxima)."""
-    return Check(name=name, measured=float(measured), expected=None,
-                 tolerance=float(tolerance), passed=measured <= tolerance,
-                 provenance=provenance, asserted=asserted)
+    measured, tolerance = float(measured), float(tolerance)
+    return Check(name=name, measured=measured, expected=None, tolerance=tolerance,
+                 passed=measured <= tolerance, provenance=provenance, asserted=asserted)
 
 
 def info(name, measured, provenance="") -> Check:

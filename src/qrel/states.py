@@ -158,22 +158,13 @@ class WaveField:
         return self.grid.quadrature(self.rho)
 
     def take(self, index) -> "WaveField":
-        """Members of a stack, with every cache computed so far.
+        """Members of a stack, as a new field with no cache computed yet.
 
         A boolean mask ``index`` selects a stack of members; an integer
-        gives that member as a lone field.
+        gives that member as a lone field.  Each cache is computed on first
+        use, bit for bit the value the stack holds for the member.
         """
-        out = WaveField(grid=self.grid, psi=self.psi[index], hbar=self.hbar, mass=self.mass)
-        for name in _CACHES:
-            if name in self.__dict__:  # where cached_property keeps a computed value
-                value = self.__dict__[name]
-                taken = _read_only_all([a[index] for a in (value if isinstance(value, tuple) else (value,))])
-                out.__dict__[name] = taken if isinstance(value, tuple) else taken[0]
-        return out
-
-
-#: The cached properties of a :class:`WaveField`.
-_CACHES = ("rho", "s", "psi_hat", "grad_psi", "grad_amplitude")
+        return WaveField(grid=self.grid, psi=self.psi[index], hbar=self.hbar, mass=self.mass)
 
 
 def _read_only_all(arrays) -> tuple:

@@ -373,18 +373,13 @@ def suite_dynamics(cfg: ScenarioConfig):
     notes.append(f"tau-run guards tripped on {sum(traj.guard_tripped for traj in trajectories)} of {len(runs)} "
                  "battery states (contracting/wide-spectrum packets; windows certified by guards)")
 
-    chirped = make_gaussian(GaussianParams(sigma2=1.0, b=1.0), grid, hb, m)
-    ddx2, ddp2 = dyn.uncertainty_rates(chirped, "tau")
-    checks.append(compare("rate product (b=1 tau-flow)", ddx2 * ddp2, -2.0 * hb**2 / m**2, 1e-4,
+    rdx2, rdp2 = dyn.uncertainty_rates(stack, "tau")
+    products = dict(zip(runs, rdx2 * rdp2))  # by battery label
+    checks.append(compare("rate product (b=1 tau-flow)", products["s2=1,b=1,p0=0"], -2.0 * hb**2 / m**2, 1e-4,
                           provenance="Gaussian rate algebra"))
-    products = []
-    for _, state in battery:
-        rdx2, rdp2 = dyn.uncertainty_rates(state, "tau")
-        products.append(rdx2 * rdp2)
-    checks.append(bound("rate product <= 0 across battery (tau-flow)", max(products), 1e-8,
+    checks.append(bound("rate product <= 0 across battery (tau-flow)", max(products.values()), 1e-8,
                         provenance="rate sign"))
-    mdx2, mdp2 = dyn.uncertainty_rates(make_gaussian(GaussianParams(sigma2=1.0), grid, hb, m), "tau")
-    checks.append(info("boundary case b=0: rate product (strict claim saturates)", mdx2 * mdp2,
+    checks.append(info("boundary case b=0: rate product (strict claim saturates)", products["s2=1,b=0,p0=0"],
                        provenance="documented boundary case"))
     contracting = make_gaussian(GaussianParams(sigma2=1.0, b=-0.5), grid, hb, m)
     tdx2, _ = dyn.uncertainty_rates(contracting, "t")
@@ -392,6 +387,7 @@ def suite_dynamics(cfg: ScenarioConfig):
                        tdx2, provenance="documented discrepancy"))
     notes.append("the strict positivity claim for d(delta_x2)/dt under the t-flow fails for "
                  "contracting packets; measured and reported, never asserted")
+    chirped = make_gaussian(GaussianParams(sigma2=1.0, b=1.0), grid, hb, m)
     _, tdp2 = dyn.uncertainty_rates(chirped, "t")
     checks.append(bound("t-flow d(delta_p2_q)/dt = 0", abs(tdp2), 1e-8,
                         provenance="free-flow conservation"))
@@ -406,15 +402,15 @@ def suite_dynamics(cfg: ScenarioConfig):
     checks.append(bound("tau-flow conserves its generator k_q", float(np.abs(kq - kq[0]).max()),
                         1e-6, provenance="generator conservation"))
     mover = to_wave(make_gaussian(GaussianParams(sigma2=1.0, p0=2.0), grid, hb, m))
-    p0 = fn.wave_p_translation(mover)
-    moved = dyn.evolve_tau(mover, cfg.step, 200)
+    other = to_wave(make_gaussian(GaussianParams(sigma2=1.0, x0=1.5), grid, hb, m))
+    trio = WaveField(grid=grid, psi=np.stack([mover.psi, minimal.psi, other.psi]), hbar=hb, mass=m)
+    marched = dyn.evolve_tau(trio, cfg.step, 200)
     checks.append(bound("tau-flow conserves translation generator",
-                        abs(fn.wave_p_translation(moved) - p0), 1e-8,
+                        abs(fn.wave_p_translation(marched.take(0)) - fn.wave_p_translation(mover)), 1e-8,
                         provenance="translation invariance"))
 
-    other = to_wave(make_gaussian(GaussianParams(sigma2=1.0, x0=1.5), grid, hb, m))
     before = dyn.inner_product(minimal, other)
-    after = dyn.inner_product(dyn.evolve_tau(minimal, cfg.step, 200), dyn.evolve_tau(other, cfg.step, 200))
+    after = dyn.inner_product(marched.take(1), marched.take(2))
     checks.append(info("nonunitarity probe: |<psi1|psi2>| drift under tau-flow",
                        abs(abs(after) - abs(before)), provenance="nonunitarity probe"))
     notes.append("tau-flow conserves each state's norm while inner products between distinct "

@@ -75,6 +75,14 @@ class TestVerify:
         assert main(["verify", "--suite", suite, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert field in capsys.readouterr().err
 
+    def test_default_report_booleans_are_json_booleans(self, tmp_path):
+        # a numpy boolean used to be written as the string "True", which any JSON reader takes as true
+        out = tmp_path / "out"
+        assert main(["verify", "--out", str(out)]) == 0
+        checks = json.loads((out / "report.json").read_text())["checks"]
+        assert len(checks) == 61
+        assert all(type(c["passed"]) is bool and type(c["asserted"]) is bool for c in checks)
+
     def test_unknown_suite_rejected(self, tmp_path):
         assert main(["verify", "--suite", "nonsense", "--out", str(tmp_path / "o")]) == 2
 
@@ -206,3 +214,13 @@ class TestReportSerialization:
         assert back["b"][0] == 1e-300
         assert back["b"][2] is True and back["b"][3] is None
         assert back["c"]["n"] == 512
+
+    @pytest.mark.parametrize("measured", [np.float64(0.5), np.float64(2.0)], ids=["passing", "failing"])
+    def test_checks_of_numpy_values_pass_python_booleans(self, measured):
+        from qrel.report import Report, bound, compare, dumps17
+
+        checks = [compare("c", measured, np.float64(0.25), 0.5), bound("b", measured, np.float64(1.0))]
+        assert all(type(c.passed) is bool for c in checks)
+        report = Report(title="t", convention="consistent", checks=checks)
+        passed = [c["passed"] for c in json.loads(dumps17(report.to_obj()))["checks"]]
+        assert passed == [measured < 1.0] * 2

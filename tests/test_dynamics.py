@@ -14,7 +14,6 @@ from qrel import (
     ResolutionGuardError,
     TrajectoryRecord,
     WaveField,
-    continuity_residual,
     cross_flow_defect,
     evolve_t,
     evolve_tau,
@@ -162,47 +161,49 @@ class TestTauFlow:
 
 
 class TestContinuityResidual:
+    """The residual of a run's first record: the stencil applied around the initial field."""
+
+    @staticmethod
+    def residual(w, flow, dstep):
+        return run_trajectory(w, flow, dstep, 0).column("continuity_residual")[0]
+
     def test_stationary_uniform_state(self, grid):
+        # delta_x2 is undefined for the uniform density, so no record can be written:
+        # the runner's stencil is applied to the runner's own stream of fields
+        import qrel.dynamics as dyn_mod
+
         psi = np.full(grid.shape, 1.0 / math.sqrt(grid.length), dtype=complex)
         w = WaveField(grid=grid, psi=psi)
-        assert continuity_residual(w, "t", 1e-3) < 1e-12
-        assert continuity_residual(w, "tau", 1e-3) < 1e-12
+        for flow in ("t", "tau"):
+            stream, _ = dyn_mod._flow_fields(w, flow, 1e-3, 2, 2)
+            fields = [field for field, _ in stream]
+            assert dyn_mod._stencil_residual([f.rho for f in fields], fields[2], 1e-3) < 1e-12
 
     def test_minimal_gaussian_both_flows(self, minimal_wave):
-        assert continuity_residual(minimal_wave, "t", 1e-3) < 1e-5
-        assert continuity_residual(minimal_wave, "tau", 1e-3) < 1e-5
+        assert self.residual(minimal_wave, "t", 1e-3) < 1e-5
+        assert self.residual(minimal_wave, "tau", 1e-3) < 1e-5
 
 
 class TestProbeRefusals:
     """Every probe refuses an unknown flow, and reports a guard trip in one shape."""
 
     def test_unknown_flow_refused(self, minimal_wave):
-        probes = [lambda: continuity_residual(minimal_wave, "sideways"),
-                  lambda: uncertainty_rates(minimal_wave, "sideways"),
+        probes = [lambda: uncertainty_rates(minimal_wave, "sideways"),
                   lambda: run_trajectory(minimal_wave, "sideways", 1e-3, 5)]
         for probe in probes:
             with pytest.raises(ValueError, match="flow must be 't' or 'tau', got 'sideways'"):
                 probe()
 
-    @pytest.mark.parametrize("probe", ["continuity", "uncertainty rates", "the cross-flow defect"])
+    @pytest.mark.parametrize("probe", ["uncertainty rates", "the cross-flow defect"])
     def test_guard_trip_on_a_backward_step(self, grid, probe):
         # sigma2 = 0.13 is below the resolution floor 25 h^2 = 0.153, so the
         # first step, which is backward, trips
         w = to_wave(make_gaussian(GaussianParams(sigma2=0.13, b=-6.0), grid))
-        call = {"continuity": lambda: continuity_residual(w, "tau", 1e-3),
-                "uncertainty rates": lambda: uncertainty_rates(w, "tau", 1e-3),
+        call = {"uncertainty rates": lambda: uncertainty_rates(w, "tau", 1e-3),
                 "the cross-flow defect": lambda: cross_flow_defect(w, 1e-3)}[probe]
         with pytest.raises(ResolutionGuardError,
                            match=f"guard tripped while probing {probe}: resolution guard.*after 0 steps") as err:
             call()
-        assert err.value.steps_completed == 0
-        assert err.value.wavefield is w
-
-    def test_guard_trip_on_a_forward_step(self, grid):
-        w = to_wave(make_gaussian(GaussianParams(sigma2=0.17, b=-3.0), grid))
-        with pytest.raises(ResolutionGuardError,
-                           match="guard tripped while probing continuity: resolution guard.*after 1 steps") as err:
-            continuity_residual(w, "tau", 3e-2)
         assert err.value.steps_completed == 0
         assert err.value.wavefield is w
 
@@ -485,6 +486,58 @@ class TestCrossFlow:
         for label, state in battery[::5]:
             _, _, defect = cross_flow_defect(state)
             assert abs(defect) < 1e-6, label
+
+
+class TestStackedFlowCalls:
+    """evolve_tau and the probes take a stack: each member gets, bit for bit, its lone result."""
+
+    def test_evolve_tau_stack_matches_lone_runs(self, battery):
+        waves = [to_wave(state) for _, state in battery[::4]]
+        for dtau in (1e-3, -1e-3):
+            stacked = evolve_tau(_stack(waves), dtau, 60)
+            assert stacked.psi.shape == (len(waves),) + waves[0].grid.shape
+            for i, wave in enumerate(waves):
+                assert stacked.psi[i].tobytes() == evolve_tau(wave, dtau, 60).psi.tobytes()
+
+    def test_evolve_tau_trip_raises_first_member_as_alone(self, grid, minimal_wave):
+        # the resolution guard trips for sigma2 = 0.17 long before the stability guard does for 0.5
+        noise = to_wave(make_gaussian(GaussianParams(sigma2=0.5, b=-1.0), grid))
+        resolution = to_wave(make_gaussian(GaussianParams(sigma2=0.17, b=-3.0), grid))
+        with pytest.raises(ResolutionGuardError) as alone:
+            evolve_tau(resolution, 1e-3, 300)
+        with pytest.raises(ResolutionGuardError) as stacked:
+            evolve_tau(_stack([minimal_wave, noise, resolution]), 1e-3, 300)
+        assert str(stacked.value) == str(alone.value)
+        assert stacked.value.steps_completed == alone.value.steps_completed > 0
+        assert stacked.value.wavefield.psi.tobytes() == alone.value.wavefield.psi.tobytes()
+        assert (alone.value.member, stacked.value.member) == (0, 2)
+
+    def test_evolve_tau_refuses_a_second_member_axis(self, minimal_wave):
+        with pytest.raises(GridMismatchError, match="one member axis"):
+            evolve_tau(WaveField(grid=minimal_wave.grid, psi=minimal_wave.psi[None, None]), 1e-3, 1)
+
+    @pytest.mark.parametrize("flow", ["tau", "t"])
+    def test_uncertainty_rates_stack_matches_lone_calls(self, battery, flow):
+        states = [state for _, state in battery]
+        stacked = uncertainty_rates(_stack([to_wave(state) for state in states]), flow)
+        lone = [uncertainty_rates(state, flow) for state in states]
+        assert all(isinstance(rate, float) for rate in lone[0])
+        for got, want in zip(stacked, zip(*lone)):
+            assert got.tobytes() == np.array(want).tobytes()
+
+    def test_cross_flow_defect_stack_matches_lone_calls(self, battery):
+        states = [state for _, state in battery[::5]]
+        stacked = cross_flow_defect(_stack([to_wave(state) for state in states]))
+        lone = [cross_flow_defect(state) for state in states]
+        for got, want in zip(stacked, zip(*lone)):
+            assert got.tobytes() == np.array(want).tobytes()
+
+    def test_probe_trip_names_the_first_tripping_member(self, grid, minimal_wave):
+        tripping = to_wave(make_gaussian(GaussianParams(sigma2=0.13, b=-6.0), grid))
+        with pytest.raises(ResolutionGuardError, match="guard tripped while probing uncertainty rates") as err:
+            uncertainty_rates(_stack([minimal_wave, tripping, tripping]), "tau")
+        assert (err.value.member, err.value.steps_completed) == (1, 0)
+        assert err.value.wavefield.psi.tobytes() == tripping.psi.tobytes()
 
 
 class TestGaussianOracleInternals:

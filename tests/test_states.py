@@ -224,15 +224,6 @@ class TestStackedWaveField:
             self.assert_caches_equal(stack.take(i), member)
         assert np.array_equal(stack.norm, [m.norm for m in members])
 
-    def test_take_keeps_computed_caches(self, grid):
-        members = self.members(grid)
-        stack = WaveField(grid=grid, psi=np.stack([m.psi for m in members]))
-        stack.psi_hat, stack.grad_psi
-        kept = stack.take(np.array([True, False, True]))
-        assert {"psi_hat", "grad_psi"} <= set(vars(kept)) and "rho" not in vars(kept)
-        assert not kept.psi_hat.flags.writeable
-        self.assert_caches_equal(kept.take(1), members[2])
-
     def test_non_contiguous_stack_made_contiguous(self, grid):
         members = self.members(grid)
         psi = np.stack([m.psi for m in members], axis=-1).T  # members along the innermost stride
