@@ -29,8 +29,9 @@ truncation at the 1e-14 level, but not for others: see BAND_WIDTH_FACTOR),
 and it accrues a noise budget B = sum (hbar k_c^2 / 2m) |dtau|, the log of
 the worst-case amplification inside the band; a backward march (the sign
 of its dtau is its direction) spends the budget as a forward one does.
-Runs stop at NOISE_BUDGET_MAX, where the measured gap to the Gaussian ODE
-oracle is about 1e-6, below the 1e-5 acceptance tolerances; contracting
+Runs stop at NOISE_BUDGET_MAX, where the measured gap to the closed-form
+Gaussian flow (:func:`qrel.oracles.gaussian_flow`) is about 1e-6, below
+the 1e-5 acceptance tolerances; contracting
 packets also stop at the resolution guard sigma_x2 > RESOLUTION_CELLS *
 spacing^2.
 Both guards mark the trajectory rather than silently degrading it.
@@ -87,11 +88,12 @@ BAND_WIDTH_FACTOR = 128.0
 #: Maximum accrued noise budget before the stability guard trips.
 #: Measured on the 18-state Gaussian battery (dtau = 1e-3, tau <= 0.5): at
 #: the last record of each run, the worst relative gap of delta_x2,
-#: delta_p2_q, h_q and k_q to the Gaussian ODE oracle is 1.15e-6
+#: delta_p2_q, h_q and k_q to the closed-form Gaussian flow is 1.15e-6
 #: (sigma2 = 0.5, b = 0, untripped), and 1.13e-6 where the guard trips
 #: (sigma2 = 0.5, b = -1, at tau = 0.231); there the chirp b of the last
 #: valid field is off by 2.2e-6.  The cap is a cliff, not slack: with a
 #: cap of 40 the same run goes on to tau = 0.348 and b is off by 1.5e-5.
+#: The dynamics suite asserts the gap on every certified battery record.
 NOISE_BUDGET_MAX = 20.0
 
 #: Clamp for the self-consistent potential, with a diagnostic counter.
@@ -141,7 +143,8 @@ class Trajectory:
 
     ``columns`` maps each :class:`TrajectoryRecord` field to a read-only
     float64 array with one entry per record; :attr:`records` reads them
-    as rows.
+    as rows.  ``final`` is the field of the last record, bit for bit the
+    field that marching the initial one :attr:`last_valid_step` steps gives.
     """
 
     flow: str
@@ -151,6 +154,7 @@ class Trajectory:
     guard_tripped: bool = False
     guard_reason: str = ""
     clamp_events: int = 0
+    final: WaveField = None
 
     @property
     def records(self) -> _Rows:
@@ -484,6 +488,7 @@ def run_trajectories(w0: WaveField, flow: str, step: float, steps: int,
         raise ValueError(f"step must be positive, got {step!r}")
     count = len(_members(w0))
     columns = {name: np.empty((count, steps + 1)) for name in _RECORD_FIELDS if name not in ("step", "time")}
+    finals = np.empty((count, *w0.grid.shape), dtype=complex)  # the field of each member's last record
     lengths = np.zeros(count, dtype=int)  # records written per member
     rows = 0
     reasons = [""] * count
@@ -511,7 +516,9 @@ def run_trajectories(w0: WaveField, flow: str, step: float, steps: int,
         rhos.append(w.rho)
         pending.append(w)
         if len(rhos) == _STENCIL_WIDTH:
-            _write_record(columns, where, rows, step, rhos, pending.popleft(), convention)
+            middle = pending.popleft()
+            _write_record(columns, where, rows, step, rhos, middle, convention)
+            finals[where] = middle.psi
             rows += 1
             lengths[where] = rows
     clamps = marcher.clamp_events if marcher else np.zeros(count, dtype=int)
@@ -524,7 +531,8 @@ def run_trajectories(w0: WaveField, flow: str, step: float, steps: int,
         trajectories.append(Trajectory(flow=flow, step=step, requested_steps=steps,
                                        columns={name: member[name] for name in _RECORD_FIELDS},
                                        guard_tripped=bool(reasons[i]), guard_reason=reasons[i],
-                                       clamp_events=int(clamps[i])))
+                                       clamp_events=int(clamps[i]),
+                                       final=WaveField(grid=w0.grid, psi=finals[i], hbar=w0.hbar, mass=w0.mass)))
     return trajectories
 
 

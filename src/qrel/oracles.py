@@ -10,15 +10,21 @@ parameters:
     dc/dtheta        = -sign * hbar^2 / (4 m sigma2)
 
 with sign = +1 for the Schroedinger flow in t and -1 for the companion
-flow in tau.  These ODEs are integrated with a high-order adaptive
-stepper at tolerance 1e-12 and never touch the PDE integrators they
-check.
+flow in tau.  Both flows solve them in closed form (:func:`gaussian_flow`),
+which is what the verification suites read: in t the width parameter
+A = 1/(4 sigma2) - i b/(2 hbar) of psi ~ exp(-A x^2) evolves as the free
+propagator's A/(1 + 2i hbar A t/m); in tau the coefficients
+a+- = 1/(4 sigma2) -+ b/(2 hbar) of the heat pair sqrt(rho) exp(+-s/hbar)
+of Euclidean quantum mechanics each obey a Riccati law of their own.  The
+ODEs themselves are kept, integrated with a high-order adaptive stepper
+at tolerance 1e-12 (:func:`integrate_gaussian_ode`), as the closed forms'
+cross-check; scipy is imported only when they are integrated.  Neither
+oracle touches the PDE integrators it checks.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 
 @dataclass(frozen=True)
@@ -38,6 +44,32 @@ def _flow_sign(flow: str) -> float:
     raise ValueError(f"flow must be 't' or 'tau', got {flow!r}")
 
 
+def gaussian_flow(sigma2, b, c, flow: str, theta, hbar: float = 1.0, mass: float = 1.0) -> tuple:
+    """(sigma2, b, c) of the Gaussian at flow time ``theta``: the parameter ODEs in closed form.
+
+    ``theta`` may be an array of times (a float array each then).  The
+    tau-flow blows up where 1 - 4 a+ D tau or 1 + 4 a- D tau reaches 0
+    (D = hbar/2m); a time at or past that is refused with ValueError.
+    """
+    _flow_sign(flow)  # refuses an unknown flow
+    theta = np.asarray(theta, dtype=float)
+    if flow == "t":
+        A = 1.0 / (4.0 * sigma2) - 0.5j * b / hbar
+        f = 1.0 + 2j * hbar * A * theta / mass
+        At = A / f
+        return 1.0 / (4.0 * At.real), -2.0 * hbar * At.imag, c - 0.5 * hbar * np.angle(f)
+    D = 0.5 * hbar / mass
+    a_plus = 1.0 / (4.0 * sigma2) - 0.5 * b / hbar
+    a_minus = 1.0 / (4.0 * sigma2) + 0.5 * b / hbar
+    f_plus = 1.0 - 4.0 * a_plus * D * theta
+    f_minus = 1.0 + 4.0 * a_minus * D * theta
+    if not (np.all(f_plus > 0) and np.all(f_minus > 0)):
+        raise ValueError(f"the tau-flow of the Gaussian (sigma2={sigma2!r}, b={b!r}) blows up before tau={theta!r}")
+    a_plus, a_minus = a_plus / f_plus, a_minus / f_minus
+    return (1.0 / (2.0 * (a_plus + a_minus)), hbar * (a_minus - a_plus),
+            c - 0.25 * hbar * (np.log(f_plus) - np.log(f_minus)))
+
+
 def gaussian_ode_rhs(theta, y, flow: str, hbar: float = 1.0, mass: float = 1.0):
     sigma2, b, _ = y
     sign = _flow_sign(flow)
@@ -51,6 +83,8 @@ def gaussian_ode_rhs(theta, y, flow: str, hbar: float = 1.0, mass: float = 1.0):
 def integrate_gaussian_ode(initial: GaussianOdeState, flow: str, times,
                            hbar: float = 1.0, mass: float = 1.0):
     """Parameter trajectories at ``times`` (tolerance-1e-12 integration)."""
+    from scipy.integrate import solve_ivp  # only here: scipy's import is most of a cold start
+
     times = np.atleast_1d(np.asarray(times, dtype=float))
     span = (0.0, float(times[-1])) if times[-1] > 0 else (0.0, 0.0)
     if span[1] == 0.0:

@@ -297,6 +297,22 @@ def suite_brackets(cfg: ScenarioConfig):
     return checks, []
 
 
+def tau_record_gap(traj, params: GaussianParams, convention: str = "consistent",
+                   hbar: float = 1.0, mass: float = 1.0) -> float:
+    """Worst relative gap of a Gaussian's tau-run records to the closed-form flow of ``params``.
+
+    delta_x2 is compared with its expected value (which reads 2 sigma2
+    under the paper-literal convention); delta_p2_q, h_q and k_q with the
+    expected delta_p2_q, which bounds |h_q| and |k_q|.
+    """
+    sigma2, b, _ = orc.gaussian_flow(params.sigma2, params.b, 0.0, "tau", traj.column("time"), hbar, mass)
+    expect = orc.gaussian_observables(sigma2, b, hbar=hbar, mass=mass, p0=params.p0)
+    dx2 = expect["delta_x2"] * 4.0 / fn._dispersion_factor(convention, expect["fisher"])
+    gaps = [np.abs(traj.column("delta_x2") - dx2) / dx2]
+    gaps += [np.abs(traj.column(key) - expect[key]) / expect["delta_p2_q"] for key in ("delta_p2_q", "h_q", "k_q")]
+    return float(np.max(gaps))
+
+
 def suite_dynamics(cfg: ScenarioConfig):
     grid = cfg.make_grid()
     hb, m = cfg.hbar, cfg.mass
@@ -317,26 +333,6 @@ def suite_dynamics(cfg: ScenarioConfig):
                         float(np.abs(np.array(measured) - np.array(spreads)).max()), 1e-8,
                         provenance="spreading oracle"))
 
-    def tau_error(dtau):
-        # the oracle is read where the integration ends, steps * dtau, which is 0.5 only
-        # when dtau divides it
-        steps = int(round(0.5 / dtau))
-        out = dyn.evolve_tau(minimal, dtau, steps)
-        _, y = orc.integrate_gaussian_ode(orc.GaussianOdeState(1.0, 0.0), "tau", [steps * dtau], hb, m)
-        sig2 = fn.sigma_x2(out)
-        rho = out.rho
-        xc = grid.coords[0]
-        mean = grid.quadrature(rho * xc)
-        dsfield = dyn.phase_gradient(out)[0]
-        b = grid.quadrature(rho * (xc - mean) * dsfield) / sig2
-        return abs(sig2 - y[0, -1]) + abs(b - y[1, -1])
-
-    err1, err2 = tau_error(cfg.step), tau_error(0.5 * cfg.step)
-    checks.append(bound("tau-flow vs Gaussian ODE oracle (sigma2+b at tau=0.5)", err1, 1e-6,
-                        provenance="Gaussian ODE oracle"))
-    checks.append(compare("tau-flow order-2 convergence (error ratio)", err1 / err2, 4.0, 0.4,
-                          provenance="step halving"))
-
     battery = battery_states(grid, hb, m)
     stack = WaveField(grid=grid, psi=np.stack([to_wave(state).psi for _, state in battery]), hbar=hb, mass=m)
     try:
@@ -354,6 +350,30 @@ def suite_dynamics(cfg: ScenarioConfig):
             raise ConfigurationError(
                 f"flow.step: {cfg.step!r} leaves the battery tau-run {label} with {len(traj.records)} "
                 "certified records; the 4th-order rate stencil needs 5")
+    minimal_run = runs["s2=1,b=0,p0=0"]  # the battery's run of `minimal`
+
+    def tau_error(dtau):
+        # the oracle is read where the integration ends, steps * dtau, which is 0.5 only
+        # when dtau divides it
+        steps = int(round(0.5 / dtau))
+        if (dtau, minimal_run.last_valid_step) == (cfg.step, steps):
+            out = minimal_run.final  # the battery has marched it already
+        else:
+            out = dyn.evolve_tau(minimal, dtau, steps)
+        sigma2_flow, b_flow, _ = orc.gaussian_flow(1.0, 0.0, 0.0, "tau", steps * dtau, hb, m)
+        sig2 = fn.sigma_x2(out)
+        rho = out.rho
+        xc = grid.coords[0]
+        mean = grid.quadrature(rho * xc)
+        dsfield = dyn.phase_gradient(out)[0]
+        b = grid.quadrature(rho * (xc - mean) * dsfield) / sig2
+        return abs(sig2 - sigma2_flow) + abs(b - b_flow)
+
+    err1, err2 = tau_error(cfg.step), tau_error(0.5 * cfg.step)
+    checks.append(bound("tau-flow vs Gaussian ODE oracle (sigma2+b at tau=0.5)", err1, 1e-6,
+                        provenance="Gaussian ODE oracle"))
+    checks.append(compare("tau-flow order-2 convergence (error ratio)", err1 / err2, 4.0, 0.4,
+                          provenance="step halving"))
     s_gens = [traj.column("s_gen") for traj in trajectories]
     h_qs = [traj.column("h_q") for traj in trajectories]
     checks.append(bound("Lyapunov: s_gen nondecreasing (battery tau-runs)",
@@ -370,6 +390,10 @@ def suite_dynamics(cfg: ScenarioConfig):
     checks.append(bound("tau-flow norm drift (battery)",
                         max(float(np.abs(traj.column("norm") - 1.0).max()) for traj in trajectories), 1e-10,
                         provenance="norm conservation"))
+    checks.append(bound("tau-flow vs Gaussian closed form (battery records, relative)",
+                        max(tau_record_gap(traj, params, cfg.convention, hb, m)
+                            for traj, params in zip(trajectories, battery_params())), 1e-5,
+                        provenance="Gaussian closed form"))
     notes.append(f"tau-run guards tripped on {sum(traj.guard_tripped for traj in trajectories)} of {len(runs)} "
                  "battery states (contracting/wide-spectrum packets; windows certified by guards)")
 

@@ -80,7 +80,7 @@ class TestVerify:
         out = tmp_path / "out"
         assert main(["verify", "--out", str(out)]) == 0
         checks = json.loads((out / "report.json").read_text())["checks"]
-        assert len(checks) == 61
+        assert len(checks) == 62
         assert all(type(c["passed"]) is bool and type(c["asserted"]) is bool for c in checks)
 
     def test_unknown_suite_rejected(self, tmp_path):

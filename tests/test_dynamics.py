@@ -19,6 +19,7 @@ from qrel import (
     evolve_tau,
     free_packet_sigma_x2,
     from_wave,
+    gaussian_flow,
     hydro_rhs,
     inner_product,
     integrate_gaussian_ode,
@@ -40,6 +41,7 @@ from qrel.functionals import (
 )
 from qrel.report import TRAJECTORY_HEADER, table_csv, trajectory_csv
 from qrel.states import phase_gradient
+from qrel.suites import tau_record_gap
 
 
 def gaussian_parameters_of(w):
@@ -328,6 +330,7 @@ def assert_same_trajectory(got, want):
     assert (got.flow, got.step, got.requested_steps) == (want.flow, want.step, want.requested_steps)
     assert (got.guard_tripped, got.guard_reason, got.clamp_events) == \
         (want.guard_tripped, want.guard_reason, want.clamp_events)
+    assert got.final.psi.tobytes() == want.final.psi.tobytes()
 
 
 class TestStackedRunner:
@@ -409,6 +412,23 @@ class TestStackedRunner:
         stacked = run_trajectories(_stack(waves), "tau", 1e-3, 20)
         assert all(len(t.records) == 21 for t in stacked)
         assert len(calls) <= 12 * 21
+
+
+class TestFinalField:
+    """A trajectory's ``final`` is its last record's field, bit for bit the field a lone march gives."""
+
+    def test_lone_run(self, minimal_wave):
+        traj = run_trajectory(minimal_wave, "tau", 1e-3, 40)
+        assert traj.last_valid_step == 40
+        assert traj.final.psi.tobytes() == evolve_tau(minimal_wave, 1e-3, 40).psi.tobytes()
+
+    def test_tripped_stack_member(self, grid, minimal_wave):
+        noise = to_wave(make_gaussian(GaussianParams(sigma2=0.5, b=-1.0), grid))
+        waves = [minimal_wave, noise]
+        runs = run_trajectories(_stack(waves), "tau", 1e-3, 250)
+        assert runs[1].guard_tripped and runs[1].last_valid_step < 250 == runs[0].last_valid_step
+        for wave, traj in zip(waves, runs):
+            assert traj.final.psi.tobytes() == evolve_tau(wave, 1e-3, traj.last_valid_step).psi.tobytes()
 
 
 class TestColumnarTrajectory:
@@ -557,6 +577,31 @@ class TestGaussianOracleInternals:
         assert abs(rate[2] - hq[2]) < 1e-3
 
 
+    @pytest.mark.parametrize("hbar, mass", [(1.0, 1.0), (0.7, 1.3), (0.5, 1.0), (1.5, 1.0)])
+    def test_closed_form_flow_matches_ode(self, hbar, mass):
+        # measured worst: 1.2e-11 relative in sigma2, 2.6e-11 in b (relative to |b| or hbar/4 sigma2,
+        # as b crosses 0), 2.4e-12 absolute in c
+        for flow, end in (("tau", 0.2), ("t", 2.0)):
+            times = np.linspace(0.0, end, 8)
+            for sigma2 in (0.5, 1.0, 2.0):
+                for b in (-1.0, -0.3, 0.0, 0.5, 1.0):
+                    _, (s2_ode, b_ode, c_ode) = integrate_gaussian_ode(GaussianOdeState(sigma2, b, 0.1), flow,
+                                                                       times, hbar, mass)
+                    s2_got, b_got, c_got = gaussian_flow(sigma2, b, 0.1, flow, times, hbar, mass)
+                    assert np.abs(s2_got / s2_ode - 1.0).max() < 1e-9
+                    assert (np.abs(b_got - b_ode) / np.maximum(np.abs(b_ode), hbar / (4.0 * s2_ode))).max() < 1e-9
+                    assert np.abs(c_got - c_ode).max() < 1e-10
+
+    def test_tau_flow_blow_up_refused(self):
+        # a+ = 1/4 + 1/2 for sigma2 = 1, b = -1: 1 - 4 a+ D tau reaches 0 at tau* = 2/3
+        sigma2, _, _ = gaussian_flow(1.0, -1.0, 0.0, "tau", 0.66)
+        assert sigma2 > 0
+        with pytest.raises(ValueError, match="blows up"):
+            gaussian_flow(1.0, -1.0, 0.0, "tau", [0.1, 0.7])
+        with pytest.raises(ValueError, match="flow must be"):
+            gaussian_flow(1.0, 0.0, 0.0, "x", 0.1)
+
+
 class TestPotentialClamp:
     def test_clamp_counter_reports_events(self, minimal_wave, monkeypatch):
         import qrel.dynamics as dyn_mod
@@ -594,3 +639,11 @@ class TestDynamicsSuite:
         for name in ("tau-flow vs Gaussian ODE oracle (sigma2+b at tau=0.5)",
                      "tau-flow order-2 convergence (error ratio)"):
             assert checks[name].passed, (name, checks[name].measured)
+
+    def test_closed_form_gap_catches_a_loosened_noise_cap(self, grid, monkeypatch):
+        # the battery run whose gap a noise cap of 40 lets grow past the tolerance
+        params = GaussianParams(sigma2=2.0, b=1.0)
+        wave = to_wave(make_gaussian(params, grid))
+        assert tau_record_gap(run_trajectory(wave, "tau", 1e-3, 500), params) < 1e-5
+        monkeypatch.setattr("qrel.dynamics.NOISE_BUDGET_MAX", 40.0)
+        assert tau_record_gap(run_trajectory(wave, "tau", 1e-3, 500), params) > 1e-5
