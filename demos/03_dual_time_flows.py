@@ -5,19 +5,17 @@ in t (here: a free packet, propagated exactly in Fourier space).  Its
 companion k_q, which differs only by the sign of the quantum-potential
 term, generates a second flow in its own time variable tau.  The tau-flow
 is nonlinear but norm-preserving, and on the Gaussian family it reduces
-to two ODEs that serve as an independent oracle.
+to parameter ODEs whose closed form serves as an independent oracle.
 """
 
 import numpy as np
 
 from qrel import (
-    GaussianOdeState,
     GaussianParams,
     Grid,
     evolve_t,
     evolve_tau,
-    free_packet_sigma_x2,
-    integrate_gaussian_ode,
+    gaussian_flow,
     make_gaussian,
     run_trajectory,
     sigma_x2,
@@ -34,25 +32,22 @@ print("=" * 70)
 print(f"  {'t':>5} {'sigma_x2 (flow)':>16} {'sigma_x2 (law)':>15} {'delta_p2_q':>12} {'norm-1':>10}")
 for t in (0.0, 1.0, 2.0, 4.0):
     wt = evolve_t(w0, t)
-    print(f"  {t:5.1f} {sigma_x2(wt):16.10f} {free_packet_sigma_x2(t, 1.0):15.10f} "
+    print(f"  {t:5.1f} {sigma_x2(wt):16.10f} {gaussian_flow(1.0, 0.0, 0.0, 't', t)[0]:15.10f} "
           f"{wave_delta_p2_q(wt):12.8f} {abs(wt.norm - 1.0):10.1e}")
 print("  position spread grows, momentum dispersion and norm are frozen")
 
 print()
 print("=" * 70)
-print("2. tau-flow vs the Gaussian ODE oracle")
+print("2. tau-flow vs the closed-form Gaussian flow")
 print("=" * 70)
 taus = np.linspace(0.0, 0.5, 6)
-_, oracle = integrate_gaussian_ode(GaussianOdeState(sigma2=1.0, b=0.0), "tau", taus)
-print(f"  {'tau':>5} {'sigma2 (PDE)':>14} {'sigma2 (ODE)':>14} {'b (ODE)':>10}")
+sigma2_exact, b_exact, _ = gaussian_flow(1.0, 0.0, 0.0, "tau", taus)
+print(f"  {'tau':>5} {'sigma2 (PDE)':>14} {'sigma2 (exact)':>14} {'b (exact)':>10}")
 w = w0
 for i, tau in enumerate(taus):
     if i > 0:
         w = evolve_tau(w, 1e-3, 100)
-    rho = w.rho
-    x = grid.coords[0]
-    sig2 = grid.quadrature(rho * x**2) - grid.quadrature(rho * x) ** 2
-    print(f"  {tau:5.2f} {sig2:14.9f} {oracle[0, i]:14.9f} {oracle[1, i]:10.6f}")
+    print(f"  {tau:5.2f} {sigma_x2(w):14.9f} {sigma2_exact[i]:14.9f} {b_exact[i]:10.6f}")
 print("  the packet contracts in tau: the flow runs toward sharper position")
 
 print()

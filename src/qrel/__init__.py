@@ -58,7 +58,6 @@ from .grid import Grid
 from .group import dilate, mix_hk, mix_times, product_law, transform_uncertainty
 from .oracles import (
     GaussianOdeState,
-    free_packet_sigma_x2,
     gaussian_observables,
     gaussian_flow,
     integrate_gaussian_ode,
@@ -116,7 +115,7 @@ __all__ = [
     "ScenarioConfig", "Trajectory", "TrajectoryRecord", "UncertaintyPair", "WaveField",
     "config_from_dict", "cross_flow_defect", "delta_p2_cl",
     "delta_p2_q", "delta_x2", "dilate", "evaluate", "evolve_t", "evolve_tau",
-    "fd_functional_derivative", "fisher_information", "free_packet_sigma_x2", "from_wave",
+    "fd_functional_derivative", "fisher_information", "from_wave",
     "gaussian_flow", "gaussian_observables", "generator_check", "h_cl", "h_q", "hydro_rhs", "inner_product",
     "integrate_gaussian_ode", "jacobi_defect", "k_q", "load_config", "make_double_gaussian",
     "make_gaussian", "measured_rates", "mix_hk", "mix_times", "p_translation",

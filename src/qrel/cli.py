@@ -3,8 +3,7 @@
 Exit codes: 0 on success, 1 on assertion or integrator-guard failure,
 2 on configuration errors.  All numeric output is deterministic (17
 significant digits, no timestamps), so identical configurations produce
-byte-identical files.  Battery sweeps run serially; the environment
-variable QREL_THREADS, which once set a thread count, is ignored.
+byte-identical files.
 """
 
 import argparse

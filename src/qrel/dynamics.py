@@ -47,12 +47,12 @@ consumes the fields of a run as a stream and keeps only the five of the
 current stencil window alive; each field caches its transform and
 gradients, which the integrator step and the record share.  Records are
 written row by row into one float64 column per :class:`TrajectoryRecord`
-field, and a :class:`Trajectory` reads its columns back as rows.  One
-stream of a flow's fields around the initial one serves the runner and
-both probes that differentiate along a flow: the uncertainty rates and
-the cross-flow defect.  :func:`evolve_tau` and the probes take stacks
-too, with the same discipline: each member's result is bit for bit its
-lone result, and where guards trip, the first member to trip raises.
+field, and a :class:`Trajectory` reads its columns back as rows.  The
+probes that differentiate along a flow (the uncertainty rates and the
+cross-flow defect) march one step each way with :func:`evolve_t` or
+:func:`evolve_tau`.  :func:`evolve_tau` and the probes take stacks too,
+with the same discipline: each member's result is bit for bit its lone
+result, and where guards trip, the first member to trip raises.
 """
 
 import collections
@@ -79,10 +79,10 @@ from .states import HydroState, WaveField, check_nodeless_interior, phase_gradie
 #: spectrum exp(-128/4) ~ 1e-14 of the spectral amplitude is discarded at
 #: the band edge (1.6e-14 of the peak for sigma2=1, b=0.5, p0=2).  That
 #: bound holds for Gaussian spectra only: on the two-component mixture
-#: state of ROADMAP item 1 (non-Gaussian tau-flow oracle) k_c = 4.34, and
+#: state of ROADMAP item 2 (non-Gaussian tau-flow oracle) k_c = 4.34, and
 #: |psi_hat| at the sample nearest the edge is still 6.3e-5 of its peak,
 #: with no guard flagging the loss.  Choosing k_c from the measured
-#: spectral tail is ROADMAP item 1's work.
+#: spectral tail is ROADMAP item 2's work.
 BAND_WIDTH_FACTOR = 128.0
 
 #: Maximum accrued noise budget before the stability guard trips.
@@ -388,8 +388,8 @@ def _stencil_residual(rhos, w, dstep):
     return np.abs(resid).max(axis=axes) / w.rho.max(axis=axes)
 
 
-def _flow_fields(w0: WaveField, flow: str, step: float, back: int, ahead: int):
-    """Stacked fields of a flow at indices -back..ahead, and the forward tau-marcher.
+def _flow_fields(w0: WaveField, flow: str, step: float, ahead: int):
+    """Stacked fields of a flow at indices -2..ahead (the runner's stencil), and the forward tau-marcher.
 
     The stream yields (field, stopped) pairs: ``stopped`` maps the
     starting index of each member a guard stopped just before this field
@@ -401,6 +401,7 @@ def _flow_fields(w0: WaveField, flow: str, step: float, back: int, ahead: int):
     A flow name other than "t" or "tau" is refused.
     """
     _check_flow(flow)
+    back = _STENCIL_WIDTH // 2
     if flow == "t":
         return ((evolve_t(w0, step * j), {}) for j in range(-back, ahead + 1)), None
     # a field of the run's own, so that its caches stay off the caller's w0; the
@@ -433,13 +434,10 @@ def _probe_fields(w: WaveField, flow: str, step: float, probe: str) -> tuple:
     completed steps, and the first member to trip with its field as it
     was given (``w`` itself for a lone field).
     """
+    _check_flow(flow)
+    march = evolve_t if flow == "t" else evolve_tau
     try:
-        stream, _ = _flow_fields(w, flow, step, 1, 1)
-        out = []
-        for field, stopped in stream:
-            _raise_first(stopped)
-            out.append(field)
-        return out[0], out[2]
+        return march(w, -step), march(w, step)
     except ResolutionGuardError as err:
         raise ResolutionGuardError(f"guard tripped while probing {probe}: {err}", steps_completed=0,
                                    wavefield=w.take(err.member) if w.psi.ndim > w.grid.dim else w,
@@ -494,7 +492,7 @@ def run_trajectories(w0: WaveField, flow: str, step: float, steps: int,
     reasons = [""] * count
     live = np.arange(count)
     where = slice(None)  # the live members' rows of the columns: all of them until a trip
-    fields, marcher = _flow_fields(w0, flow, step, 2, steps + 2)
+    fields, marcher = _flow_fields(w0, flow, step, steps + 2)
     # the window: the densities of the stencil, and the fields from its middle on,
     # each dropped once its record is written
     rhos = collections.deque(maxlen=_STENCIL_WIDTH)

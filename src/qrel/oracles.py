@@ -11,14 +11,15 @@ parameters:
 
 with sign = +1 for the Schroedinger flow in t and -1 for the companion
 flow in tau.  Both flows solve them in closed form (:func:`gaussian_flow`),
-which is what the verification suites read: in t the width parameter
+which is what the suites and the demos read: in t the width parameter
 A = 1/(4 sigma2) - i b/(2 hbar) of psi ~ exp(-A x^2) evolves as the free
 propagator's A/(1 + 2i hbar A t/m); in tau the coefficients
 a+- = 1/(4 sigma2) -+ b/(2 hbar) of the heat pair sqrt(rho) exp(+-s/hbar)
-of Euclidean quantum mechanics each obey a Riccati law of their own.  The
-ODEs themselves are kept, integrated with a high-order adaptive stepper
-at tolerance 1e-12 (:func:`integrate_gaussian_ode`), as the closed forms'
-cross-check; scipy is imported only when they are integrated.  Neither
+of Euclidean quantum mechanics each obey a Riccati law of their own; in t
+a minimal packet (b = 0) spreads by the law sigma2 + (hbar t/2m)^2/sigma2.
+The ODEs are kept, integrated at tolerance 1e-12
+(:func:`integrate_gaussian_ode`), as the closed forms' cross-check in the
+tests and the benchmark's gate; scipy is imported only then.  Neither
 oracle touches the PDE integrators it checks.
 """
 
@@ -115,7 +116,3 @@ def gaussian_observables(sigma2: float, b: float, c: float = 0.0,
         "s_gen": 0.5 * b * sigma2 + c,
     }
 
-
-def free_packet_sigma_x2(t: float, sigma2_0: float, hbar: float = 1.0, mass: float = 1.0) -> float:
-    """Textbook spreading law for a free minimal packet."""
-    return sigma2_0 + (hbar * t / (2.0 * mass * np.sqrt(sigma2_0))) ** 2

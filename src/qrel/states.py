@@ -199,24 +199,20 @@ def make_gaussian(params: GaussianParams, grid: Grid, hbar: float = 1.0, mass: f
     Raises
     ------
     ConfigurationError
-        If the packet amplitude at the box boundary exceeds 1e-12, which
-        would break the periodicity assumptions of the spectral substrate.
+        If the packet amplitude on either face of any axis (its first or
+        last sample) exceeds 1e-12, which would break the periodicity
+        assumptions of the spectral substrate.
     """
     offsets = [grid.coords[0] - params.x0] + [grid.coords[ax] for ax in range(1, grid.dim)]
     r2 = sum(o**2 for o in offsets)
     rho = np.exp(-r2 / (2.0 * params.sigma2))
     rho /= grid.quadrature(rho)
     amp = np.sqrt(rho)
-    boundary = np.zeros(grid.shape, dtype=bool)
-    for ax in range(grid.dim):
-        sl = [slice(None)] * grid.dim
-        sl[ax] = 0
-        boundary[tuple(sl)] = True
-    tail = float(amp[boundary].max())
+    tail = max(float(np.take(amp, [0, -1], axis=ax).max()) for ax in range(grid.dim))
     if tail > TAIL_TOLERANCE:
         raise ConfigurationError(
             f"packet tail {tail:.3e} exceeds {TAIL_TOLERANCE:g} at the box boundary "
-            f"(sigma2={params.sigma2!r}, length={grid.length!r})"
+            f"(sigma2={params.sigma2!r}, x0={params.x0!r}, length={grid.length!r})"
         )
     s = 0.5 * params.b * r2 + params.p0 * offsets[0] + params.c
     return HydroState(grid=grid, rho=rho, s=s, hbar=hbar, mass=mass)

@@ -25,7 +25,7 @@ from .config import ScenarioConfig
 from .errors import ConfigurationError, ResolutionGuardError
 from .grid import Grid
 from .report import Report, bound, compare, info
-from .states import GaussianParams, WaveField, make_double_gaussian, make_gaussian, to_wave
+from .states import GaussianParams, WaveField, make_double_gaussian, make_gaussian, phase_gradient, to_wave
 
 ORIENTATION_NOTE = ("orientation: parameter flows follow dA/dalpha = {A, S}, "
                     "with {S, H_q} = K_q and {S, K_q} = H_q")
@@ -161,22 +161,26 @@ def suite_functionals(cfg: ScenarioConfig):
     # sigma2=4 needs a wider box to honor the 1e-12 tail precondition
     wide = make_gaussian(GaussianParams(sigma2=4.0), Grid(grid.n, 64.0, grid.dim), hb, m)
 
-    checks.append(compare("fisher(sigma2=1)", fn.fisher_information(minimal), 0.5, 1e-10,
+    at_minimal = orc.gaussian_observables(1.0, 0.0, hbar=hb, mass=m)
+    checks.append(compare("fisher(sigma2=1)", fn.fisher_information(minimal), at_minimal["fisher"], 1e-10,
                           provenance="Gaussian closed form"))
-    checks.append(compare("fisher(sigma2=4)", fn.fisher_information(wide), 0.125, 1e-10,
+    checks.append(compare("fisher(sigma2=4)", fn.fisher_information(wide),
+                          orc.gaussian_observables(4.0, 0.0, hbar=hb, mass=m)["fisher"], 1e-10,
                           provenance="Gaussian closed form"))
-    checks.append(compare("delta_x2 consistent (sigma2=1)", fn.delta_x2(minimal), 1.0, 1e-10,
+    checks.append(compare("delta_x2 consistent (sigma2=1)", fn.delta_x2(minimal), at_minimal["delta_x2"], 1e-10,
                           provenance="Gaussian closed form"))
     checks.append(compare("delta_x2 paper-literal (sigma2=1)", fn.delta_x2(minimal, "paper-literal"),
                           2.0, 1e-10, provenance="documented discrepancy", asserted=False))
-    checks.append(compare("sigma_x2 (sigma2=1)", fn.sigma_x2(minimal), 1.0, 1e-10,
+    checks.append(compare("sigma_x2 (sigma2=1)", fn.sigma_x2(minimal), at_minimal["sigma_x2"], 1e-10,
                           provenance="Gaussian closed form"))
-    checks.append(compare("delta_p2_cl (p0=2)", fn.delta_p2_cl(moving), 4.0, 1e-10,
+    checks.append(compare("delta_p2_cl (p0=2)", fn.delta_p2_cl(moving),
+                          orc.gaussian_observables(1.0, 0.0, hbar=hb, mass=m, p0=2.0)["delta_p2_cl"], 1e-10,
                           provenance="Gaussian closed form"))
-    checks.append(compare("delta_p2_q (minimal)", fn.delta_p2_q(minimal), 0.25 * hb**2, 1e-10,
+    checks.append(compare("delta_p2_q (minimal)", fn.delta_p2_q(minimal), at_minimal["delta_p2_q"], 1e-10,
                           provenance="Gaussian closed form"))
     checks.append(compare("minimal product delta_x2 * delta_p2_q",
-                          fn.delta_x2(minimal) * fn.delta_p2_q(minimal), 0.25 * hb**2, 1e-10,
+                          fn.delta_x2(minimal) * fn.delta_p2_q(minimal),
+                          at_minimal["delta_x2"] * at_minimal["delta_p2_q"], 1e-10,
                           provenance="minimal uncertainty"))
     expect = orc.gaussian_observables(1.0, 1.0, hbar=hb, mass=m)
     checks.append(compare("h_q (b=1)", fn.h_q(chirped), expect["h_q"], 1e-10,
@@ -216,26 +220,27 @@ def suite_functionals(cfg: ScenarioConfig):
     return checks, []
 
 
-def oracle_field_error(states) -> float:
-    """Worst relative gap of the closed-form S, H_q, K_q derivative fields to the oracle's.
+def oracle_field_gap(tag, state, comp: str) -> float:
+    """Relative gap of the closed-form derivative field d(tag)/d(comp) to the bump oracle's.
 
-    Compared on rho > 1e-10 of each state, d/drho fields with their gauge
+    Compared on rho > 1e-10 of ``state``, a d/drho field with its gauge
     constant removed, relative to the closed field's maximum (floor 1e-2).
     """
+    region = state.rho > 1e-10
+    closed = fn.variational_derivative(tag, state, comp)
+    numeric = br.fd_functional_derivative(tag, state, comp, where=region)
+    if comp == "rho":
+        closed = br.subtract_rho_mean(closed, state, where=region)
+        numeric = br.subtract_rho_mean(numeric, state, where=region)
+    scale = max(float(np.abs(closed[region]).max()), 1e-2)
+    return float(np.abs((closed - numeric)[region]).max()) / scale
+
+
+def oracle_field_error(states) -> float:
+    """Worst :func:`oracle_field_gap` of the S, H_q and K_q fields, both components, over ``states``."""
     T = fn.FunctionalTag
-    worst = 0.0
-    for state in states:
-        region = state.rho > 1e-10
-        for tag in (T.S_GEN, T.H_Q, T.K_Q):
-            for comp in ("rho", "s"):
-                closed = fn.variational_derivative(tag, state, comp)
-                numeric = br.fd_functional_derivative(tag, state, comp, where=region)
-                if comp == "rho":
-                    closed = br.subtract_rho_mean(closed, state, where=region)
-                    numeric = br.subtract_rho_mean(numeric, state, where=region)
-                scale = max(float(np.abs(closed[region]).max()), 1e-2)
-                worst = max(worst, float(np.abs((closed - numeric)[region]).max()) / scale)
-    return worst
+    return max((oracle_field_gap(tag, state, comp)
+                for state in states for tag in (T.S_GEN, T.H_Q, T.K_Q) for comp in ("rho", "s")), default=0.0)
 
 
 def suite_brackets(cfg: ScenarioConfig):
@@ -297,18 +302,24 @@ def suite_brackets(cfg: ScenarioConfig):
     return checks, []
 
 
-def tau_record_gap(traj, params: GaussianParams, convention: str = "consistent",
-                   hbar: float = 1.0, mass: float = 1.0) -> float:
+def gaussian_fit(w) -> tuple:
+    """(sigma2, b) of a Gaussian-family field: its variance and its phase gradient's slope on the first axis."""
+    sigma2 = fn.sigma_x2(w)
+    x = w.grid.coords[0]
+    mean = w.grid.quadrature(w.rho * x)
+    return sigma2, w.grid.quadrature(w.rho * (x - mean) * phase_gradient(w)[0]) / sigma2
+
+
+def tau_record_gap(traj, params: GaussianParams, hbar: float = 1.0, mass: float = 1.0) -> float:
     """Worst relative gap of a Gaussian's tau-run records to the closed-form flow of ``params``.
 
-    delta_x2 is compared with its expected value (which reads 2 sigma2
-    under the paper-literal convention); delta_p2_q, h_q and k_q with the
+    The run's records are read in the consistent convention.  delta_x2 is
+    compared with its expected value; delta_p2_q, h_q and k_q with the
     expected delta_p2_q, which bounds |h_q| and |k_q|.
     """
     sigma2, b, _ = orc.gaussian_flow(params.sigma2, params.b, 0.0, "tau", traj.column("time"), hbar, mass)
     expect = orc.gaussian_observables(sigma2, b, hbar=hbar, mass=mass, p0=params.p0)
-    dx2 = expect["delta_x2"] * 4.0 / fn._dispersion_factor(convention, expect["fisher"])
-    gaps = [np.abs(traj.column("delta_x2") - dx2) / dx2]
+    gaps = [np.abs(traj.column("delta_x2") - expect["delta_x2"]) / expect["delta_x2"]]
     gaps += [np.abs(traj.column(key) - expect[key]) / expect["delta_p2_q"] for key in ("delta_p2_q", "h_q", "k_q")]
     return float(np.max(gaps))
 
@@ -320,23 +331,24 @@ def suite_dynamics(cfg: ScenarioConfig):
     notes = []
     minimal = to_wave(make_gaussian(GaussianParams(sigma2=1.0), grid, hb, m))
 
-    traj = dyn.run_trajectory(minimal, "t", 0.05, 80, cfg.convention)
+    # trajectories are recorded in the consistent convention: the closed-form gap reads
+    # their delta_x2, and no other check reads a convention-dependent column
+    traj = dyn.run_trajectory(minimal, "t", 0.05, 80)
     checks.append(bound("t-flow norm drift", float(np.abs(traj.column("norm") - 1.0).max()), 1e-14,
                         provenance="unitary propagator"))
     dp2 = traj.column("delta_p2_q")
     checks.append(bound("t-flow delta_p2_q drift", float(np.abs(dp2 - dp2[0]).max()), 1e-12,
                         provenance="free-flow conservation"))
     times = traj.column("time")
-    spreads = [orc.free_packet_sigma_x2(t, 1.0, hb, m) for t in times]
+    spreads, _, _ = orc.gaussian_flow(1.0, 0.0, 0.0, "t", times, hb, m)
     measured = [fn.sigma_x2(dyn.evolve_t(minimal, t)) for t in times]
-    checks.append(bound("t-flow packet spreading law (to t=4)",
-                        float(np.abs(np.array(measured) - np.array(spreads)).max()), 1e-8,
+    checks.append(bound("t-flow packet spreading law (to t=4)", float(np.abs(measured - spreads).max()), 1e-8,
                         provenance="spreading oracle"))
 
     battery = battery_states(grid, hb, m)
     stack = WaveField(grid=grid, psi=np.stack([to_wave(state).psi for _, state in battery]), hbar=hb, mass=m)
     try:
-        trajectories = dyn.run_trajectories(stack, "tau", cfg.step, int(round(0.5 / cfg.step)), cfg.convention)
+        trajectories = dyn.run_trajectories(stack, "tau", cfg.step, int(round(0.5 / cfg.step)))
     except ResolutionGuardError as err:
         if not err.steps_completed:
             raise  # the battery state itself trips, before any step
@@ -361,12 +373,7 @@ def suite_dynamics(cfg: ScenarioConfig):
         else:
             out = dyn.evolve_tau(minimal, dtau, steps)
         sigma2_flow, b_flow, _ = orc.gaussian_flow(1.0, 0.0, 0.0, "tau", steps * dtau, hb, m)
-        sig2 = fn.sigma_x2(out)
-        rho = out.rho
-        xc = grid.coords[0]
-        mean = grid.quadrature(rho * xc)
-        dsfield = dyn.phase_gradient(out)[0]
-        b = grid.quadrature(rho * (xc - mean) * dsfield) / sig2
+        sig2, b = gaussian_fit(out)
         return abs(sig2 - sigma2_flow) + abs(b - b_flow)
 
     err1, err2 = tau_error(cfg.step), tau_error(0.5 * cfg.step)
@@ -391,7 +398,7 @@ def suite_dynamics(cfg: ScenarioConfig):
                         max(float(np.abs(traj.column("norm") - 1.0).max()) for traj in trajectories), 1e-10,
                         provenance="norm conservation"))
     checks.append(bound("tau-flow vs Gaussian closed form (battery records, relative)",
-                        max(tau_record_gap(traj, params, cfg.convention, hb, m)
+                        max(tau_record_gap(traj, params, hb, m)
                             for traj, params in zip(trajectories, battery_params())), 1e-5,
                         provenance="Gaussian closed form"))
     notes.append(f"tau-run guards tripped on {sum(traj.guard_tripped for traj in trajectories)} of {len(runs)} "

@@ -145,6 +145,10 @@ class TestEvolve:
         out = tmp_path / "out"
         assert main(["evolve", "--config", cfg, "--out", str(out)]) == 0
 
+    def test_packet_touching_the_far_face_refused(self, tmp_path):
+        cfg = write_config(tmp_path, state={"x0": 15.0})
+        assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
     def test_wave_file_shape_mismatch(self, tmp_path):
         wave_path = tmp_path / "psi.npy"
         np.save(wave_path, np.ones(16, dtype=complex))

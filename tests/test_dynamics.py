@@ -17,7 +17,6 @@ from qrel import (
     cross_flow_defect,
     evolve_t,
     evolve_tau,
-    free_packet_sigma_x2,
     from_wave,
     gaussian_flow,
     hydro_rhs,
@@ -40,20 +39,7 @@ from qrel.functionals import (
     wave_s_gen,
 )
 from qrel.report import TRAJECTORY_HEADER, table_csv, trajectory_csv
-from qrel.states import phase_gradient
-from qrel.suites import tau_record_gap
-
-
-def gaussian_parameters_of(w):
-    """Extract (sigma2, b) of a Gaussian-family wave field."""
-    grid = w.grid
-    rho = w.rho
-    x = grid.coords[0]
-    mean = grid.quadrature(rho * x)
-    sigma2 = grid.quadrature(rho * (x - mean) ** 2)
-    ds = phase_gradient(w)[0]
-    b = grid.quadrature(rho * (x - mean) * ds) / sigma2
-    return sigma2, b
+from qrel.suites import battery_params, gaussian_fit, tau_record_gap
 
 
 class TestTFlow:
@@ -71,7 +57,7 @@ class TestTFlow:
 
     def test_packet_spreading(self, minimal_wave):
         out = evolve_t(minimal_wave, 2.0)
-        assert abs(sigma_x2(out) - free_packet_sigma_x2(2.0, 1.0)) < 1e-8
+        assert abs(sigma_x2(out) - gaussian_flow(1.0, 0.0, 0.0, "t", 2.0)[0]) < 1e-8
 
     def test_conservation(self, minimal_wave):
         dp0 = wave_delta_p2_q(minimal_wave)
@@ -125,7 +111,7 @@ class TestTauFlow:
     def test_initial_contraction_rate(self, minimal_wave):
         # db/dtau = -(b^2 + 1/4 sigma^4) = -0.25 at the minimal Gaussian
         out = evolve_tau(minimal_wave, 1e-3, 20)
-        _, b = gaussian_parameters_of(out)
+        _, b = gaussian_fit(out)
         assert b == pytest.approx(-0.25 * 0.02, rel=1e-3)
 
     def test_norm_conserved(self, grid):
@@ -177,7 +163,7 @@ class TestContinuityResidual:
         psi = np.full(grid.shape, 1.0 / math.sqrt(grid.length), dtype=complex)
         w = WaveField(grid=grid, psi=psi)
         for flow in ("t", "tau"):
-            stream, _ = dyn_mod._flow_fields(w, flow, 1e-3, 2, 2)
+            stream, _ = dyn_mod._flow_fields(w, flow, 1e-3, 2)
             fields = [field for field, _ in stream]
             assert dyn_mod._stencil_residual([f.rho for f in fields], fields[2], 1e-3) < 1e-12
 
@@ -561,12 +547,6 @@ class TestStackedFlowCalls:
 
 
 class TestGaussianOracleInternals:
-    def test_t_flow_ode_matches_spreading_law(self):
-        times = np.linspace(0.0, 4.0, 9)
-        _, y = integrate_gaussian_ode(GaussianOdeState(1.0, 0.0), "t", times)
-        for t, sigma2 in zip(times, y[0]):
-            assert abs(sigma2 - free_packet_sigma_x2(t, 1.0)) < 1e-9
-
     def test_lyapunov_identity_inside_oracle(self):
         # d(s_gen)/dtau = h_q holds exactly in the parameter ODEs
         times = np.linspace(0.0, 0.4, 5)
@@ -579,9 +559,9 @@ class TestGaussianOracleInternals:
 
     @pytest.mark.parametrize("hbar, mass", [(1.0, 1.0), (0.7, 1.3), (0.5, 1.0), (1.5, 1.0)])
     def test_closed_form_flow_matches_ode(self, hbar, mass):
-        # measured worst: 1.2e-11 relative in sigma2, 2.6e-11 in b (relative to |b| or hbar/4 sigma2,
-        # as b crosses 0), 2.4e-12 absolute in c
-        for flow, end in (("tau", 0.2), ("t", 2.0)):
+        # measured worst: 1.3e-11 relative in sigma2, 2.7e-11 in b (relative to |b| or hbar/4 sigma2,
+        # as b crosses 0), 2.5e-12 absolute in c; the t-flow of b = 0 is the free-packet spreading law
+        for flow, end in (("tau", 0.2), ("t", 4.0)):
             times = np.linspace(0.0, end, 8)
             for sigma2 in (0.5, 1.0, 2.0):
                 for b in (-1.0, -0.3, 0.0, 0.5, 1.0):
@@ -591,6 +571,13 @@ class TestGaussianOracleInternals:
                     assert np.abs(s2_got / s2_ode - 1.0).max() < 1e-9
                     assert (np.abs(b_got - b_ode) / np.maximum(np.abs(b_ode), hbar / (4.0 * s2_ode))).max() < 1e-9
                     assert np.abs(c_got - c_ode).max() < 1e-10
+
+    def test_gaussian_fit_recovers_battery_parameters(self, grid):
+        # measured worst: 4.4e-16 relative in sigma2 and 4.4e-16 absolute in b
+        for params in battery_params():
+            sigma2, b = gaussian_fit(to_wave(make_gaussian(params, grid)))
+            assert abs(sigma2 / params.sigma2 - 1.0) < 1e-14, params
+            assert abs(b - params.b) < 1e-14, params
 
     def test_tau_flow_blow_up_refused(self):
         # a+ = 1/4 + 1/2 for sigma2 = 1, b = -1: 1 - 4 a+ D tau reaches 0 at tau* = 2/3

@@ -38,6 +38,12 @@ class TestMakeGaussian:
         with pytest.raises(ConfigurationError, match="sigma2=30"):
             make_gaussian(GaussianParams(sigma2=30.0), grid)
 
+    @pytest.mark.parametrize("x0", [15.0, -15.0])
+    def test_tail_checked_on_both_faces(self, grid, x0):
+        # |psi| reaches 1.5e-3 at the last sample for x0 = 15 and 1.2e-3 at the first for x0 = -15
+        with pytest.raises(ConfigurationError, match=f"x0={x0!r}"):
+            make_gaussian(GaussianParams(sigma2=1.0, x0=x0), grid)
+
     def test_translation_invariance_of_variance(self, grid):
         state = make_gaussian(GaussianParams(sigma2=1.0, x0=3.0), grid)
         assert abs(sigma_x2(state) - 1.0) < 1e-10
