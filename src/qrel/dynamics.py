@@ -66,6 +66,7 @@ from .errors import GridMismatchError, ResolutionGuardError
 from .functionals import (
     _curvature_quotient,
     _per_member,
+    _record_observables,
     sigma_x2,
     wave_delta_p2_q,
     wave_delta_x2,
@@ -451,11 +452,8 @@ def _write_record(columns: dict, where, j: int, step: float, rhos, w: WaveField,
     time columns follow from the row index and are built once a run ends.
     """
     row = {
-        "h_q": wave_h_q(w),
-        "k_q": wave_k_q(w),
+        **_record_observables(w, convention),
         "s_gen": wave_s_gen(w),
-        "delta_x2": wave_delta_x2(w, convention),
-        "delta_p2_q": wave_delta_p2_q(w),
         "norm": w.norm,
         "continuity_residual": _stencil_residual(rhos, w, step),
     }

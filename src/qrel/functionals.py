@@ -11,6 +11,10 @@ Conventions
   Only the reported dispersions (``delta_x2``, ``wave_delta_x2``,
   ``uncertainty_pair``) take a convention; ``evaluate``, the derivative
   rules and the bracket engine use the consistent one.
+* The Fisher integral, integral |grad sqrt(rho)|^2 (|grad |psi||^2 on
+  the wave route), is ``Grid.gradient_energy``: the spectral gradient's
+  squared integral by Parseval on the rfftn half spectrum, one forward
+  transform per field or stack.
 * Gradients of the phase field use centered differences; amplitude
   fields (rho, sqrt(rho), psi) use spectral calculus.  Phase fields are
   generally not periodic on the box, and the density weight suppresses
@@ -79,14 +83,18 @@ def _dispersion_factor(convention: str, integral) -> float:
     return 4.0 if convention == "consistent" else 2.0
 
 
+def _fisher_dispersion(convention: str, integral):
+    # delta_x2 = 1 / (c * integral) of a Fisher integral; see _dispersion_factor
+    return 1.0 / (_dispersion_factor(convention, integral) * integral)
+
+
 # ---------------------------------------------------------------------------
 # building blocks
 
 
 def fisher_integral(state: HydroState) -> float:
     """integral |grad sqrt(rho)|^2 (the quantum term of every functional)."""
-    grads = state.grid.gradient(state.sqrt_rho)
-    return state.grid.quadrature(sum(g**2 for g in grads))
+    return state.grid.gradient_energy(state.sqrt_rho)
 
 
 def _curvature_quotient(grid, u: np.ndarray) -> np.ndarray:
@@ -135,8 +143,7 @@ def delta_x2(state: HydroState, convention: str = "consistent") -> float:
     Raises a degenerate-state error when the Fisher integral vanishes
     (see :func:`_dispersion_factor`).
     """
-    integral = fisher_integral(state)
-    return 1.0 / (_dispersion_factor(convention, integral) * integral)
+    return _fisher_dispersion(convention, fisher_integral(state))
 
 
 def sigma_x2(state) -> float:
@@ -297,13 +304,14 @@ def variational_derivative(tag: FunctionalTag, state: HydroState, component: str
 # Trajectory observables are computed directly from psi: the spectral
 # momentum integral hbar^2 |grad psi|^2 is conserved exactly by the free
 # propagator, which keeps the conservation columns of trajectory records
-# at the rounding floor.  The gradients are the field's cached ones, so a
-# record costs no transform beyond those of the field itself.  A stacked
-# field gives one value per member.
+# at the rounding floor.  The gradients of psi are the field's cached ones;
+# the Fisher integral of |psi| costs one forward transform
+# (Grid.gradient_energy), so a record computes it once
+# (_record_observables).  A stacked field gives one value per member.
 
 
 def wave_fisher_integral(w: WaveField) -> float:
-    return w.grid.quadrature(sum(g**2 for g in w.grad_amplitude))
+    return w.grid.gradient_energy(np.abs(w.psi))
 
 
 def wave_delta_p2_q(w: WaveField) -> float:
@@ -314,13 +322,28 @@ def wave_h_q(w: WaveField) -> float:
     return wave_delta_p2_q(w) / (2.0 * w.mass)
 
 
+def _companion(h, integral, w: WaveField):
+    # K_Q from H_Q and the Fisher integral: the classical part minus the Fisher term
+    return h - w.hbar**2 * integral / w.mass
+
+
 def wave_k_q(w: WaveField) -> float:
-    return wave_h_q(w) - w.hbar**2 * wave_fisher_integral(w) / w.mass
+    return _companion(wave_h_q(w), wave_fisher_integral(w), w)
 
 
 def wave_delta_x2(w: WaveField, convention: str = "consistent") -> float:
-    integral = wave_fisher_integral(w)
-    return 1.0 / (_dispersion_factor(convention, integral) * integral)
+    return _fisher_dispersion(convention, wave_fisher_integral(w))
+
+
+def _record_observables(w: WaveField, convention: str) -> dict:
+    """h_q, k_q, delta_x2 and delta_p2_q of ``w`` from one delta_p2_q and one Fisher integral.
+
+    Each value is bit for bit the one its ``wave_*`` function gives.
+    """
+    dp2, integral = wave_delta_p2_q(w), wave_fisher_integral(w)
+    h = dp2 / (2.0 * w.mass)
+    return {"h_q": h, "k_q": _companion(h, integral, w),
+            "delta_x2": _fisher_dispersion(convention, integral), "delta_p2_q": dp2}
 
 
 def wave_s_gen(w: WaveField) -> float:

@@ -9,7 +9,10 @@ to machine precision for band-limited integrands.
 First derivatives of a real field (``gradient``, ``divergence``) go
 through the rfftn half spectrum, which holds every independent mode of
 a real field at half the work of a complex transform; complex fields
-keep the full spectrum.  The Laplacian stays on complex transforms for
+keep the full spectrum.  The integral of a real field's squared
+gradient (``gradient_energy``, the Fisher term of every functional)
+follows from the half spectrum by Parseval, so it takes one forward
+transform and no inverse.  The Laplacian stays on complex transforms for
 both.  The quantum potential ``laplacian(sqrt rho) / sqrt rho`` divides
 by sqrt rho ~ 1e-6 at the rim of its comparison region, so it magnifies
 the Laplacian's rounding noise: on the half spectrum the functionals
@@ -138,6 +141,20 @@ class Grid:
         return tuple(f[..., : self.n // 2 + 1] for f in self._derivative_factors)
 
     @cached_property
+    def _gradient_energy_weights(self) -> dict:
+        # w |k|^2 on the half spectrum (see gradient_energy), per real dtype: |k|^2
+        # from the Nyquist-zeroed factors, squared in long double so that long
+        # double input keeps its precision; w = 2 off the last axis's first and
+        # Nyquist columns
+        columns = np.full(self.n // 2 + 1, 2.0)
+        columns[[0, -1]] = 1.0
+        exact = columns * sum(f.imag.astype(np.longdouble) ** 2 for f in self._half_derivative_factors)
+        weights = {np.dtype(np.longdouble): exact, np.dtype(np.float64): exact.astype(np.float64)}
+        for w in weights.values():
+            w.setflags(write=False)
+        return weights
+
+    @cached_property
     def _trailing_axes(self) -> tuple:
         return tuple(range(-self.dim, 0))
 
@@ -182,10 +199,32 @@ class Grid:
         element across members instead.
         """
         f = self.bind(f)
-        total = f.sum(axis=self._trailing_axes) * self.cell_volume
+        return self._integral_value(f, f.sum(axis=self._trailing_axes) * self.cell_volume)
+
+    def _integral_value(self, f: np.ndarray, total):
+        # the integral ``total`` of ``f`` as quadrature returns it
         if f.ndim != self.dim or f.dtype in (np.longdouble, np.clongdouble):
             return total  # one value per member, or extended precision for the oracle
         return complex(total) if np.iscomplexobj(f) else float(total)
+
+    def gradient_energy(self, f: np.ndarray):
+        """integral |grad f|^2 of a real field, from its rfftn half spectrum alone.
+
+        By Parseval the quadrature of the squared :meth:`gradient` is
+        (h^d / n^d) * sum over the half spectrum of w |k|^2 |fhat|^2, with
+        each axis's Nyquist mode zeroed as the gradient zeroes it and w
+        counting the last axis's interior columns twice (they stand for
+        their conjugate partners).  So the integral costs one forward
+        transform instead of a transform pair per axis.  Values are
+        returned as :meth:`quadrature` returns them: one per member of a
+        stack, each bit for bit its lone value, and long double for long
+        double input.
+        """
+        f = self.bind(f)
+        fhat = self._rfftn(f)
+        power = fhat.real**2 + fhat.imag**2
+        total = (self._gradient_energy_weights[power.dtype] * power).sum(axis=self._trailing_axes)
+        return self._integral_value(f, total * (self.cell_volume / self.size))
 
     def gradient(self, f: np.ndarray, fhat: np.ndarray = None) -> list:
         """Spectral per-axis derivative; exact for band-limited fields.

@@ -98,9 +98,9 @@ class WaveField:
     """Wave function psi with units; quadrature(|psi|^2) = 1.
 
     The density, the phase, the transform of psi and the spectral
-    gradients of psi and |psi| are computed once on first use and kept
-    read-only, so every observable and integrator step that reads the
-    same field shares them.
+    gradient of psi are computed once on first use and kept read-only,
+    so every observable and integrator step that reads the same field
+    shares them.
 
     ``psi`` may be a stack (see :class:`Grid`): the caches then hold one
     member per entry of the stack, each bit for bit its lone value, and
@@ -147,11 +147,6 @@ class WaveField:
     def grad_psi(self) -> tuple:
         """Per-axis spectral gradient of psi, built from :attr:`psi_hat`."""
         return _read_only_all(self.grid.gradient(self.psi, self.psi_hat))
-
-    @cached_property
-    def grad_amplitude(self) -> tuple:
-        """Per-axis spectral gradient of |psi| (the Fisher integrand)."""
-        return _read_only_all(self.grid.gradient(np.abs(self.psi)))
 
     @property
     def norm(self) -> float:
@@ -268,12 +263,16 @@ def check_nodeless_interior(state):
     """
     if state.grid.dim != 1:
         return
-    for member in state.rho.reshape(-1, state.grid.n):
-        peak = float(member.max())
-        body = np.flatnonzero(member > 1e-6 * peak)
-        interior = member[body[0]:body[-1] + 1]
-        if float(interior.min()) < 1e-15 * peak:
-            raise DegenerateStateError("density has an interior node; quantum-potential fields undefined")
+    n = state.grid.n
+    rho = state.rho.reshape(-1, n)
+    peak = rho.max(axis=1, keepdims=True).astype(np.float64)  # the peak and the dip test in double
+    body = rho > 1e-6 * peak
+    # each member's interior runs from its first body sample to its last
+    first, last = body.argmax(axis=1), n - 1 - body[:, ::-1].argmax(axis=1)
+    index = np.arange(n)
+    interior = (index >= first[:, None]) & (index <= last[:, None])
+    if np.any(interior & (rho.astype(np.float64, copy=False) < 1e-15 * peak)):
+        raise DegenerateStateError("density has an interior node; quantum-potential fields undefined")
 
 
 def phase_gradient(obj) -> list:

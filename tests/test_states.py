@@ -77,7 +77,7 @@ class TestToWave:
 
     def test_cached_spectral_fields_are_read_only(self, grid):
         w = to_wave(make_gaussian(GaussianParams(sigma2=1.0, b=1.0), grid))
-        for array in (w.rho, w.psi_hat, *w.grad_psi, *w.grad_amplitude):
+        for array in (w.rho, w.psi_hat, *w.grad_psi):
             with pytest.raises(ValueError):
                 array[0] = 0.0
 
@@ -200,11 +200,37 @@ class TestStackedHydroState:
         with pytest.raises(DegenerateStateError, match="interior node"):
             check_nodeless_interior(stack)
 
+    @staticmethod
+    def refused_alone(member):
+        # the per-member rule: a dip below 1e-15 of the peak between the first
+        # and last samples above 1e-6 of it
+        peak = float(member.max())
+        body = np.flatnonzero(member > 1e-6 * peak)
+        return float(member[body[0]:body[-1] + 1].min()) < 1e-15 * peak
+
+    def test_stack_refused_exactly_when_a_member_is(self, grid):
+        # two-bump densities whose central dip sits on either side of 1e-15 of
+        # the peak, a density wrapping round the box faces (its body spans the
+        # box, the empty middle is interior) and nodeless ones
+        x = grid.coords[0]
+        shapes = [np.exp(-((x - a) ** 2)) + np.exp(-((x + a) ** 2)) for a in (5.0, 5.9, 5.95, 6.5)]
+        shapes += [np.exp(-((np.abs(x) - 20.0) ** 2)), np.exp(-(x**2) / 8.0), np.exp(-((x - 12.0) ** 2))]
+        members = [f / grid.quadrature(f) for f in shapes]
+        refused = [self.refused_alone(m) for m in members]
+        assert 0 < sum(refused) < len(members)
+        accepted = [m for m, r in zip(members, refused, strict=True) if not r]
+        check_nodeless_interior(HydroState(grid=grid, rho=np.stack(accepted), s=np.zeros(grid.shape)))
+        for member, r in zip(members, refused, strict=True):
+            if r:
+                stack = HydroState(grid=grid, rho=np.stack(accepted + [member]), s=np.zeros(grid.shape))
+                with pytest.raises(DegenerateStateError, match="interior node"):
+                    check_nodeless_interior(stack)
+
 
 class TestStackedWaveField:
     """Every cache of a stacked field holds, bit for bit, each member's lone value."""
 
-    CACHES = ("rho", "s", "psi_hat", "grad_psi", "grad_amplitude")
+    CACHES = ("rho", "s", "psi_hat", "grad_psi")
 
     @staticmethod
     def members(grid):
