@@ -30,6 +30,7 @@ from qrel import (
     to_wave,
     uncertainty_rates,
 )
+from qrel import dynamics
 from qrel.functionals import (
     wave_delta_p2_q,
     wave_delta_x2,
@@ -107,6 +108,11 @@ class TestTauFlow:
     def test_zero_step_is_identity(self, minimal_wave):
         assert evolve_tau(minimal_wave, 0.0, 5) is minimal_wave
         assert evolve_tau(minimal_wave, 1e-3, 0) is minimal_wave
+
+    @pytest.mark.parametrize("steps", [-1, -3, 2.5, True])
+    def test_steps_must_be_a_non_negative_integer(self, minimal_wave, steps):
+        with pytest.raises(ValueError, match="^steps must be a non-negative integer"):
+            evolve_tau(minimal_wave, 1e-3, steps)
 
     def test_initial_contraction_rate(self, minimal_wave):
         # db/dtau = -(b^2 + 1/4 sigma^4) = -0.25 at the minimal Gaussian
@@ -230,6 +236,12 @@ class TestTrajectories:
         assert len(traj.records) == 1
         assert traj.records[0].time == 0.0
 
+    @pytest.mark.parametrize("flow", ["tau", "t"])
+    @pytest.mark.parametrize("steps", [-1, -3, 2.5, True])
+    def test_steps_must_be_a_non_negative_integer(self, minimal_wave, flow, steps):
+        with pytest.raises(ValueError, match="^steps must be a non-negative integer"):
+            run_trajectories(minimal_wave, flow, 1e-3, steps)
+
 
 class TestTrajectoryRecordsMatchFreshFields:
     """Records built from shared field caches equal, bit for bit, each
@@ -275,22 +287,36 @@ class TestTrajectoryRecordsMatchFreshFields:
 
     def test_full_window_tau_flow(self, grid):
         w0 = to_wave(make_gaussian(GaussianParams(sigma2=1.0, b=0.5, p0=2.0), grid))
-        traj = run_trajectory(w0, "tau", 1e-3, 30)
-        assert not traj.guard_tripped and len(traj.records) == 31
+        traj = run_trajectory(w0, "tau", 1e-3, 60)
+        assert not traj.guard_tripped and len(traj.records) == 61
+        # three full blocks of records and a partial one
+        assert divmod(len(traj.records), dynamics.RECORD_BLOCK_SAMPLES // grid.size) == (3, 13)
         self.assert_records_match(traj, self.tau_field(w0, 1e-3))
+
+    def test_t_flow_2d_across_record_blocks(self):
+        grid = Grid(n=64, length=24.0, dim=2)
+        w0 = to_wave(make_gaussian(GaussianParams(sigma2=1.0, b=0.5, p0=1.0), grid))
+        traj = run_trajectory(w0, "t", 0.05, 4)
+        # blocks of two fields: two full and a partial one
+        assert divmod(len(traj.records), dynamics.RECORD_BLOCK_SAMPLES // grid.size) == (2, 1)
+        self.assert_records_match(traj, lambda j: evolve_t(w0, 0.05 * j))
 
     def test_guard_tripped_tau_flow(self, grid):
         w0 = to_wave(make_gaussian(GaussianParams(sigma2=0.17, b=-3.0), grid))
         traj = run_trajectory(w0, "tau", 1e-3, 50)
         assert traj.guard_tripped and "resolution guard" in traj.guard_reason
         assert 0 < traj.last_valid_step < 30
+        # the trip falls inside a block of records
+        assert len(traj.records) % (dynamics.RECORD_BLOCK_SAMPLES // grid.size)
         self.assert_records_match(traj, self.tau_field(w0, 1e-3))
 
-    @pytest.mark.parametrize("flow, step, dim, n, length", [
-        ("tau", 1e-3, 1, 512, 40.0),
-        # in 2-D the flux divergence transforms each component along its own axis only
-        ("t", 0.05, 2, 64, 24.0)], ids=["tau-1d", "t-2d"])
-    def test_fft_calls_per_record(self, flow, step, dim, n, length, monkeypatch):
+    @pytest.mark.parametrize("flow, step, dim, n, length, per_record", [
+        # 153 transforms: 143 for the 24 Strang steps, five for each block of records (16 and 5)
+        ("tau", 1e-3, 1, 512, 40.0, 7.5),
+        # 113 transforms: 25 to make the fields, eight for each of 11 blocks of records (in 2-D
+        # the flux divergence transforms each component along its own axis only)
+        ("t", 0.05, 2, 64, 24.0, 5.5)], ids=["tau-1d", "t-2d"])
+    def test_fft_calls_per_record(self, flow, step, dim, n, length, per_record, monkeypatch):
         calls = []
         for name in ("fftn", "ifftn", "rfftn", "irfftn"):
             def counted(*args, _original=getattr(np.fft, name), **kwargs):
@@ -301,7 +327,7 @@ class TestTrajectoryRecordsMatchFreshFields:
         w0 = to_wave(make_gaussian(GaussianParams(sigma2=1.0), Grid(n=n, length=length, dim=dim)))
         traj = run_trajectory(w0, flow, step, 20)
         assert len(traj.records) == 21
-        assert len(calls) <= 12 * len(traj.records)
+        assert len(calls) <= per_record * len(traj.records)
 
 
 def _stack(waves):
@@ -397,7 +423,31 @@ class TestStackedRunner:
             monkeypatch.setattr(np.fft, name, counted)
         stacked = run_trajectories(_stack(waves), "tau", 1e-3, 20)
         assert all(len(t.records) == 21 for t in stacked)
-        assert len(calls) <= 12 * 21
+        # 167 transforms: 143 for the 24 Strang steps, five for each of four blocks of five records
+        # and four for the last, a one-field block that holds the transform its step cached
+        assert len(calls) <= 170
+
+    def test_record_blocks(self, battery, grid, minimal_wave, monkeypatch):
+        blocks = []
+
+        def recorded(w, convention, _original=dynamics._record_observables):
+            blocks.append(w.psi.shape)
+            return _original(w, convention)
+
+        monkeypatch.setattr(dynamics, "_record_observables", recorded)
+        run_trajectory(minimal_wave, "tau", 1e-3, 40)
+        assert blocks == [(16, grid.n), (16, grid.n), (9, grid.n)]
+        blocks.clear()
+        stacked = run_trajectories(_stack([to_wave(state) for _, state in battery]), "tau", 1e-3, 300)
+        # a block is one field, shaped (members, n), or several, shaped (fields, members, n)
+        fields = [shape[0] if len(shape) == 3 else 1 for shape in blocks]
+        assert sum(fields) == 301
+        # one field at a time while all 18 members are live, and each record written at once
+        first_trip = min(t.last_valid_step for t in stacked if t.guard_tripped)
+        assert blocks[:first_trip + 1] == [(18, grid.n)] * (first_trip + 1)
+        # longer blocks once members trip, none of them above the sample budget
+        assert max(fields) > 1
+        assert all(math.prod(shape) <= dynamics.RECORD_BLOCK_SAMPLES for shape in blocks if len(shape) == 3)
 
 
 class TestFinalField:
