@@ -36,6 +36,18 @@ packets also stop at the resolution guard sigma_x2 > RESOLUTION_CELLS *
 spacing^2.
 Both guards mark the trajectory rather than silently degrading it.
 
+The marcher's state is the field and the band-limited spectrum its last
+step ended with (the transform of the starting field before the first
+step).  A step reads its band and its first half kick from that
+spectrum, so it makes five transforms: the inverse after the first half
+kick, a pair for the Laplacian of |psi| in W, and the pair around the
+second half kick.  The band's moments and the resolution guard's
+sigma_x2 are each one matrix product per member against a table the
+grid caches.  A record's phase (``WaveField.s``, which s_gen reads) is
+summed from the principal increments between neighbouring samples
+outward from the box center, so no 2 pi jump enters where psi is at the
+rounding floor.
+
 Trajectories
 ------------
 :func:`run_trajectories` marches a stack of fields (see :class:`Grid`)
@@ -185,20 +197,6 @@ def evolve_t(w: WaveField, dt: float) -> WaveField:
     return WaveField(grid=w.grid, psi=psi, hbar=w.hbar, mass=w.mass)
 
 
-def _spectral_band(grid, psi_hat):
-    """The mean wavenumber along each axis and the momentum dispersion, per member."""
-    axes = grid._trailing_axes
-    weights = np.abs(psi_hat) ** 2
-    total = weights.sum(axis=axes)
-    kbar = []
-    dk2 = 0.0
-    for k_ax in grid._axis_wavenumbers:
-        mean = (k_ax * weights).sum(axis=axes) / total
-        kbar.append(mean)
-        dk2 += (((k_ax - _per_member(mean, grid)) ** 2) * weights).sum(axis=axes) / total
-    return kbar, dk2
-
-
 def _one_field(w: WaveField) -> WaveField:
     if w.psi.shape != w.grid.shape:
         raise GridMismatchError(f"expected one field of shape {w.grid.shape}, got psi of shape {w.psi.shape}")
@@ -225,11 +223,15 @@ class _TauMarcher:
     in the stack the marcher started from; a lone field is a stack of one
     without a member axis, so that its per-member values are scalars.  A
     member that trips a guard leaves the stack unstepped; every other
-    member steps on, bit for bit as it would alone.  The guards, the
-    step's transform and every observer of the field read its cache, so
-    each field of a run is transformed once.  The sign of ``dtau`` is the
-    direction of the march: ``_TauMarcher(w, -step)`` steps backward, and
-    the noise budget accrues ``|dtau|`` either way.
+    member steps on, bit for bit as it would alone.  The sign of ``dtau``
+    is the direction of the march: ``_TauMarcher(w, -step)`` steps
+    backward, and the noise budget accrues ``|dtau|`` either way.
+
+    Besides the field, the marcher keeps ``spectrum``, the band-limited
+    spectrum whose inverse transform the field is (see the module
+    docstring); a member that leaves the stack leaves it too.  The
+    field's own ``psi_hat`` cache stays the transform of its psi, computed
+    only if an observer reads it, so records match fresh fields bit for bit.
     """
 
     def __init__(self, w: WaveField, dtau: float):
@@ -240,6 +242,7 @@ class _TauMarcher:
         if w.psi.dtype != np.complex128:
             w = WaveField(grid=w.grid, psi=w.psi.astype(complex), hbar=w.hbar, mass=w.mass)
         self.field = w
+        self.spectrum = w.psi_hat
         self.members = _members(w)
         self.stacked = w.psi.ndim > w.grid.dim
         self.noise_budget = np.zeros(w.psi.shape[:1] if self.stacked else ())
@@ -247,6 +250,8 @@ class _TauMarcher:
         self.steps_done = 0
         self._guard_floor = RESOLUTION_CELLS * self.grid.spacing**2
         self._kc2_floor = 9.0 * (2.0 * math.pi / self.grid.length) ** 2
+        self._kc2_cap = (0.95 * math.pi / self.grid.spacing) ** 2
+        self._budget_rate = 0.5 * self.hbar * abs(dtau) / self.mass
         # unmasked exp(-i hbar k^2 dtau / 4m); the band mask changes every step
         self._half_kinetic = np.exp(-0.25j * self.hbar * self.grid.k_squared * dtau / self.mass)
 
@@ -287,38 +292,53 @@ class _TauMarcher:
             if not self.members.size:
                 return stopped
             self.field = self.field.take(keep)
+            self.spectrum = self.spectrum[keep]
             self.noise_budget = self.noise_budget[keep]
         check_nodeless_interior(self.field)
 
         half_kin = self._band_half_kinetic()
-        psi = self._rotate(self.grid._ifftn(self.field.psi_hat * half_kin))
-        psi = self.grid._ifftn(self.grid._fftn(psi) * half_kin)
-        self.field = WaveField(grid=self.grid, psi=psi, hbar=self.hbar, mass=self.mass)
+        kicked = self.spectrum * half_kin
+        psi = self._rotate(self.grid._ifftn(kicked, out=kicked))
+        self.spectrum = self.grid._fftn(psi, out=psi)
+        self.spectrum *= half_kin
+        self.field = WaveField(grid=self.grid, psi=self.grid._ifftn(self.spectrum), hbar=self.hbar, mass=self.mass)
         self.steps_done += 1
         return stopped
 
     def _band_half_kinetic(self) -> np.ndarray:
         """The half kinetic step on each member's band |k - kbar| <= k_c, zero outside.
 
-        Accrues each member's noise budget for the band.  (The helpers of
-        :meth:`step` keep its temporaries alive no longer than they are used.)
+        kbar and the momentum dispersion dk2 come from the moments of
+        |spectrum|^2 against 1, k and |k|^2; accrues each member's noise
+        budget for the band.  (The helpers of :meth:`step` keep its
+        temporaries alive no longer than they are used.)
         """
-        kbar, dk2 = _spectral_band(self.grid, self.field.psi_hat)
-        kc2 = np.maximum(BAND_WIDTH_FACTOR * dk2, self._kc2_floor)
-        kc2 = np.minimum(kc2, (0.95 * math.pi / self.grid.spacing) ** 2)
-        krel2 = sum((k - _per_member(mean, self.grid)) ** 2
-                    for k, mean in zip(self.grid._axis_wavenumbers, kbar, strict=True))
-        self.noise_budget += 0.5 * self.hbar * kc2 * abs(self.dtau) / self.mass
-        return self._half_kinetic * (krel2 <= _per_member(kc2, self.grid))
+        grid = self.grid
+        parts = self.spectrum.view(np.float64)
+        m = grid._moments(parts * parts, grid._spectral_moment_table)
+        m = m / m[..., :1]
+        kbar = m[..., 1:-1]
+        dk2 = m[..., -1] - (kbar * kbar).sum(axis=-1)
+        kc2 = np.minimum(np.maximum(BAND_WIDTH_FACTOR * dk2, self._kc2_floor), self._kc2_cap)
+        self.noise_budget += self._budget_rate * kc2
+        krel = grid._wavenumber_table - kbar.reshape(kbar.shape[:-1] + (1,) * grid.dim + kbar.shape[-1:])
+        krel2 = (krel * krel).sum(axis=-1)
+        return self._half_kinetic * (krel2 <= _per_member(kc2, grid))
 
     def _rotate(self, psi: np.ndarray) -> np.ndarray:
-        """The pointwise phase rotation by the clamped potential W, counting clamp events."""
+        """The pointwise phase rotation by the clamped potential W, in place, counting clamp events."""
         W = (self.hbar**2 / self.mass) * _curvature_quotient(self.grid, np.abs(psi))
         clipped = np.abs(W) > W_MAX
         if clipped.any():
             self.clamp_events[self.members] += clipped.sum(axis=self.grid._trailing_axes)
             W = np.clip(W, -W_MAX, W_MAX)
-        return psi * np.exp(-1j * W * self.dtau / self.hbar)
+        # exp(-i W dtau / hbar), from the cosine and sine of the real angle
+        angle = W * (-self.dtau / self.hbar)
+        rotation = np.empty(psi.shape, dtype=complex)
+        np.cos(angle, out=rotation.real)
+        np.sin(angle, out=rotation.imag)
+        psi *= rotation
+        return psi
 
 
 def _check_steps(steps):

@@ -149,14 +149,18 @@ def delta_x2(state: HydroState, convention: str = "consistent") -> float:
 def sigma_x2(state) -> float:
     """Position variance quadrature(rho |x - mean|^2), summed over axes.
 
-    Reads only the grid and the density, so ``state`` may be a
-    :class:`HydroState` or a :class:`WaveField`.
+    With m0, m1 (one per axis) and m2 the integrals of rho against 1, x
+    and |x|^2, one matrix product per member (``Grid._position_moments``),
+    and the mean m1, this is m2 - 2 |m1|^2 + m0 |m1|^2, so it stays the
+    centred moment of a density a little off unit mass.  The tau-flow's
+    resolution guard reads it every step.  Reads only the grid and the
+    density, so ``state`` may be a :class:`HydroState` or a
+    :class:`WaveField`; a stack gives one value per member, each bit for
+    bit its lone value.
     """
-    total = 0.0
-    for xc in state.grid.coords:
-        mean = _per_member(state.grid.quadrature(state.rho * xc), state.grid)
-        total += state.grid.quadrature(state.rho * (xc - mean) ** 2)
-    return total
+    m = state.grid._position_moments(state.rho)
+    mean2 = (m[..., 1:-1] ** 2).sum(axis=-1)
+    return state.grid._integral_value(state.rho, m[..., -1] - (2.0 - m[..., 0]) * mean2)
 
 
 def delta_p2_cl(state: HydroState) -> float:

@@ -118,6 +118,13 @@ class Grid:
         return k2
 
     @cached_property
+    def _minus_k_squared(self) -> np.ndarray:
+        # the Laplacian's spectral factor -|k|^2
+        k2 = -self.k_squared
+        k2.setflags(write=False)
+        return k2
+
+    @cached_property
     def _axis_wavenumbers(self) -> tuple:
         # the wavenumbers along each axis, shaped to broadcast over the grid axes
         # (read-only views of ``wavenumbers``)
@@ -155,18 +162,63 @@ class Grid:
         return weights
 
     @cached_property
+    def _wavenumber_table(self) -> np.ndarray:
+        # the wavenumber of each mode along each axis, shape ``self.shape + (dim,)``
+        table = np.stack(np.meshgrid(*([self.wavenumbers] * self.dim), indexing="ij"), axis=-1)
+        table.setflags(write=False)
+        return table
+
+    @cached_property
+    def _spectral_moment_table(self) -> np.ndarray:
+        # [1, k along each axis, |k|^2] for each mode in C order, each row twice: the float
+        # view of a complex spectrum interleaves real and imaginary parts, so its squares
+        # times this table sum |fhat|^2 against each column (see _moments)
+        k = self._wavenumber_table.reshape(self.size, self.dim)
+        table = np.repeat(np.column_stack([np.ones(self.size), k, (k * k).sum(axis=1)]), 2, axis=0)
+        table.setflags(write=False)
+        return table
+
+    @cached_property
+    def _position_moment_tables(self) -> dict:
+        # [1, x along each axis, |x|^2] for each sample in C order, by real dtype, each
+        # table made on first use (see _position_moments)
+        return {}
+
+    def _moments(self, f: np.ndarray, table: np.ndarray) -> np.ndarray:
+        """Sums of each member of ``f`` (flattened in C order) times each column of ``table``.
+
+        One matrix product per member, each the product its lone field
+        makes, so every member's row is bit for bit its lone row; the
+        result has one row of ``table.shape[1]`` sums per member.
+        """
+        rows = f.reshape(-1, 1, table.shape[0]) @ table
+        return rows.reshape(f.shape[:f.ndim - self.dim] + table.shape[1:])
+
+    def _position_moments(self, f: np.ndarray) -> np.ndarray:
+        """Integrals of a real ``f`` against [1, x along each axis, |x|^2], one row per member."""
+        table = self._position_moment_tables.get(f.dtype)
+        if table is None:
+            x = np.stack([c.ravel() for c in self.coords], axis=1).astype(f.dtype)
+            table = np.column_stack([np.ones(self.size, dtype=f.dtype), x, (x * x).sum(axis=1)])
+            table.setflags(write=False)
+            self._position_moment_tables[f.dtype] = table
+        return self._moments(f, table) * self.cell_volume
+
+    @cached_property
     def _trailing_axes(self) -> tuple:
         return tuple(range(-self.dim, 0))
 
     # Transforms over the trailing axes.  Passing the lengths as ``s``
     # spares numpy's own lookup of them (``np.take``), which costs a few
-    # microseconds per transform on the per-call-bound tau path.
+    # microseconds per transform on the per-call-bound tau path; so does an
+    # ``out`` array, which may be the complex input itself (the transform is
+    # then made in place, with the same values).
 
-    def _fftn(self, f: np.ndarray) -> np.ndarray:
-        return np.fft.fftn(f, s=self.shape, axes=self._trailing_axes)
+    def _fftn(self, f: np.ndarray, out: np.ndarray = None) -> np.ndarray:
+        return np.fft.fftn(f, s=self.shape, axes=self._trailing_axes, out=out)
 
-    def _ifftn(self, f: np.ndarray) -> np.ndarray:
-        return np.fft.ifftn(f, s=self.shape, axes=self._trailing_axes)
+    def _ifftn(self, f: np.ndarray, out: np.ndarray = None) -> np.ndarray:
+        return np.fft.ifftn(f, s=self.shape, axes=self._trailing_axes, out=out)
 
     def _rfftn(self, f: np.ndarray) -> np.ndarray:
         return np.fft.rfftn(f, s=self.shape, axes=self._trailing_axes)
@@ -265,7 +317,9 @@ class Grid:
         Complex transforms for real fields too; see the module docstring.
         """
         f = self.bind(f)
-        g = self._ifftn(-self.k_squared * self._fftn(f))
+        fhat = self._fftn(f)
+        fhat *= self._minus_k_squared
+        g = self._ifftn(fhat, out=fhat)
         return g.real if not np.iscomplexobj(f) else g
 
     def fd_gradient(self, f: np.ndarray) -> list:

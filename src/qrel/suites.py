@@ -350,8 +350,10 @@ def suite_dynamics(cfg: ScenarioConfig):
     try:
         trajectories = dyn.run_trajectories(stack, "tau", cfg.step, int(round(0.5 / cfg.step)))
     except ResolutionGuardError as err:
-        if not err.steps_completed:
-            raise  # the battery state itself trips, before any step
+        if not err.steps_completed:  # the battery state itself trips, before any step
+            raise ConfigurationError(
+                f"grid.n: {grid.n} samples over grid.length {grid.length!r} leave the battery state "
+                f"{battery[err.member][0]} unresolved before its first tau-step ({err})") from err
         raise ConfigurationError(
             f"flow.step: {cfg.step!r} leaves the battery tau-run {battery[err.member][0]} with no "
             f"certified record ({err})") from err
@@ -371,14 +373,19 @@ def suite_dynamics(cfg: ScenarioConfig):
         if (dtau, minimal_run.last_valid_step) == (cfg.step, steps):
             out = minimal_run.final  # the battery has marched it already
         else:
-            out = dyn.evolve_tau(minimal, dtau, steps)
+            try:
+                out = dyn.evolve_tau(minimal, dtau, steps)
+            except ResolutionGuardError as err:
+                raise ConfigurationError(
+                    f"flow.step: {cfg.step!r} leaves the re-march of s2=1,b=0,p0=0 at step {dtau!r} "
+                    f"short of tau = {steps * dtau:g} ({err})") from err
         sigma2_flow, b_flow, _ = orc.gaussian_flow(1.0, 0.0, 0.0, "tau", steps * dtau, hb, m)
         sig2, b = gaussian_fit(out)
         return abs(sig2 - sigma2_flow) + abs(b - b_flow)
 
     err1, err2 = tau_error(cfg.step), tau_error(0.5 * cfg.step)
-    checks.append(bound("tau-flow vs Gaussian ODE oracle (sigma2+b at tau=0.5)", err1, 1e-6,
-                        provenance="Gaussian ODE oracle"))
+    checks.append(bound("tau-flow vs Gaussian closed form (sigma2+b at tau=0.5)", err1, 1e-6,
+                        provenance="Gaussian closed form"))
     checks.append(compare("tau-flow order-2 convergence (error ratio)", err1 / err2, 4.0, 0.4,
                           provenance="step halving"))
     s_gens = [traj.column("s_gen") for traj in trajectories]

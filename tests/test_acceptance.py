@@ -67,7 +67,7 @@ CATALOGUE = [
     ("dynamics: t-flow norm drift", 1e-14, None, True),
     ("dynamics: t-flow delta_p2_q drift", 1e-12, None, True),
     ("dynamics: t-flow packet spreading law (to t=4)", 1e-08, None, True),
-    ("dynamics: tau-flow vs Gaussian ODE oracle (sigma2+b at tau=0.5)", 1e-06, None, True),
+    ("dynamics: tau-flow vs Gaussian closed form (sigma2+b at tau=0.5)", 1e-06, None, True),
     ("dynamics: tau-flow order-2 convergence (error ratio)", 0.4, 4.0, True),
     ("dynamics: Lyapunov: s_gen nondecreasing (battery tau-runs)", 1e-12, None, True),
     ("dynamics: Lyapunov: d(s_gen)/dtau = h_q (relative, battery)", 1e-05, None, True),
@@ -194,7 +194,7 @@ def test_07_t_flow(catalogue):
 def test_08_tau_flow_oracle_and_order(catalogue):
     criterion(catalogue, 8, "tau-flow matches the closed-form Gaussian flow within 1e-6 at order 2, "
               "and every battery record within 1e-5", 60.0,
-              ["dynamics: tau-flow vs Gaussian ODE oracle (sigma2+b at tau=0.5)",
+              ["dynamics: tau-flow vs Gaussian closed form (sigma2+b at tau=0.5)",
                "dynamics: tau-flow order-2 convergence (error ratio)",
                "dynamics: tau-flow vs Gaussian closed form (battery records, relative)"])
 

@@ -75,6 +75,22 @@ class TestVerify:
         assert main(["verify", "--suite", suite, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert field in capsys.readouterr().err
 
+    @pytest.mark.parametrize("overrides, suite, fields", [
+        # the battery's sigma2 = 0.5 members sit at the resolution floor 25 h^2 = 0.61 before
+        # any step
+        ({"grid": {"n": 256}}, None, ("grid.n", "grid.length")),
+        # the re-march of the minimal Gaussian trips the noise budget after 872 steps
+        ({"units": {"hbar": 1.42, "mass": 0.3}, "grid": {"length": 68.8}, "flow": {"step": 0.00025}},
+         "dynamics", ("flow.step",)),
+    ], ids=["battery-unresolved", "re-march-trips"])
+    def test_tau_run_that_cannot_verify_is_refused_by_field(self, tmp_path, capsys, overrides, suite, fields):
+        cfg = write_config(tmp_path, **overrides)
+        out = tmp_path / "o"
+        assert main(["verify", "--config", cfg, "--out", str(out)] + (["--suite", suite] if suite else [])) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {fields[0]}: ") and all(f in err for f in fields)
+        assert not (out / "report.json").exists()
+
     def test_default_report_booleans_are_json_booleans(self, tmp_path):
         # a numpy boolean used to be written as the string "True", which any JSON reader takes as true
         out = tmp_path / "out"

@@ -43,6 +43,19 @@ from qrel.report import TRAJECTORY_HEADER, table_csv, trajectory_csv
 from qrel.suites import battery_params, gaussian_fit, tau_record_gap
 
 
+@pytest.fixture
+def fft_calls(monkeypatch):
+    """A list that grows by one entry for every numpy fftn, ifftn, rfftn or irfftn call."""
+    calls = []
+    for name in ("fftn", "ifftn", "rfftn", "irfftn"):
+        def counted(*args, _original=getattr(np.fft, name), **kwargs):
+            calls.append(1)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    return calls
+
+
 class TestTFlow:
     def test_zero_step_is_identity(self, minimal_wave):
         assert evolve_t(minimal_wave, 0.0) is minimal_wave
@@ -144,6 +157,16 @@ class TestTauFlow:
         w = WaveField(grid=grid, psi=psi)
         with pytest.raises(Exception):
             evolve_tau(w, 1e-3, 5)
+
+    @pytest.mark.parametrize("steps", [1, 10])
+    def test_five_transforms_per_step(self, minimal_wave, steps, fft_calls):
+        # one for the starting spectrum, then five a step: the march keeps each step's
+        # band-limited spectrum and never transforms the field it has just made
+        w = WaveField(grid=minimal_wave.grid, psi=minimal_wave.psi)
+        out = evolve_tau(w, 1e-3, steps)
+        assert len(fft_calls) == 1 + 5 * steps
+        # the field's own transform is computed on demand, as of a fresh field
+        assert out.psi_hat.tobytes() == WaveField(grid=out.grid, psi=out.psi).psi_hat.tobytes()
 
     def test_nonunitarity_with_norm_conservation(self, grid, minimal_wave):
         other = to_wave(make_gaussian(GaussianParams(sigma2=1.0, x0=1.5), grid))
@@ -310,24 +333,29 @@ class TestTrajectoryRecordsMatchFreshFields:
         assert len(traj.records) % (dynamics.RECORD_BLOCK_SAMPLES // grid.size)
         self.assert_records_match(traj, self.tau_field(w0, 1e-3))
 
+    def test_2d_tau_flow_s_gen_rises_by_h_q(self):
+        # s_gen rises by h_q dtau (about 1.333e-3) a step; a phase unwrapped from the box
+        # edge, where psi is at the rounding floor, jumps by multiples of 2 pi there, and
+        # the rises then read -2.51 to +0.48
+        grid = Grid(n=128, length=40.0, dim=2)
+        w0 = to_wave(make_gaussian(GaussianParams(sigma2=3.0, b=0.5, p0=1.0), grid))
+        traj = run_trajectory(w0, "tau", 1e-3, 20)
+        rises, h_q = np.diff(traj.column("s_gen")), traj.column("h_q")
+        assert rises.min() > 0.0
+        assert np.abs(rises / (0.5 * (h_q[1:] + h_q[:-1]) * 1e-3) - 1.0).max() < 1e-3
+
     @pytest.mark.parametrize("flow, step, dim, n, length, per_record", [
-        # 153 transforms: 143 for the 24 Strang steps, five for each block of records (16 and 5)
-        ("tau", 1e-3, 1, 512, 40.0, 7.5),
+        # 131 transforms: five for each of the 24 Strang steps and one for the starting spectrum
+        # both marchers share, five for each block of records (16 and 5)
+        ("tau", 1e-3, 1, 512, 40.0, 6.5),
         # 113 transforms: 25 to make the fields, eight for each of 11 blocks of records (in 2-D
         # the flux divergence transforms each component along its own axis only)
         ("t", 0.05, 2, 64, 24.0, 5.5)], ids=["tau-1d", "t-2d"])
-    def test_fft_calls_per_record(self, flow, step, dim, n, length, per_record, monkeypatch):
-        calls = []
-        for name in ("fftn", "ifftn", "rfftn", "irfftn"):
-            def counted(*args, _original=getattr(np.fft, name), **kwargs):
-                calls.append(1)
-                return _original(*args, **kwargs)
-
-            monkeypatch.setattr(np.fft, name, counted)
+    def test_fft_calls_per_record(self, flow, step, dim, n, length, per_record, fft_calls):
         w0 = to_wave(make_gaussian(GaussianParams(sigma2=1.0), Grid(n=n, length=length, dim=dim)))
         traj = run_trajectory(w0, flow, step, 20)
         assert len(traj.records) == 21
-        assert len(calls) <= per_record * len(traj.records)
+        assert len(fft_calls) <= per_record * len(traj.records)
 
 
 def _stack(waves):
@@ -411,21 +439,14 @@ class TestStackedRunner:
         with pytest.raises(GridMismatchError, match="expected one field"):
             run_trajectory(_stack([minimal_wave] * 2), "tau", 1e-3, 5)
 
-    def test_fft_calls_per_record_step_counted_once_per_stack(self, grid, minimal_wave, monkeypatch):
+    def test_fft_calls_per_record_step_counted_once_per_stack(self, grid, minimal_wave, fft_calls):
         params = (GaussianParams(sigma2=2.0, b=1.0), GaussianParams(sigma2=1.0, b=0.5, p0=2.0))
         waves = [minimal_wave] + [to_wave(make_gaussian(p, grid)) for p in params]
-        calls = []
-        for name in ("fftn", "ifftn", "rfftn", "irfftn"):
-            def counted(*args, _original=getattr(np.fft, name), **kwargs):
-                calls.append(1)
-                return _original(*args, **kwargs)
-
-            monkeypatch.setattr(np.fft, name, counted)
         stacked = run_trajectories(_stack(waves), "tau", 1e-3, 20)
         assert all(len(t.records) == 21 for t in stacked)
-        # 167 transforms: 143 for the 24 Strang steps, five for each of four blocks of five records
-        # and four for the last, a one-field block that holds the transform its step cached
-        assert len(calls) <= 170
+        # 146 transforms: 121 for the 24 Strang steps and the starting spectrum, five for each of
+        # four blocks of five records and five for the last, a one-field block
+        assert len(fft_calls) <= 150
 
     def test_record_blocks(self, battery, grid, minimal_wave, monkeypatch):
         blocks = []
@@ -673,7 +694,7 @@ class TestDynamicsSuite:
         from qrel.suites import suite_dynamics
 
         checks = {c.name: c for c in suite_dynamics(ScenarioConfig(step=0.003))[0]}
-        for name in ("tau-flow vs Gaussian ODE oracle (sigma2+b at tau=0.5)",
+        for name in ("tau-flow vs Gaussian closed form (sigma2+b at tau=0.5)",
                      "tau-flow order-2 convergence (error ratio)"):
             assert checks[name].passed, (name, checks[name].measured)
 

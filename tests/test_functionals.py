@@ -77,6 +77,32 @@ class TestSecondMoments:
         state = make_double_gaussian(3.0, 1.0, grid)
         assert abs(sigma_x2(state) - 10.0) < 1e-8
 
+    @staticmethod
+    def centred_sum(state):
+        # quadrature(rho |x - mean|^2) with the mean quadrature(rho x), axis by axis
+        total = 0.0
+        for xc in state.grid.coords:
+            mean = state.grid.quadrature(state.rho * xc)
+            mean = np.reshape(mean, np.shape(mean) + (1,) * state.grid.dim)
+            total += state.grid.quadrature(state.rho * (xc - mean) ** 2)
+        return total
+
+    def test_sigma_x2_matches_the_centred_sum(self, grid):
+        # from raw moments, so within 64 eps of quadrature(rho |x|^2), which sigma2 + x0^2
+        # makes 11 for the last state (2.5e-14 apart there, 2.2e-16 on centred ones)
+        params = [GaussianParams(sigma2=1.0), GaussianParams(sigma2=0.5, b=1.0, p0=2.0, x0=1.5),
+                  GaussianParams(sigma2=2.0, x0=-3.0)]
+        states = [make_gaussian(p, grid) for p in params] + [make_double_gaussian(3.0, 1.0, grid)]
+        states.append(make_gaussian(GaussianParams(sigma2=1.0, b=0.5, x0=1.0), Grid(n=64, length=24.0, dim=2)))
+        wide = HydroState(grid=grid, rho=states[2].rho.astype(np.longdouble), s=np.zeros(grid.shape))
+        for state in states + [wide]:
+            eps = np.finfo(state.rho.dtype).eps
+            raw = state.grid.quadrature(state.rho * sum(c**2 for c in state.grid.coords))
+            assert abs(sigma_x2(state) - self.centred_sum(state)) <= 64 * eps * raw
+        stack = HydroState(grid=grid, rho=np.stack([s.rho for s in states[:4]]), s=np.zeros(grid.shape))
+        assert np.array_equal(sigma_x2(stack), [sigma_x2(s) for s in states[:4]])
+        assert type(sigma_x2(states[0])) is float and type(sigma_x2(wide)) is np.longdouble
+
     def test_delta_p2_cl_zero_phase(self, minimal):
         assert delta_p2_cl(minimal) == pytest.approx(0.0, abs=1e-14)
 

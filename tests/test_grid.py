@@ -259,3 +259,36 @@ def test_gradient_energy_of_a_stack(g, dtype):
 def test_stack_with_wrong_trailing_shape_rejected(grid):
     with pytest.raises(GridMismatchError):
         grid.quadrature(np.zeros((3, grid.n // 2)))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+@pytest.mark.parametrize("g", STACK_GRIDS, ids=["1d", "2d"])
+def test_position_moments_of_a_stack(g, dtype):
+    # the integrals against 1, x along each axis and |x|^2, one product per member: each
+    # row bit for bit its lone row, and within 64 eps of the summed products
+    f = _stack(g, dtype, 7)
+    moments = g._position_moments(f)
+    assert moments.shape == LEAD + (g.dim + 2,) and moments.dtype == dtype
+    weights = [1.0, *g.coords, sum(c**2 for c in g.coords)]
+    for m in _members():
+        assert np.array_equal(moments[m], g._position_moments(f[m]))
+        want = [g.quadrature(f[m] * w) for w in weights]
+        scale = g.quadrature(np.abs(f[m]) * (1.0 + weights[-1]))
+        assert np.abs(moments[m] - want).max() <= 64 * np.finfo(dtype).eps * scale
+
+
+@pytest.mark.parametrize("g", STACK_GRIDS, ids=["1d", "2d"])
+def test_spectral_moments_of_a_stack(g):
+    # the squared float view of a spectrum against the spectral table: sums of |fhat|^2
+    # against 1, k along each axis and |k|^2
+    fhat = _stack(g, np.complex128, 8)
+    parts = fhat.view(np.float64)
+    moments = g._moments(parts * parts, g._spectral_moment_table)
+    assert moments.shape == LEAD + (g.dim + 2,)
+    power = np.abs(fhat) ** 2
+    weights = [1.0, *(g._wavenumber_table[..., ax] for ax in range(g.dim)), g.k_squared]
+    for m in _members():
+        assert np.array_equal(moments[m], g._moments(parts[m] * parts[m], g._spectral_moment_table))
+        want = [(power[m] * w).sum() for w in weights]
+        scale = (power[m] * (1.0 + g.k_squared)).sum()
+        assert np.abs(moments[m] - want).max() <= 64 * np.finfo(np.float64).eps * scale
