@@ -13,6 +13,7 @@ import sys
 from .config import SUITE_NAMES, load_config
 from .dynamics import run_trajectory
 from .errors import ConfigurationError, QrelError, ResolutionGuardError
+from .functionals import CONVENTIONS
 from .report import dumps17, format17, table_csv, trajectory_csv
 from .states import from_wave
 from .suites import ORIENTATION_NOTE, TRANSFORM_COLUMNS, _dilatation_sweep, run_suites
@@ -26,7 +27,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="scenario JSON file (defaults are built in)")
     common.add_argument("--out", default="qrel-out", help="output directory")
-    common.add_argument("--convention", choices=("consistent", "paper-literal"),
+    common.add_argument("--convention", choices=CONVENTIONS,
                         help="delta_x2 factor convention override")
 
     verify = sub.add_parser("verify", parents=[common], help="run verification suites")

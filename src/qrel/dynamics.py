@@ -90,7 +90,7 @@ from .functionals import (
     wave_k_q,
     wave_s_gen,
 )
-from .states import HydroState, WaveField, check_nodeless_interior, phase_gradient, to_wave
+from .states import HydroState, WaveField, check_nodeless_interior, phase_gradient, reduced_current, to_wave
 
 #: k_c^2 in units of the measured momentum dispersion.  For a Gaussian
 #: spectrum exp(-128/4) ~ 1e-14 of the spectral amplitude is discarded at
@@ -252,8 +252,8 @@ class _TauMarcher:
         self._kc2_floor = 9.0 * (2.0 * math.pi / self.grid.length) ** 2
         self._kc2_cap = (0.95 * math.pi / self.grid.spacing) ** 2
         self._budget_rate = 0.5 * self.hbar * abs(dtau) / self.mass
-        # unmasked exp(-i hbar k^2 dtau / 4m); the band mask changes every step
-        self._half_kinetic = np.exp(-0.25j * self.hbar * self.grid.k_squared * dtau / self.mass)
+        # the free propagator over half a step, unmasked; the band mask changes every step
+        self._half_kinetic = _kinetic_phase(self.grid, self.hbar, self.mass, 0.5 * dtau)
 
     def _guard_trips(self) -> dict:
         """Guard messages of the live members that trip, by position in the stack."""
@@ -276,8 +276,11 @@ class _TauMarcher:
 
         Returns the members the guards stopped, by starting index, each
         with the :class:`ResolutionGuardError` its lone run raises.  A
-        member with an interior node raises for the whole stack.
+        member with an interior node raises for the whole stack, and a
+        step once every member has left is refused with a ``ValueError``.
         """
+        if not self.members.size:
+            raise ValueError(f"no member is live after {self.steps_done} steps: each left at a guard trip")
         stopped = {}
         trips = self._guard_trips()
         if trips:
@@ -429,7 +432,7 @@ def _stencil_residual(rhos, w, dstep):
     apart and the block of middle fields.
     """
     drho = _centered_rate(rhos, dstep)
-    flux = [w.hbar * np.imag(np.conj(w.psi) * g) / w.mass for g in w.grad_psi]
+    flux = [w.hbar * j / w.mass for j in reduced_current(w)]
     resid = drho + w.grid.divergence(flux)
     axes = w.grid._trailing_axes
     return np.abs(resid).max(axis=axes) / w.rho.max(axis=axes)

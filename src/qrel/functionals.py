@@ -8,9 +8,10 @@ Conventions
   transformation law an identity and saturates the minimal-Gaussian
   product at hbar^2/4.  The historical factor-2 reading is available as
   ``convention="paper-literal"`` purely for documenting the discrepancy.
-  Only the reported dispersions (``delta_x2``, ``wave_delta_x2``,
-  ``uncertainty_pair``) take a convention; ``evaluate``, the derivative
-  rules and the bracket engine use the consistent one.
+  Only the reported dispersions (``delta_x2``, ``uncertainty_pair`` and
+  the records of a trajectory) take a convention; ``evaluate``,
+  ``wave_delta_x2``, the derivative rules and the bracket engine use the
+  consistent one.
 * The Fisher integral, integral |grad sqrt(rho)|^2 (|grad |psi||^2 on
   the wave route), is ``Grid.gradient_energy``: the spectral gradient's
   squared integral by Parseval on the rfftn half spectrum, one forward
@@ -19,7 +20,8 @@ Conventions
   fields (rho, sqrt(rho), psi) use spectral calculus.  Phase fields are
   generally not periodic on the box, and the density weight suppresses
   the wrap cells, so this split keeps every functional accurate for the
-  localized test family (including dilated and small-hbar states).
+  localized test family (including dilated and small-hbar states, where
+  psi oscillates past Nyquist and a phase gradient taken from psi aliases).
 
 The derivative rules returned by :func:`variational_derivative` are the
 closed forms evaluated with the same discrete operators that the
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateStateError
-from .states import RHO_FLOOR, HydroState, WaveField, check_nodeless_interior, phase_gradient
+from .states import RHO_FLOOR, HydroState, WaveField, check_nodeless_interior, phase_gradient, reduced_current
 
 CONVENTIONS = ("consistent", "paper-literal")
 
@@ -113,10 +115,13 @@ def sqrt_density_curvature(state: HydroState) -> np.ndarray:
     return _curvature_quotient(state.grid, state.sqrt_rho)
 
 
+def _grad_s_squared(state: HydroState) -> np.ndarray:
+    return sum(g**2 for g in phase_gradient(state))
+
+
 def kinetic_integral(state: HydroState) -> float:
     """integral rho |grad s|^2 (raw second moment of the momentum field)."""
-    grads = phase_gradient(state)
-    return state.grid.quadrature(state.rho * sum(g**2 for g in grads))
+    return state.grid.quadrature(state.rho * _grad_s_squared(state))
 
 
 # ---------------------------------------------------------------------------
@@ -232,11 +237,6 @@ def _ds_divergence(state: HydroState) -> np.ndarray:
     return state.grid.fd_divergence([state.rho * g for g in grads])
 
 
-def _grad_s_squared(state: HydroState) -> np.ndarray:
-    grads = phase_gradient(state)
-    return sum(g**2 for g in grads)
-
-
 def variational_derivative(tag: FunctionalTag, state: HydroState, component: str) -> np.ndarray:
     """Closed-form functional derivative field delta(tag)/delta(component).
 
@@ -335,8 +335,8 @@ def wave_k_q(w: WaveField) -> float:
     return _companion(wave_h_q(w), wave_fisher_integral(w), w)
 
 
-def wave_delta_x2(w: WaveField, convention: str = "consistent") -> float:
-    return _fisher_dispersion(convention, wave_fisher_integral(w))
+def wave_delta_x2(w: WaveField) -> float:
+    return _fisher_dispersion("consistent", wave_fisher_integral(w))
 
 
 def _record_observables(w: WaveField, convention: str) -> dict:
@@ -355,5 +355,4 @@ def wave_s_gen(w: WaveField) -> float:
 
 
 def wave_p_translation(w: WaveField) -> float:
-    g = w.grad_psi[0]
-    return w.hbar * w.grid.quadrature(np.imag(np.conj(w.psi) * g))
+    return w.hbar * w.grid.quadrature(reduced_current(w)[0])

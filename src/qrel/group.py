@@ -19,16 +19,13 @@ reproduces the infinitesimal momentum-dispersion transformation and makes
 
 import math
 
-from .errors import DegenerateStateError
 from .functionals import UncertaintyPair
 from .grid import Grid
 from .states import HydroState
 
 
 def transform_uncertainty(u: UncertaintyPair, alpha: float, hbar: float = 1.0) -> UncertaintyPair:
-    """Apply the group element ``alpha`` to an uncertainty pair."""
-    if not u.dx2 > 0:
-        raise DegenerateStateError(f"dx2 must be positive, got {u.dx2!r}")
+    """Apply the group element ``alpha`` to an uncertainty pair (``UncertaintyPair`` refuses dx2 <= 0)."""
     ea, ema = math.exp(alpha), math.exp(-alpha)
     dx2 = ema * u.dx2
     dp2 = ema * u.dp2 + 0.25 * hbar**2 * (ea - ema) / u.dx2

@@ -209,7 +209,8 @@ def make_gaussian(params: GaussianParams, grid: Grid, hbar: float = 1.0, mass: f
     ConfigurationError
         If the packet amplitude on either face of any axis (its first or
         last sample) exceeds 1e-12, which would break the periodicity
-        assumptions of the spectral substrate.
+        assumptions of the spectral substrate; the message names
+        ``grid.length``, the scenario field that widens the box.
     """
     offsets = [grid.coords[0] - params.x0] + [grid.coords[ax] for ax in range(1, grid.dim)]
     r2 = sum(o**2 for o in offsets)
@@ -219,8 +220,8 @@ def make_gaussian(params: GaussianParams, grid: Grid, hbar: float = 1.0, mass: f
     tail = max(float(np.take(amp, [0, -1], axis=ax).max()) for ax in range(grid.dim))
     if tail > TAIL_TOLERANCE:
         raise ConfigurationError(
-            f"packet tail {tail:.3e} exceeds {TAIL_TOLERANCE:g} at the box boundary "
-            f"(sigma2={params.sigma2!r}, x0={params.x0!r}, length={grid.length!r})"
+            f"grid.length: {grid.length!r} leaves a packet tail {tail:.3e} above {TAIL_TOLERANCE:g} "
+            f"at the box boundary (sigma2={params.sigma2!r}, x0={params.x0!r})"
         )
     s = 0.5 * params.b * r2 + params.p0 * offsets[0] + params.c
     return HydroState(grid=grid, rho=rho, s=s, hbar=hbar, mass=mass)
@@ -268,16 +269,12 @@ def _phase_from_center(psi: np.ndarray, dim: int) -> np.ndarray:
     return phase
 
 
-def from_wave(w: WaveField, strict: bool = False) -> HydroState:
+def from_wave(w: WaveField) -> HydroState:
     """Polar decomposition of a wave field into its density and phase ``w.s``.
 
-    With ``strict=True`` the nodeless precondition
-    min|psi|^2 >= 1e-15 * max|psi|^2 is enforced.
+    The fields that divide by sqrt(rho) refuse interior nodes (:func:`check_nodeless_interior`).
     """
-    rho = w.rho
-    if strict and float(rho.min()) < 1e-15 * float(rho.max()):
-        raise DegenerateStateError("wave field has (near-)nodes: strict polar decomposition refused")
-    return HydroState(grid=w.grid, rho=rho, s=w.s, hbar=w.hbar, mass=w.mass)
+    return HydroState(grid=w.grid, rho=w.rho, s=w.s, hbar=w.hbar, mass=w.mass)
 
 
 def check_nodeless_interior(state):
@@ -309,6 +306,11 @@ def check_nodeless_interior(state):
         raise DegenerateStateError("density has an interior node; quantum-potential fields undefined")
 
 
+def reduced_current(w: WaveField) -> list:
+    """Per-axis Im(conj(psi) grad psi) = rho grad(s) / hbar: the probability current times m / hbar."""
+    return [np.imag(np.conj(w.psi) * g) for g in w.grad_psi]
+
+
 def phase_gradient(obj) -> list:
     """Per-axis grad(s) for either state representation.
 
@@ -316,17 +318,13 @@ def phase_gradient(obj) -> list:
     centered differences (exact for the polynomial phases of the test
     family; the wrap cells carry negligible density).  For a
     :class:`WaveField` the gauge-invariant ratio
-    hbar * Im(psi* grad psi) / |psi|^2 is used, zeroed below RHO_FLOOR.
+    hbar * Im(psi* grad psi) / |psi|^2 (:func:`reduced_current`) is used,
+    zeroed below RHO_FLOOR.
     """
     if isinstance(obj, HydroState):
         return obj.grid.fd_gradient(obj.s)
     if isinstance(obj, WaveField):
-        rho = obj.rho
-        keep = rho > RHO_FLOOR
-        denom = np.maximum(rho, RHO_FLOOR)
-        out = []
-        for g in obj.grad_psi:
-            comp = obj.hbar * np.imag(np.conj(obj.psi) * g) / denom
-            out.append(np.where(keep, comp, 0.0))
-        return out
+        keep = obj.rho > RHO_FLOOR
+        denom = np.maximum(obj.rho, RHO_FLOOR)
+        return [np.where(keep, obj.hbar * j / denom, 0.0) for j in reduced_current(obj)]
     raise TypeError(f"expected HydroState or WaveField, got {type(obj).__name__}")

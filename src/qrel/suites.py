@@ -347,8 +347,10 @@ def suite_dynamics(cfg: ScenarioConfig):
 
     battery = battery_states(grid, hb, m)
     stack = WaveField(grid=grid, psi=np.stack([to_wave(state).psi for _, state in battery]), hbar=hb, mass=m)
+    # the oracle is read where an integration ends, steps * dtau, which is 0.5 only when dtau divides it
+    steps = int(round(0.5 / cfg.step))
     try:
-        trajectories = dyn.run_trajectories(stack, "tau", cfg.step, int(round(0.5 / cfg.step)))
+        trajectories = dyn.run_trajectories(stack, "tau", cfg.step, steps)
     except ResolutionGuardError as err:
         if not err.steps_completed:  # the battery state itself trips, before any step
             raise ConfigurationError(
@@ -365,25 +367,24 @@ def suite_dynamics(cfg: ScenarioConfig):
                 f"flow.step: {cfg.step!r} leaves the battery tau-run {label} with {len(traj.records)} "
                 "certified records; the 4th-order rate stencil needs 5")
     minimal_run = runs["s2=1,b=0,p0=0"]  # the battery's run of `minimal`
+    if minimal_run.guard_tripped:
+        raise ConfigurationError(
+            f"flow.step: {cfg.step!r} leaves the battery tau-run s2=1,b=0,p0=0 short of "
+            f"tau = {steps * cfg.step:g} ({minimal_run.guard_reason})")
 
-    def tau_error(dtau):
-        # the oracle is read where the integration ends, steps * dtau, which is 0.5 only
-        # when dtau divides it
-        steps = int(round(0.5 / dtau))
-        if (dtau, minimal_run.last_valid_step) == (cfg.step, steps):
-            out = minimal_run.final  # the battery has marched it already
-        else:
-            try:
-                out = dyn.evolve_tau(minimal, dtau, steps)
-            except ResolutionGuardError as err:
-                raise ConfigurationError(
-                    f"flow.step: {cfg.step!r} leaves the re-march of s2=1,b=0,p0=0 at step {dtau!r} "
-                    f"short of tau = {steps * dtau:g} ({err})") from err
-        sigma2_flow, b_flow, _ = orc.gaussian_flow(1.0, 0.0, 0.0, "tau", steps * dtau, hb, m)
+    half, half_steps = 0.5 * cfg.step, int(round(1.0 / cfg.step))
+    try:
+        halved = dyn.evolve_tau(minimal, half, half_steps)
+    except ResolutionGuardError as err:
+        raise ConfigurationError(
+            f"flow.step: {cfg.step!r} leaves the re-march of s2=1,b=0,p0=0 at step {half!r} "
+            f"short of tau = {half_steps * half:g} ({err})") from err
+    tau_errors = []  # sigma2 + b of the run's last field against the closed form where it ends
+    for out, tau in ((minimal_run.final, steps * cfg.step), (halved, half_steps * half)):
+        sigma2_flow, b_flow, _ = orc.gaussian_flow(1.0, 0.0, 0.0, "tau", tau, hb, m)
         sig2, b = gaussian_fit(out)
-        return abs(sig2 - sigma2_flow) + abs(b - b_flow)
-
-    err1, err2 = tau_error(cfg.step), tau_error(0.5 * cfg.step)
+        tau_errors.append(abs(sig2 - sigma2_flow) + abs(b - b_flow))
+    err1, err2 = tau_errors
     checks.append(bound("tau-flow vs Gaussian closed form (sigma2+b at tau=0.5)", err1, 1e-6,
                         provenance="Gaussian closed form"))
     checks.append(compare("tau-flow order-2 convergence (error ratio)", err1 / err2, 4.0, 0.4,
@@ -436,7 +437,7 @@ def suite_dynamics(cfg: ScenarioConfig):
     checks.append(bound("cross-flow holomorphy defect", abs(defect), 1e-6,
                         provenance="holomorphic pair"))
 
-    kq = runs["s2=1,b=0,p0=0"].column("k_q")  # the battery's run of `minimal`
+    kq = minimal_run.column("k_q")
     checks.append(bound("tau-flow conserves its generator k_q", float(np.abs(kq - kq[0]).max()),
                         1e-6, provenance="generator conservation"))
     mover = to_wave(make_gaussian(GaussianParams(sigma2=1.0, p0=2.0), grid, hb, m))

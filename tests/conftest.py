@@ -1,6 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+import qrel
 from qrel import GaussianParams, Grid, make_gaussian, to_wave
 
 
@@ -27,6 +34,36 @@ def battery(grid):
     from qrel.suites import battery_states
 
     return battery_states(grid)
+
+
+@pytest.fixture(scope="session")
+def run_python():
+    """A function that runs Python code in a fresh interpreter importing this qrel and returns the process."""
+    src = str(Path(qrel.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+
+    def run(code: str) -> subprocess.CompletedProcess:
+        return subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                              capture_output=True, text=True, timeout=300, check=False)
+
+    return run
+
+
+@pytest.fixture(scope="session")
+def default_verify(tmp_path_factory, run_python):
+    """The default ``qrel verify``, run once in a fresh interpreter for every test that reads it.
+
+    Its ``returncode``, ``stdout`` and ``stderr``, and ``out``, the directory
+    of its report.  The last line of stdout lists the scipy modules loaded.
+    """
+    out = tmp_path_factory.mktemp("default-verify")
+    done = run_python(
+        "import sys\n"
+        "from qrel import cli\n"
+        f"code = cli.main(['verify', '--out', {str(out)!r}])\n"
+        "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))\n"
+        "sys.exit(code)\n")
+    return SimpleNamespace(returncode=done.returncode, stdout=done.stdout, stderr=done.stderr, out=out)
 
 
 def gaussian_density(grid, sigma2, x0=0.0):

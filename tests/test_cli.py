@@ -7,6 +7,7 @@ import os
 import numpy as np
 import pytest
 
+from qrel import dynamics
 from qrel.cli import main
 from qrel.config import load_config
 from qrel.report import TRAJECTORY_HEADER
@@ -79,10 +80,7 @@ class TestVerify:
         # the battery's sigma2 = 0.5 members sit at the resolution floor 25 h^2 = 0.61 before
         # any step
         ({"grid": {"n": 256}}, None, ("grid.n", "grid.length")),
-        # the re-march of the minimal Gaussian trips the noise budget after 872 steps
-        ({"units": {"hbar": 1.42, "mass": 0.3}, "grid": {"length": 68.8}, "flow": {"step": 0.00025}},
-         "dynamics", ("flow.step",)),
-    ], ids=["battery-unresolved", "re-march-trips"])
+    ], ids=["battery-unresolved"])
     def test_tau_run_that_cannot_verify_is_refused_by_field(self, tmp_path, capsys, overrides, suite, fields):
         cfg = write_config(tmp_path, **overrides)
         out = tmp_path / "o"
@@ -91,11 +89,38 @@ class TestVerify:
         assert err.startswith(f"config error: {fields[0]}: ") and all(f in err for f in fields)
         assert not (out / "report.json").exists()
 
-    def test_default_report_booleans_are_json_booleans(self, tmp_path):
+    def test_tripped_battery_run_is_refused_without_a_re_march(self, tmp_path, capsys, monkeypatch):
+        # the battery's run of the minimal Gaussian trips the noise budget after 872 steps: its
+        # own guard reason refuses the scenario, and nothing marches that state again at the step
+        step = 0.00025
+        full_step_marches = []
+
+        def counted(w, dtau, steps=1, _original=dynamics.evolve_tau):
+            if dtau == step:
+                full_step_marches.append(steps)
+            return _original(w, dtau, steps)
+
+        monkeypatch.setattr(dynamics, "evolve_tau", counted)
+        cfg = write_config(tmp_path, units={"hbar": 1.42, "mass": 0.3}, grid={"length": 68.8}, flow={"step": step})
+        out = tmp_path / "o"
+        assert main(["verify", "--suite", "dynamics", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: flow.step: ") and "after 872 steps" in err
+        assert not (out / "report.json").exists()
+        assert full_step_marches == []
+
+    def test_box_too_short_for_the_battery_is_refused_by_field(self, tmp_path, capsys):
+        # the battery's sigma2 = 2 members keep 7.9e-10 of their peak amplitude at the faces
+        cfg = write_config(tmp_path, grid={"length": 25.6})
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: grid.length: ")
+        assert all(part in err for part in ("tail 7.947e-10", "sigma2=2.0", "x0=0.0"))
+
+    def test_default_report_booleans_are_json_booleans(self, default_verify):
         # a numpy boolean used to be written as the string "True", which any JSON reader takes as true
-        out = tmp_path / "out"
-        assert main(["verify", "--out", str(out)]) == 0
-        checks = json.loads((out / "report.json").read_text())["checks"]
+        assert default_verify.returncode == 0, default_verify.stderr
+        checks = json.loads((default_verify.out / "report.json").read_text())["checks"]
         assert len(checks) == 62
         assert all(type(c["passed"]) is bool and type(c["asserted"]) is bool for c in checks)
 

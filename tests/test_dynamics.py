@@ -150,6 +150,16 @@ class TestTauFlow:
         assert err.value.steps_completed > 100
         assert err.value.wavefield is not None
 
+    def test_step_after_every_member_left_is_refused(self, grid):
+        # a lone field whose noise guard trips after 233 steps leaves the marcher empty
+        marcher = dynamics._TauMarcher(to_wave(make_gaussian(GaussianParams(sigma2=0.5, b=-1.0), grid)), 1e-3)
+        stopped = {}
+        while not stopped:
+            stopped = marcher.step()
+        assert list(stopped) == [0] and marcher.members.size == 0
+        with pytest.raises(ValueError, match="no member is live"):
+            marcher.step()
+
     def test_node_state_rejected(self, grid):
         x = grid.coords[0]
         psi = x * np.exp(-(x**2) / 4.0)

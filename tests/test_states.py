@@ -131,13 +131,14 @@ class TestFromWave:
         assert np.abs(diff - diff.mean()).max() < 1e-8
         assert np.abs(back.rho - state.rho).max() < 1e-14
 
-    def test_strict_mode_rejects_nodes(self, grid):
+    def test_nodes_refused_by_the_nodeless_check(self, grid):
+        # the decomposition keeps a noded field; the fields that divide by sqrt(rho) refuse it
         x = grid.coords[0]
         psi = x * np.exp(-(x**2) / 4.0)
         psi = psi / np.sqrt(grid.quadrature(np.abs(psi) ** 2))
-        w = WaveField(grid=grid, psi=psi.astype(complex))
+        state = from_wave(WaveField(grid=grid, psi=psi.astype(complex)))
         with pytest.raises(DegenerateStateError):
-            from_wave(w, strict=True)
+            check_nodeless_interior(state)
 
     def test_norm_preserved_by_conversions(self, grid):
         state = make_gaussian(GaussianParams(sigma2=2.0, b=-1.0, p0=2.0), grid)
