@@ -87,7 +87,7 @@ def cmd_evolve(args) -> int:
         "flow": traj.flow,
         "step": traj.step,
         "requested_steps": traj.requested_steps,
-        "records": len(traj.records),
+        "records": traj.last_valid_step + 1,
         "last_valid_step": traj.last_valid_step,
         "guard_tripped": traj.guard_tripped,
         "guard_reason": traj.guard_reason,
@@ -95,7 +95,7 @@ def cmd_evolve(args) -> int:
         "convention": cfg.convention,
     }
     _write(os.path.join(args.out, "evolve_summary.json"), dumps17(summary) + "\n")
-    print(f"trajectory: {csv_path} records={len(traj.records)}")
+    print(f"trajectory: {csv_path} records={traj.last_valid_step + 1}")
     if traj.guard_tripped:
         print(f"evolve: integrator guard tripped; last valid record index {traj.last_valid_step} "
               f"({traj.guard_reason})", file=sys.stderr)

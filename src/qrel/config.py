@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .dynamics import FLOWS
 from .errors import ConfigurationError
 from .functionals import CONVENTIONS
 from .grid import Grid
@@ -44,7 +45,10 @@ class ScenarioConfig:
         grid = grid or self.make_grid()
         if self.state_kind != "gaussian":
             raise ConfigurationError("state.kind: only 'gaussian' states convert to a HydroState directly")
-        return make_gaussian(self.state_params, grid, hbar=self.hbar, mass=self.mass)
+        try:
+            return make_gaussian(self.state_params, grid, hbar=self.hbar, mass=self.mass)
+        except ConfigurationError as err:  # the scenario's own packet: its fields come first
+            raise ConfigurationError(f"state.sigma2/state.x0: {err}") from err
 
     def make_wave(self, grid: Grid = None) -> WaveField:
         grid = grid or self.make_grid()
@@ -133,7 +137,7 @@ def config_from_dict(raw: dict) -> ScenarioConfig:
     _expect(isinstance(flow, dict), "flow must be an object")
     _known_fields(flow, "flow.", ("kind", "step", "duration"))
     kind = flow.get("kind", cfg.flow)
-    _expect(kind in ("t", "tau"), f"flow.kind must be 't' or 'tau', got {kind!r}")
+    _expect(kind in FLOWS, f"flow.kind must be 't' or 'tau', got {kind!r}")
     cfg.flow = kind
     cfg.step = _positive(flow.get("step", cfg.step), "flow.step")
     duration = flow.get("duration", cfg.duration)

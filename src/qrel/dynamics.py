@@ -61,10 +61,10 @@ records are evaluated at once on the C-contiguous stack of those fields
 (a record axis before the member axis), each row bit for bit the record
 its field gives alone.  A block holds about RECORD_BLOCK_SAMPLES
 samples: many fields for a lone run, and one field while a large stack
-is live, where the block is the field itself with the transform its
-step cached.  Records are written block by block into one float64
-column per :class:`TrajectoryRecord` field, and a :class:`Trajectory`
-reads its columns back as rows.  The probes that differentiate along a
+is live, stacked on its record axis all the same.  Records are written
+block by block into one float64 column per :class:`TrajectoryRecord`
+field, and a :class:`Trajectory` builds its rows from the columns once,
+when they are first read.  The probes that differentiate along a
 flow (the uncertainty rates and the cross-flow defect) march one step
 each way with :func:`evolve_t` or :func:`evolve_tau`.
 :func:`evolve_tau` and the probes take stacks too, with the same
@@ -72,9 +72,9 @@ discipline: each member's result is bit for bit its lone result, and
 where guards trip, the first member to trip raises.
 """
 
-import collections.abc
 import math
 from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -138,48 +138,37 @@ class TrajectoryRecord:
 _RECORD_FIELDS = tuple(f.name for f in fields(TrajectoryRecord))
 
 
-class _Rows(collections.abc.Sequence):
-    """A trajectory's columns read as a sequence of :class:`TrajectoryRecord` rows."""
-
-    def __init__(self, columns: dict):
-        self._columns = columns
-
-    def __len__(self) -> int:
-        return len(self._columns["step"])
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
-        row = {name: float(self._columns[name][index]) for name in _RECORD_FIELDS}
-        return TrajectoryRecord(**{**row, "step": int(row["step"])})
-
-
 @dataclass(frozen=True)
 class Trajectory:
     """Records plus guard/clamp diagnostics for one run, stored by column.
 
-    ``columns`` maps each :class:`TrajectoryRecord` field to a read-only
-    float64 array with one entry per record; :attr:`records` reads them
-    as rows.  ``final`` is the field of the last record, bit for bit the
-    field that marching the initial one :attr:`last_valid_step` steps gives.
+    ``columns`` maps each :class:`TrajectoryRecord` field, in field order,
+    to a read-only float64 array with one entry per record; :attr:`records`
+    is the tuple of their rows, built on first read.  ``final`` is the
+    field of the last record, bit for bit the field that marching the
+    initial one :attr:`last_valid_step` steps gives.
     """
 
     flow: str
     step: float
     columns: dict
     requested_steps: int
-    guard_tripped: bool = False
-    guard_reason: str = ""
-    clamp_events: int = 0
-    final: WaveField = None
+    guard_reason: str
+    clamp_events: int
+    final: WaveField
 
     @property
-    def records(self) -> _Rows:
-        return _Rows(self.columns)
+    def guard_tripped(self) -> bool:
+        return bool(self.guard_reason)
+
+    @cached_property
+    def records(self) -> tuple:
+        return tuple(TrajectoryRecord(int(step), *rest)
+                     for step, *rest in zip(*(self.columns[name].tolist() for name in _RECORD_FIELDS)))
 
     @property
     def last_valid_step(self) -> int:
-        return len(self.records) - 1
+        return len(self.columns["step"]) - 1
 
     def column(self, name: str) -> np.ndarray:
         return self.columns[name]
@@ -244,8 +233,7 @@ class _TauMarcher:
         self.field = w
         self.spectrum = w.psi_hat
         self.members = _members(w)
-        self.stacked = w.psi.ndim > w.grid.dim
-        self.noise_budget = np.zeros(w.psi.shape[:1] if self.stacked else ())
+        self.noise_budget = np.zeros(w.psi.shape[:w.psi.ndim - w.grid.dim])
         self.clamp_events = np.zeros(len(self.members), dtype=int)  # by starting index
         self.steps_done = 0
         self._guard_floor = RESOLUTION_CELLS * self.grid.spacing**2
@@ -288,9 +276,7 @@ class _TauMarcher:
             keep[list(trips)] = False
             for i, message in trips.items():
                 member = int(self.members[i])
-                stopped[member] = ResolutionGuardError(
-                    message, steps_completed=self.steps_done, member=member,
-                    wavefield=self.field.take(i) if self.stacked else self.field)
+                stopped[member] = ResolutionGuardError(message, steps_completed=self.steps_done, member=member)
             self.members = self.members[keep]
             if not self.members.size:
                 return stopped
@@ -361,7 +347,7 @@ def evolve_tau(w: WaveField, dtau: float, steps: int = 1) -> WaveField:
     Raises :class:`ResolutionGuardError` when a guard trips for any
     member: the first to trip (the lowest index among those tripping at
     once) raises the error its lone run raises, which carries the
-    completed step count, the member's last valid field and its index.
+    completed step count and the member's index.
     """
     _check_steps(steps)
     if dtau == 0.0 or steps == 0:
@@ -376,8 +362,12 @@ def evolve_tau(w: WaveField, dtau: float, steps: int = 1) -> WaveField:
 # hydrodynamic form
 
 
+#: The flow names: the linear t-flow and its companion tau-flow.
+FLOWS = ("t", "tau")
+
+
 def _check_flow(flow: str):
-    if flow not in ("t", "tau"):
+    if flow not in FLOWS:
         raise ValueError(f"flow must be 't' or 'tau', got {flow!r}")
 
 
@@ -481,8 +471,7 @@ def _probe_fields(w: WaveField, flow: str, step: float, probe: str) -> tuple:
 
     ``w`` may be a stack.  A guard trip, on either side, is raised in one
     shape: a :class:`ResolutionGuardError` naming the probe, with no
-    completed steps, and the first member to trip with its field as it
-    was given (``w`` itself for a lone field).
+    completed steps, and the index of the first member to trip.
     """
     _check_flow(flow)
     march = evolve_t if flow == "t" else evolve_tau
@@ -490,29 +479,24 @@ def _probe_fields(w: WaveField, flow: str, step: float, probe: str) -> tuple:
         return march(w, -step), march(w, step)
     except ResolutionGuardError as err:
         raise ResolutionGuardError(f"guard tripped while probing {probe}: {err}", steps_completed=0,
-                                   wavefield=w.take(err.member) if w.psi.ndim > w.grid.dim else w,
                                    member=err.member) from err
 
 
-def _write_records(columns: dict, where, row: int, step: float, rhos: list, fields: list, convention: str):
-    """Rows ``row`` on of every live member's observable columns, one for each of ``fields``.
+def _write_records(columns: dict, live, row: int, step: float, rhos: list, fields: list, convention: str):
+    """Rows ``row`` on of the ``live`` members' observable columns, one for each of ``fields``.
 
     ``fields`` are consecutive fields of a run and ``rhos`` the densities
     from two fields before the first to two after the last.  Their records
     are evaluated at once on the C-contiguous stack of the fields, one
-    record axis before the member axis, so each row is bit for bit the
-    record its field gives alone; a single field is its own block, caches
-    and all.  The step and time columns follow from the row index and are
-    built once a run ends.
+    record axis before the member axis (a block of one field too), so each
+    row is bit for bit the record its field gives alone.  The step and
+    time columns follow from the row index and are built once a run ends.
     """
     k = len(fields)
-    if k == 1:
-        w, window = fields[0], rhos
-    else:
-        w = WaveField(grid=fields[0].grid, psi=np.stack([f.psi for f in fields]),
-                      hbar=fields[0].hbar, mass=fields[0].mass)
-        densities = np.stack(rhos)
-        window = [densities[d:d + k] for d in range(_STENCIL_WIDTH)]
+    w = WaveField(grid=fields[0].grid, psi=np.stack([f.psi for f in fields]),
+                  hbar=fields[0].hbar, mass=fields[0].mass)
+    densities = np.stack(rhos)
+    window = [densities[d:d + k] for d in range(_STENCIL_WIDTH)]
     values = {
         **_record_observables(w, convention),
         "s_gen": wave_s_gen(w),
@@ -520,7 +504,7 @@ def _write_records(columns: dict, where, row: int, step: float, rhos: list, fiel
         "continuity_residual": _stencil_residual(window, w, step),
     }
     for name, value in values.items():
-        columns[name][where, row:row + k] = np.reshape(value, (k, -1)).T
+        columns[name][live, row:row + k] = np.reshape(value, (k, -1)).T
 
 
 def run_trajectories(w0: WaveField, flow: str, step: float, steps: int,
@@ -550,13 +534,12 @@ def run_trajectories(w0: WaveField, flow: str, step: float, steps: int,
         raise ValueError(f"step must be positive, got {step!r}")
     _check_steps(steps)
     count = len(_members(w0))
-    columns = {name: np.empty((count, steps + 1)) for name in _RECORD_FIELDS if name not in ("step", "time")}
+    columns = {name: np.empty((count, steps + 1)) for name in _RECORD_FIELDS}
     finals = np.empty((count, *w0.grid.shape), dtype=complex)  # the field of each member's last record
     lengths = np.zeros(count, dtype=int)  # records written per member
     rows = 0
     reasons = [""] * count
     live = np.arange(count)
-    where = slice(None)  # the live members' rows of the columns: all of them until a trip
     back = _STENCIL_WIDTH // 2
     fields, marcher = _flow_fields(w0, flow, step, steps + 2)
     # the buffer: the fields from the next record's on, and their densities from two fields before
@@ -568,10 +551,10 @@ def run_trajectories(w0: WaveField, flow: str, step: float, steps: int,
         k = len(pending) - back
         if k <= 0:
             return
-        _write_records(columns, where, rows, step, rhos[:k + 2 * back], pending[:k], convention)
-        finals[where] = pending[k - 1].psi
+        _write_records(columns, live, rows, step, rhos[:k + 2 * back], pending[:k], convention)
+        finals[live] = pending[k - 1].psi
         rows += k
-        lengths[where] = rows
+        lengths[live] = rows
         del pending[:k], rhos[:k]
 
     for j, (w, stopped) in enumerate(fields, start=-back):
@@ -581,10 +564,10 @@ def run_trajectories(w0: WaveField, flow: str, step: float, steps: int,
                 if not lengths[i]:
                     raise ResolutionGuardError(
                         f"guard tripped before any record could be certified: {err}",
-                        steps_completed=err.steps_completed, wavefield=err.wavefield, member=i) from err
+                        steps_completed=err.steps_completed, member=i) from err
                 reasons[i] = str(err)
             keep = ~np.isin(live, list(stopped))
-            live = where = live[keep]
+            live = live[keep]
             if not live.size:
                 break
             pending[:] = [f.take(keep) for f in pending]
@@ -595,17 +578,16 @@ def run_trajectories(w0: WaveField, flow: str, step: float, steps: int,
         if len(pending) - back >= max(1, RECORD_BLOCK_SAMPLES // (live.size * w0.grid.size)):
             flush()
     flush()
+    columns["step"][:] = np.arange(steps + 1)
+    np.multiply(columns["step"], step, out=columns["time"])
     clamps = marcher.clamp_events if marcher else np.zeros(count, dtype=int)
     trajectories = []
     for i, length in enumerate(lengths):
-        index = np.arange(length, dtype=float)
-        member = {"step": index, "time": index * step, **{name: block[i, :length] for name, block in columns.items()}}
+        member = {name: block[i, :length] for name, block in columns.items()}
         for column in member.values():
             column.setflags(write=False)
-        trajectories.append(Trajectory(flow=flow, step=step, requested_steps=steps,
-                                       columns={name: member[name] for name in _RECORD_FIELDS},
-                                       guard_tripped=bool(reasons[i]), guard_reason=reasons[i],
-                                       clamp_events=int(clamps[i]),
+        trajectories.append(Trajectory(flow=flow, step=step, columns=member, requested_steps=steps,
+                                       guard_reason=reasons[i], clamp_events=int(clamps[i]),
                                        final=WaveField(grid=w0.grid, psi=finals[i], hbar=w0.hbar, mass=w0.mass)))
     return trajectories
 
@@ -630,13 +612,18 @@ def _as_wave(obj) -> WaveField:
     return obj if isinstance(obj, WaveField) else to_wave(obj)
 
 
-def uncertainty_rates(state, flow: str, dstep: float = 1e-4) -> tuple:
+#: Probe steps: the coarse step of the rates' Richardson pair, and the cross-flow defect's.
+RATE_STEP = 1e-4
+CROSS_FLOW_STEP = 2e-4
+
+
+def uncertainty_rates(state, flow: str) -> tuple:
     """Centered rates of (delta_x2, delta_p2_q) along a flow.
 
-    One Richardson refinement of the centered difference (steps dstep and
-    dstep/2) absorbs the leading truncation term.  A lone state gives two
-    floats; a stack gives two arrays with one rate per member, each bit for
-    bit the member's lone rate.
+    One Richardson refinement of the centered difference (steps RATE_STEP
+    and RATE_STEP/2) absorbs the leading truncation term.  A lone state
+    gives two floats; a stack gives two arrays with one rate per member,
+    each bit for bit the member's lone rate.
     """
     w = _as_wave(state)
 
@@ -645,21 +632,21 @@ def uncertainty_rates(state, flow: str, dstep: float = 1e-4) -> tuple:
         return ((wave_delta_x2(plus) - wave_delta_x2(minus)) / (2.0 * d),
                 (wave_delta_p2_q(plus) - wave_delta_p2_q(minus)) / (2.0 * d))
 
-    coarse, fine = centered(dstep), centered(0.5 * dstep)
+    coarse, fine = centered(RATE_STEP), centered(0.5 * RATE_STEP)
     return tuple((4.0 * f - c) / 3.0 for f, c in zip(fine, coarse, strict=True))
 
 
-def cross_flow_defect(state, dstep: float = 2e-4) -> tuple:
+def cross_flow_defect(state) -> tuple:
     """d(k_q)/dt along the t-flow plus d(h_q)/dtau along the tau-flow.
 
     The holomorphy of the generator pair in the combined time plane makes
     the sum vanish; returns (dk_dt, dh_dtau, defect), per member for a stack.
     """
     w = _as_wave(state)
-    tm, tp = _probe_fields(w, "t", dstep, "the cross-flow defect")
-    dk_dt = (wave_k_q(tp) - wave_k_q(tm)) / (2.0 * dstep)
-    um, up = _probe_fields(w, "tau", dstep, "the cross-flow defect")
-    dh_dtau = (wave_h_q(up) - wave_h_q(um)) / (2.0 * dstep)
+    tm, tp = _probe_fields(w, "t", CROSS_FLOW_STEP, "the cross-flow defect")
+    dk_dt = (wave_k_q(tp) - wave_k_q(tm)) / (2.0 * CROSS_FLOW_STEP)
+    um, up = _probe_fields(w, "tau", CROSS_FLOW_STEP, "the cross-flow defect")
+    dh_dtau = (wave_h_q(up) - wave_h_q(um)) / (2.0 * CROSS_FLOW_STEP)
     return dk_dt, dh_dtau, dk_dt + dh_dtau
 
 

@@ -20,13 +20,11 @@ class DegenerateStateError(QrelError):
 class ResolutionGuardError(QrelError):
     """Integration window exceeded a resolution or stability guard.
 
-    Carries the number of completed steps and the last valid wave field so
-    callers can keep the trustworthy part of a trajectory, and the index
-    of the stack member that tripped (0 for a lone field).
+    Carries the number of steps the tripping member completed and its
+    index in the stack it marched in (0 for a lone field).
     """
 
-    def __init__(self, message, steps_completed, wavefield=None, member=None):
+    def __init__(self, message, steps_completed, member):
         super().__init__(message)
         self.steps_completed = steps_completed
-        self.wavefield = wavefield
         self.member = member

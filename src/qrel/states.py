@@ -201,39 +201,45 @@ class GaussianParams:
             raise ConfigurationError(f"sigma2 must be positive, got {self.sigma2!r}")
 
 
+def _check_faces(rho: np.ndarray, grid: Grid, packet: str):
+    """Refuse a density whose amplitude on a face (first or last sample) of any axis exceeds TAIL_TOLERANCE.
+
+    A larger one breaks the periodicity the spectral substrate assumes.  The
+    message names ``grid.length``, the field that widens the box, and ``packet``.
+    """
+    tail = max(float(np.sqrt(np.take(rho, [0, -1], axis=ax)).max()) for ax in range(grid.dim))
+    if tail > TAIL_TOLERANCE:
+        raise ConfigurationError(
+            f"grid.length: {grid.length!r} leaves a packet tail {tail:.3e} above {TAIL_TOLERANCE:g} "
+            f"at the box boundary ({packet})"
+        )
+
+
 def make_gaussian(params: GaussianParams, grid: Grid, hbar: float = 1.0, mass: float = 1.0) -> HydroState:
     """Build the Gaussian test state for ``params`` on ``grid``.
 
     Raises
     ------
     ConfigurationError
-        If the packet amplitude on either face of any axis (its first or
-        last sample) exceeds 1e-12, which would break the periodicity
-        assumptions of the spectral substrate; the message names
-        ``grid.length``, the scenario field that widens the box.
+        If the packet's tail reaches the box faces (see :func:`_check_faces`).
     """
     offsets = [grid.coords[0] - params.x0] + [grid.coords[ax] for ax in range(1, grid.dim)]
     r2 = sum(o**2 for o in offsets)
     rho = np.exp(-r2 / (2.0 * params.sigma2))
     rho /= grid.quadrature(rho)
-    amp = np.sqrt(rho)
-    tail = max(float(np.take(amp, [0, -1], axis=ax).max()) for ax in range(grid.dim))
-    if tail > TAIL_TOLERANCE:
-        raise ConfigurationError(
-            f"grid.length: {grid.length!r} leaves a packet tail {tail:.3e} above {TAIL_TOLERANCE:g} "
-            f"at the box boundary (sigma2={params.sigma2!r}, x0={params.x0!r})"
-        )
+    _check_faces(rho, grid, f"sigma2={params.sigma2!r}, x0={params.x0!r}")
     s = 0.5 * params.b * r2 + params.p0 * offsets[0] + params.c
     return HydroState(grid=grid, rho=rho, s=s, hbar=hbar, mass=mass)
 
 
 def make_double_gaussian(offset: float, sigma2: float, grid: Grid, hbar: float = 1.0, mass: float = 1.0) -> HydroState:
-    """Symmetric two-bump density (equal-weight Gaussians at +-offset), s = 0."""
+    """Symmetric two-bump density (equal-weight Gaussians at +-offset), s = 0; faces checked as by make_gaussian."""
     x = grid.coords[0]
     r2m = (x + offset) ** 2 + sum(grid.coords[ax] ** 2 for ax in range(1, grid.dim))
     r2p = (x - offset) ** 2 + sum(grid.coords[ax] ** 2 for ax in range(1, grid.dim))
     rho = np.exp(-r2m / (2.0 * sigma2)) + np.exp(-r2p / (2.0 * sigma2))
     rho /= grid.quadrature(rho)
+    _check_faces(rho, grid, f"offset={offset!r}, sigma2={sigma2!r}")
     return HydroState(grid=grid, rho=rho, s=np.zeros(grid.shape), hbar=hbar, mass=mass)
 
 

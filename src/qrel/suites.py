@@ -362,9 +362,9 @@ def suite_dynamics(cfg: ScenarioConfig):
 
     runs = {label: traj for (label, _), traj in zip(battery, trajectories)}
     for label, traj in runs.items():
-        if len(traj.records) < 5:
+        if traj.last_valid_step < 4:
             raise ConfigurationError(
-                f"flow.step: {cfg.step!r} leaves the battery tau-run {label} with {len(traj.records)} "
+                f"flow.step: {cfg.step!r} leaves the battery tau-run {label} with {traj.last_valid_step + 1} "
                 "certified records; the 4th-order rate stencil needs 5")
     minimal_run = runs["s2=1,b=0,p0=0"]  # the battery's run of `minimal`
     if minimal_run.guard_tripped:

@@ -67,10 +67,11 @@ class TestVerify:
         ({"flow": {"stpe": 0.1}}, "group", "flow.stpe"),
         ({"state": {"kind": "wave_file", "path": "psi.npy", "sigma2": 1.0}}, "group", "state.sigma2"),
         ({"suite": ["group"]}, "group", "suite is not a known field"),
+        ({"flow": {"kind": "sideways"}}, "group", "flow.kind"),
     ], ids=["grid-n", "grid-dim-float", "state-b-nan", "state-p0-string", "state-x0-list",
             "alphas-nan", "alphas-infinity", "alphas-bool", "flow-step-coarse",
             "grid-key-N", "grid-key-lenght", "units-key-hbarr", "flow-key-stpe", "wave-file-key-sigma2",
-            "root-key-suite"])
+            "root-key-suite", "flow-kind-sideways"])
     def test_malformed_config_names_field(self, tmp_path, capsys, overrides, suite, field):
         cfg = write_config(tmp_path, **overrides)
         assert main(["verify", "--suite", suite, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
@@ -179,9 +180,27 @@ class TestEvolve:
         out = tmp_path / "out"
         assert main(["evolve", "--config", cfg, "--out", str(out)]) == 0
 
-    def test_packet_touching_the_far_face_refused(self, tmp_path):
-        cfg = write_config(tmp_path, state={"x0": 15.0})
+    @pytest.mark.parametrize("state", [{"x0": 15.0}, {"sigma2": 9.0}], ids=["x0", "sigma2"])
+    def test_packet_touching_the_far_face_refused(self, tmp_path, capsys, state):
+        cfg = write_config(tmp_path, state=state)
         assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        # the scenario's own packet is refused by its own fields first, and names the box
+        assert err.startswith("config error: state.") and "grid.length: 40.0" in err
+
+    def test_paper_literal_doubles_only_delta_x2(self, tmp_path):
+        outs = {}
+        for convention in ("consistent", "paper-literal"):
+            outs[convention] = tmp_path / convention
+            assert main(["evolve", "--convention", convention, "--out", str(outs[convention])]) == 0
+        header, consistent = read_csv_columns(outs["consistent"] / "trajectory.csv")
+        _, literal = read_csv_columns(outs["paper-literal"] / "trajectory.csv")
+        assert len(consistent["step"]) == 501
+        for name in header:
+            want = 2.0 * consistent[name] if name == "delta_x2" else consistent[name]
+            assert literal[name].tobytes() == want.tobytes(), name
+        summary = json.loads((outs["paper-literal"] / "evolve_summary.json").read_text())
+        assert summary["convention"] == "paper-literal"
 
     def test_wave_file_shape_mismatch(self, tmp_path):
         wave_path = tmp_path / "psi.npy"

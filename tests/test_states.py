@@ -54,6 +54,13 @@ class TestMakeGaussian:
         state = make_double_gaussian(3.0, 1.0, grid)
         assert abs(sigma_x2(state) - 10.0) < 1e-8
 
+    def test_bimodal_tail_checked_as_a_gaussian_is(self, grid):
+        # at offset 18 the bump's amplitude on the faces is 0.18; a lone bump at x0 = 18 is refused too
+        with pytest.raises(ConfigurationError, match="grid.length: 40.0 .* tail 1.794e-01 .*offset=18.0"):
+            make_double_gaussian(18.0, 1.0, grid)
+        with pytest.raises(ConfigurationError, match="x0=18.0"):
+            make_gaussian(GaussianParams(sigma2=1.0, x0=18.0), grid)
+
     def test_negative_density_rejected(self, grid):
         rho = np.full(grid.shape, 1.0 / grid.length)
         rho[3] = -rho[3]
