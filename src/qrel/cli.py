@@ -15,7 +15,6 @@ from .dynamics import run_trajectory
 from .errors import ConfigurationError, QrelError, ResolutionGuardError
 from .functionals import CONVENTIONS
 from .report import dumps17, format17, table_csv, trajectory_csv
-from .states import from_wave
 from .suites import ORIENTATION_NOTE, TRANSFORM_COLUMNS, _dilatation_sweep, run_suites
 
 
@@ -74,8 +73,7 @@ def cmd_verify(args) -> int:
 
 def cmd_evolve(args) -> int:
     cfg = _prepare(args)
-    grid = cfg.make_grid()
-    wave = cfg.make_wave(grid)
+    wave = cfg.make_wave()
     try:
         traj = run_trajectory(wave, cfg.flow, cfg.step, cfg.steps, cfg.convention)
     except ResolutionGuardError as err:
@@ -107,9 +105,7 @@ def cmd_transform(args) -> int:
     cfg = _prepare(args)
     if not cfg.alphas:
         raise ConfigurationError("alphas: list must be nonempty for the transform command")
-    grid = cfg.make_grid()
-    state = cfg.make_state(grid) if cfg.state_kind == "gaussian" else from_wave(cfg.make_wave(grid))
-    rows = _dilatation_sweep(state, cfg.alphas, cfg.convention)
+    rows = _dilatation_sweep(cfg.make_state(), cfg.alphas, cfg.convention)
     worst = max(row["residual"] for row in rows)
     csv_path = os.path.join(args.out, "transform.csv")
     _write(csv_path, table_csv(TRANSFORM_COLUMNS, ([row[c] for c in TRANSFORM_COLUMNS] for row in rows)))

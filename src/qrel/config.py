@@ -16,7 +16,7 @@ from .dynamics import FLOWS
 from .errors import ConfigurationError
 from .functionals import CONVENTIONS
 from .grid import Grid
-from .states import GaussianParams, HydroState, WaveField, make_gaussian, to_wave
+from .states import GaussianParams, HydroState, WaveField, from_wave, make_gaussian, to_wave
 
 SUITE_NAMES = ("group", "functionals", "brackets", "dynamics", "classical-limit")
 
@@ -41,19 +41,20 @@ class ScenarioConfig:
     def make_grid(self) -> Grid:
         return Grid(n=self.grid_n, length=self.grid_length, dim=self.grid_dim)
 
-    def make_state(self, grid: Grid = None) -> HydroState:
-        grid = grid or self.make_grid()
+    def make_state(self) -> HydroState:
+        """The initial state: the Gaussian of ``state_params``, or the polar form of the wave samples."""
         if self.state_kind != "gaussian":
-            raise ConfigurationError("state.kind: only 'gaussian' states convert to a HydroState directly")
+            return from_wave(self.make_wave())
         try:
-            return make_gaussian(self.state_params, grid, hbar=self.hbar, mass=self.mass)
+            return make_gaussian(self.state_params, self.make_grid(), hbar=self.hbar, mass=self.mass)
         except ConfigurationError as err:  # the scenario's own packet: its fields come first
             raise ConfigurationError(f"state.sigma2/state.x0: {err}") from err
 
-    def make_wave(self, grid: Grid = None) -> WaveField:
-        grid = grid or self.make_grid()
+    def make_wave(self) -> WaveField:
+        """The initial wave field: the wave samples of ``wave_path``, or the Gaussian's polar composition."""
         if self.state_kind == "gaussian":
-            return to_wave(self.make_state(grid))
+            return to_wave(self.make_state())
+        grid = self.make_grid()
         try:
             psi = np.load(self.wave_path)
         except OSError as err:

@@ -80,10 +80,12 @@ import numpy as np
 
 from .errors import GridMismatchError, ResolutionGuardError
 from .functionals import (
+    FunctionalTag,
     _curvature_quotient,
     _per_member,
     _record_observables,
     sigma_x2,
+    variational_derivative,
     wave_delta_p2_q,
     wave_delta_x2,
     wave_h_q,
@@ -362,8 +364,8 @@ def evolve_tau(w: WaveField, dtau: float, steps: int = 1) -> WaveField:
 # hydrodynamic form
 
 
-#: The flow names: the linear t-flow and its companion tau-flow.
-FLOWS = ("t", "tau")
+#: The flow names, each with the functional that generates it: H_q the t-flow, K_q the tau-flow.
+FLOWS = {"t": FunctionalTag.H_Q, "tau": FunctionalTag.K_Q}
 
 
 def _check_flow(flow: str):
@@ -374,18 +376,14 @@ def _check_flow(flow: str):
 def hydro_rhs(state: HydroState, flow: str) -> tuple:
     """Continuity and (quantum) Hamilton-Jacobi right-hand sides.
 
-    Both flows share d(rho) = -div(rho grad s / m); the phase equation is
-    d(s) = -|grad s|^2/2m + sign (hbar^2/2m) lap(sqrt rho)/sqrt(rho) with
-    sign +1 for the t-flow and -1 for the tau-flow (the companion flow
-    differs only by the sign of the quantum potential).
+    Both flows share d(rho) = -div(rho grad s / m), with the spectral
+    divergence.  The phase equation is Hamilton's, d(s) = -delta G/delta rho
+    (:func:`~qrel.functionals.variational_derivative`) for the flow's
+    generator G = ``FLOWS[flow]``, so it refuses an interior node as that does.
     """
     _check_flow(flow)
-    grads = phase_gradient(state)
-    flux = [state.rho * g / state.mass for g in grads]
-    drho = -state.grid.divergence(flux)
-    sign = 1.0 if flow == "t" else -1.0
-    ds = -sum(g**2 for g in grads) / (2.0 * state.mass) \
-        + sign * (state.hbar**2 / (2.0 * state.mass)) * _curvature_quotient(state.grid, state.sqrt_rho)
+    ds = -variational_derivative(FLOWS[flow], state, "rho")
+    drho = -state.grid.divergence([state.rho * g / state.mass for g in phase_gradient(state)])
     return drho, ds
 
 

@@ -16,17 +16,20 @@ Conventions
   the wave route), is ``Grid.gradient_energy``: the spectral gradient's
   squared integral by Parseval on the rfftn half spectrum, one forward
   transform per field or stack.
-* Gradients of the phase field use centered differences; amplitude
-  fields (rho, sqrt(rho), psi) use spectral calculus.  Phase fields are
-  generally not periodic on the box, and the density weight suppresses
-  the wrap cells, so this split keeps every functional accurate for the
-  localized test family (including dilated and small-hbar states, where
-  psi oscillates past Nyquist and a phase gradient taken from psi aliases).
+* Gradients of the phase field use the one centred stencil of
+  ``Grid.fd_gradient`` and ``Grid.fd_divergence``; amplitude fields (rho,
+  sqrt(rho), psi) use spectral calculus.  Phase fields are generally not
+  periodic on the box, and the density weight suppresses the wrap cells,
+  so this split keeps every functional accurate for the localized test
+  family (including dilated and small-hbar states, where psi oscillates
+  past Nyquist and a phase gradient taken from psi aliases).
 
 The derivative rules returned by :func:`variational_derivative` are the
 closed forms evaluated with the same discrete operators that the
 functional evaluations use, so the finite-difference oracle in the
-bracket engine reproduces them to its own noise floor.
+bracket engine reproduces them to its own noise floor.  Minus the rho
+derivatives of H_q and K_q are the phase equations of the t- and tau-flows
+(:func:`qrel.dynamics.hydro_rhs` reads them here).
 """
 
 import enum

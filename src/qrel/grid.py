@@ -322,23 +322,28 @@ class Grid:
         g = self._ifftn(fhat, out=fhat)
         return g.real if not np.iscomplexobj(f) else g
 
+    def _centred_difference(self, f: np.ndarray, ax: int) -> np.ndarray:
+        # (f[j+1] - f[j-1]) / 2h along grid axis ``ax``, wrapping at one cell on each face
+        return (np.roll(f, -1, axis=ax) - np.roll(f, 1, axis=ax)) * (1.0 / (2.0 * self.spacing))
+
     def fd_gradient(self, f: np.ndarray) -> list:
         """Centered-difference per-axis derivative with periodic wrap.
 
-        Exact for polynomial fields away from the wrap cells; the safe
-        choice for phase fields, whose wrap error sits where the density
-        weight vanishes.
+        The stencil it shares with :meth:`fd_divergence` (``_centred_difference``)
+        has 2 wrap cells per axis.  Exact for quadratic fields away from them;
+        the safe choice for phase fields, whose wrap error sits where the
+        density weight vanishes.
         """
         f = self.bind(f)
-        inv = 1.0 / (2.0 * self.spacing)
-        return [(np.roll(f, -1, axis=ax) - np.roll(f, 1, axis=ax)) * inv for ax in self._trailing_axes]
+        return [self._centred_difference(f, ax) for ax in self._trailing_axes]
 
     def fd_divergence(self, components: list) -> np.ndarray:
-        """Centered-difference divergence, the adjoint of :meth:`fd_gradient`."""
-        inv = 1.0 / (2.0 * self.spacing)
-        components = [self.bind(c) for c in components]
-        out = np.zeros(np.broadcast_shapes(*(c.shape for c in components)),
-                       dtype=np.result_type(*[c.dtype for c in components]))
+        """Centered-difference divergence, the exact adjoint of :meth:`fd_gradient`.
+
+        Each component is differenced along its own axis by the stencil
+        they share, antisymmetric and with 2 wrap cells per axis.
+        """
+        out = 0
         for ax, comp in zip(self._trailing_axes, components, strict=True):
-            out += (np.roll(comp, -1, axis=ax) - np.roll(comp, 1, axis=ax)) * inv
+            out = out + self._centred_difference(self.bind(comp), ax)
         return out

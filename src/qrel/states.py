@@ -317,20 +317,13 @@ def reduced_current(w: WaveField) -> list:
     return [np.imag(np.conj(w.psi) * g) for g in w.grad_psi]
 
 
-def phase_gradient(obj) -> list:
-    """Per-axis grad(s) for either state representation.
+def phase_gradient(state: HydroState) -> list:
+    """Per-axis grad(s) of a :class:`HydroState`, by the centred differences of :meth:`Grid.fd_gradient`.
 
-    For a :class:`HydroState` the phase samples are differentiated with
-    centered differences (exact for the polynomial phases of the test
-    family; the wrap cells carry negligible density).  For a
-    :class:`WaveField` the gauge-invariant ratio
-    hbar * Im(psi* grad psi) / |psi|^2 (:func:`reduced_current`) is used,
-    zeroed below RHO_FLOOR.
+    Exact for the polynomial phases of the test family away from the wrap
+    cells, which carry negligible density.  Anything else is a ``TypeError``:
+    a wave field's rho grad(s) is ``hbar * reduced_current(w)``, with no division by rho.
     """
-    if isinstance(obj, HydroState):
-        return obj.grid.fd_gradient(obj.s)
-    if isinstance(obj, WaveField):
-        keep = obj.rho > RHO_FLOOR
-        denom = np.maximum(obj.rho, RHO_FLOOR)
-        return [np.where(keep, obj.hbar * j / denom, 0.0) for j in reduced_current(obj)]
-    raise TypeError(f"expected HydroState or WaveField, got {type(obj).__name__}")
+    if not isinstance(state, HydroState):
+        raise TypeError(f"expected a HydroState, got {type(state).__name__}")
+    return state.grid.fd_gradient(state.s)

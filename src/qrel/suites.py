@@ -25,7 +25,7 @@ from .config import ScenarioConfig
 from .errors import ConfigurationError, ResolutionGuardError
 from .grid import Grid
 from .report import Report, bound, compare, info
-from .states import GaussianParams, WaveField, make_double_gaussian, make_gaussian, phase_gradient, to_wave
+from .states import GaussianParams, WaveField, make_double_gaussian, make_gaussian, reduced_current, to_wave
 
 ORIENTATION_NOTE = ("orientation: parameter flows follow dA/dalpha = {A, S}, "
                     "with {S, H_q} = K_q and {S, K_q} = H_q")
@@ -303,11 +303,14 @@ def suite_brackets(cfg: ScenarioConfig):
 
 
 def gaussian_fit(w) -> tuple:
-    """(sigma2, b) of a Gaussian-family field: its variance and its phase gradient's slope on the first axis."""
+    """(sigma2, b) of a Gaussian-family field: its variance and its phase gradient's slope on the first axis.
+
+    b = hbar * integral (x - mean) j / sigma2, with j = rho grad(s) / hbar its reduced current.
+    """
     sigma2 = fn.sigma_x2(w)
     x = w.grid.coords[0]
     mean = w.grid.quadrature(w.rho * x)
-    return sigma2, w.grid.quadrature(w.rho * (x - mean) * phase_gradient(w)[0]) / sigma2
+    return sigma2, w.hbar * w.grid.quadrature((x - mean) * reduced_current(w)[0]) / sigma2
 
 
 def tau_record_gap(traj, params: GaussianParams, hbar: float = 1.0, mass: float = 1.0) -> float:

@@ -11,6 +11,7 @@ from qrel import dynamics
 from qrel.cli import main
 from qrel.config import load_config
 from qrel.report import TRAJECTORY_HEADER
+from qrel.states import from_wave
 from qrel.suites import _dilatation_sweep
 
 
@@ -244,6 +245,18 @@ class TestTransform:
         rows = _dilatation_sweep(load_config(cfg).make_state(), alphas, convention)
         assert cols["residual"].tolist() == [row["residual"] for row in rows]
         assert cols["alpha"].tolist() == alphas
+
+    def test_wave_file_scenario_sweeps_its_polar_state(self, tmp_path, minimal_wave):
+        wave_path = tmp_path / "psi.npy"
+        np.save(wave_path, minimal_wave.psi)
+        alphas = [-1.0, 0.0, 0.5]
+        cfg = write_config(tmp_path, state={"kind": "wave_file", "path": str(wave_path)}, alphas=alphas)
+        out = tmp_path / "out"
+        assert main(["transform", "--config", cfg, "--out", str(out)]) == 0
+        header, cols = read_csv_columns(out / "transform.csv")
+        rows = _dilatation_sweep(from_wave(load_config(cfg).make_wave()), alphas, "consistent")
+        for name in header:
+            assert cols[name].tolist() == [row[name] for row in rows], name
 
     def test_empty_alpha_list_rejected(self, tmp_path):
         cfg = write_config(tmp_path, alphas=[])

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qrel import (
+    DegenerateStateError,
     GaussianOdeState,
     GaussianParams,
     Grid,
@@ -24,6 +25,7 @@ from qrel import (
     integrate_gaussian_ode,
     make_gaussian,
     measured_rates,
+    phase_gradient,
     run_trajectories,
     run_trajectory,
     sigma_x2,
@@ -32,6 +34,7 @@ from qrel import (
 )
 from qrel import dynamics
 from qrel.functionals import (
+    _curvature_quotient,
     wave_delta_p2_q,
     wave_delta_x2,
     wave_h_q,
@@ -115,6 +118,27 @@ class TestHydroRhs:
     def test_flow_validation(self, minimal):
         with pytest.raises(ValueError):
             hydro_rhs(minimal, "sideways")
+
+    @pytest.mark.parametrize("flow", ["t", "tau"])
+    def test_phase_rate_is_the_quantum_hamilton_jacobi_formula(self, battery, flow):
+        # the reference: -|grad s|^2/2m + sign (hbar^2/2m) lap(sqrt rho)/sqrt rho, with sign
+        # +1 for t and -1 for tau, written out; hydro_rhs reads it off the generator bit for bit
+        sign = 1.0 if flow == "t" else -1.0
+        for label, state in battery:
+            grads = phase_gradient(state)
+            expected = -sum(g**2 for g in grads) / (2.0 * state.mass) \
+                + sign * (state.hbar**2 / (2.0 * state.mass)) * _curvature_quotient(state.grid, state.sqrt_rho)
+            _, ds = hydro_rhs(state, flow)
+            assert ds.tobytes() == expected.tobytes(), label
+
+    @pytest.mark.parametrize("flow", ["t", "tau"])
+    def test_interior_node_refused(self, grid, flow):
+        # rho ~ x^2 exp(-x^2/2) vanishes at x = 0, where the quantum potential is undefined
+        x = grid.coords[0]
+        rho = x**2 * np.exp(-0.5 * x**2)
+        state = HydroState(grid=grid, rho=rho / grid.quadrature(rho), s=np.zeros(grid.shape))
+        with pytest.raises(DegenerateStateError, match="interior node"):
+            hydro_rhs(state, flow)
 
 
 class TestTauFlow:

@@ -246,6 +246,17 @@ class TestStacks:
             assert np.array_equal(centered[m], g.fd_divergence([c[m] for c in comps]))
 
 
+def test_fd_divergence_is_the_adjoint_of_fd_gradient_on_a_2d_stack():
+    # one antisymmetric stencil: summation by parts holds for every member, to rounding
+    g = STACK_GRIDS[1]
+    f = _stack(g, np.float64, 8)
+    comps = [_stack(g, np.float64, 9 + ax) for ax in range(g.dim)]
+    lhs = g.quadrature(f * g.fd_divergence(comps))
+    rhs = -sum(g.quadrature(d * c) for d, c in zip(g.fd_gradient(f), comps, strict=True))
+    assert lhs.shape == LEAD
+    assert np.abs(lhs - rhs).max() < 1e-13
+
+
 @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
 @pytest.mark.parametrize("g", STACK_GRIDS, ids=["1d", "2d"])
 def test_gradient_energy_of_a_stack(g, dtype):

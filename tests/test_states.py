@@ -21,7 +21,7 @@ from qrel import (
     sigma_x2,
     to_wave,
 )
-from qrel.states import check_nodeless_interior
+from qrel.states import check_nodeless_interior, reduced_current
 
 
 class TestMakeGaussian:
@@ -123,12 +123,15 @@ class TestFromWave:
         w = to_wave(state)
         assert np.abs(from_wave(w).rho - np.abs(w.psi) ** 2).max() < 1e-14
 
-    def test_quadratic_phase_gradient_recovered(self, grid):
+    def test_current_gives_quadratic_phase_gradient(self, grid):
+        # a wave field's phase gradient is hbar j / rho; phase_gradient takes a HydroState only
         state = make_gaussian(GaussianParams(sigma2=1.0, b=1.0), grid)
         w = to_wave(state)
-        (ds,) = phase_gradient(w)
+        (j,) = reduced_current(w)
         mask = state.rho > 1e-12
-        assert np.abs((ds - grid.coords[0])[mask]).max() < 1e-8
+        assert np.abs(w.hbar * j[mask] / w.rho[mask] - grid.coords[0][mask]).max() < 1e-8
+        with pytest.raises(TypeError, match="expected a HydroState, got WaveField"):
+            phase_gradient(w)
 
     def test_round_trip_phase_up_to_constant(self, grid):
         state = make_gaussian(GaussianParams(sigma2=1.0, b=1.0, p0=2.0, c=0.3), grid)
