@@ -10,7 +10,7 @@ import argparse
 import os
 import sys
 
-from .config import SUITE_NAMES, load_config
+from .config import SUITE_NAMES, load_config, select_suites
 from .dynamics import run_trajectory
 from .errors import ConfigurationError, QrelError, ResolutionGuardError
 from .functionals import CONVENTIONS
@@ -41,12 +41,8 @@ def _prepare(args):
     cfg = load_config(args.config)
     if args.convention:
         cfg.convention = args.convention
-    if getattr(args, "suite", None):
-        names = tuple(s.strip() for s in args.suite.split(",") if s.strip())
-        for name in names:
-            if name not in SUITE_NAMES:
-                raise ConfigurationError(f"--suite: unknown suite {name!r} (known: {', '.join(SUITE_NAMES)})")
-        cfg.suites = names
+    if getattr(args, "suite", None) is not None:
+        cfg.suites = select_suites([s.strip() for s in args.suite.split(",") if s.strip()], "--suite")
     os.makedirs(args.out, exist_ok=True)
     return cfg
 
@@ -75,12 +71,12 @@ def cmd_evolve(args) -> int:
     cfg = _prepare(args)
     wave = cfg.make_wave()
     try:
-        traj = run_trajectory(wave, cfg.flow, cfg.step, cfg.steps, cfg.convention)
+        traj = run_trajectory(wave, cfg.flow, cfg.step, cfg.steps)
     except ResolutionGuardError as err:
         print(f"evolve: {err} (no certifiable records)", file=sys.stderr)
         return 1
     csv_path = os.path.join(args.out, "trajectory.csv")
-    _write(csv_path, trajectory_csv(traj))
+    _write(csv_path, trajectory_csv(traj, cfg.convention))
     summary = {
         "flow": traj.flow,
         "step": traj.step,

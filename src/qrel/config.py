@@ -1,9 +1,10 @@
 """Scenario configuration: JSON schema, defaults, validation.
 
-A scenario names the grid, the units, the initial state (Gaussian
-parameters or a wave-sample ``.npy`` file), a flow with step and
-duration, an alpha list for group sweeps, the suite selection and the
-delta_x2 convention.  Validation errors name the offending field.
+A scenario is validated once, into the objects that act on it: the
+:class:`Grid`, the units, the initial state (a :class:`GaussianParams` or
+the path of a wave-sample ``.npy`` file), a flow with step and duration,
+an alpha list for group sweeps, the suite selection and the delta_x2
+convention.  Validation errors name the offending field.
 """
 
 import json
@@ -16,21 +17,17 @@ from .dynamics import FLOWS
 from .errors import ConfigurationError
 from .functionals import CONVENTIONS
 from .grid import Grid
-from .states import GaussianParams, HydroState, WaveField, from_wave, make_gaussian, to_wave
+from .states import GaussianParams, HydroState, WaveField, _check_faces, from_wave, make_gaussian, to_wave
 
 SUITE_NAMES = ("group", "functionals", "brackets", "dynamics", "classical-limit")
 
 
 @dataclass
 class ScenarioConfig:
-    grid_n: int = 512
-    grid_length: float = 40.0
-    grid_dim: int = 1
+    grid: Grid = field(default_factory=lambda: Grid(n=512, length=40.0))
     hbar: float = 1.0
     mass: float = 1.0
-    state_kind: str = "gaussian"
-    state_params: GaussianParams = field(default_factory=GaussianParams)
-    wave_path: str = ""
+    state: GaussianParams | str = field(default_factory=GaussianParams)
     flow: str = "tau"
     step: float = 1e-3
     duration: float = 0.5
@@ -38,33 +35,38 @@ class ScenarioConfig:
     suites: tuple = SUITE_NAMES
     convention: str = "consistent"
 
-    def make_grid(self) -> Grid:
-        return Grid(n=self.grid_n, length=self.grid_length, dim=self.grid_dim)
-
     def make_state(self) -> HydroState:
-        """The initial state: the Gaussian of ``state_params``, or the polar form of the wave samples."""
-        if self.state_kind != "gaussian":
+        """The initial state: the Gaussian of ``state``, or the polar form of its wave samples."""
+        if not isinstance(self.state, GaussianParams):
             return from_wave(self.make_wave())
         try:
-            return make_gaussian(self.state_params, self.make_grid(), hbar=self.hbar, mass=self.mass)
+            return make_gaussian(self.state, self.grid, hbar=self.hbar, mass=self.mass)
         except ConfigurationError as err:  # the scenario's own packet: its fields come first
             raise ConfigurationError(f"state.sigma2/state.x0: {err}") from err
 
     def make_wave(self) -> WaveField:
-        """The initial wave field: the wave samples of ``wave_path``, or the Gaussian's polar composition."""
-        if self.state_kind == "gaussian":
+        """The initial wave field: the Gaussian's polar composition, or the wave samples at ``state``.
+
+        Wave samples must match the grid, be normalized and decay at the box faces as a Gaussian must.
+        """
+        if isinstance(self.state, GaussianParams):
             return to_wave(self.make_state())
-        grid = self.make_grid()
+        grid = self.grid
         try:
-            psi = np.load(self.wave_path)
-        except OSError as err:
+            psi = np.load(self.state)
+        except (OSError, ValueError) as err:  # a missing file, or one that holds no .npy array
             raise ConfigurationError(f"state.path: cannot read wave samples: {err}") from err
-        if psi.shape != grid.shape:
-            raise ConfigurationError(
-                f"state.path: wave samples shape {psi.shape} does not match grid shape {grid.shape}")
-        norm = grid.quadrature(np.abs(psi) ** 2)
-        if not math.isfinite(norm) or abs(norm - 1.0) > 1e-6:
-            raise ConfigurationError(f"state.path: wave samples not normalized (quadrature {norm!r})")
+        try:  # each refusal of the samples names the field first
+            _expect(isinstance(psi, np.ndarray) and np.issubdtype(psi.dtype, np.number),
+                    "cannot read wave samples: not a numeric .npy array")
+            _expect(psi.shape == grid.shape, f"wave samples shape {psi.shape} does not match grid shape {grid.shape}")
+            rho = np.abs(psi) ** 2
+            norm = grid.quadrature(rho)
+            _expect(math.isfinite(norm) and abs(norm - 1.0) <= 1e-6,
+                    f"wave samples not normalized (quadrature {norm!r})")
+            _check_faces(rho, grid, "wave samples")
+        except ConfigurationError as err:
+            raise ConfigurationError(f"state.path: {err}") from err
         return WaveField(grid=grid, psi=psi, hbar=self.hbar, mass=self.mass)
 
     @property
@@ -98,6 +100,14 @@ def _known_fields(section: dict, prefix: str, known: tuple):
         _expect(key in known, f"{prefix}{key} is not a known field")
 
 
+def select_suites(names, source: str) -> tuple:
+    """The suites of the nonempty list ``names``; a refusal names ``source``, the field or flag they came from."""
+    _expect(isinstance(names, list) and names, f"{source} must be a nonempty list")
+    for name in names:
+        _expect(name in SUITE_NAMES, f"{source}: unknown suite {name!r} (known: {', '.join(SUITE_NAMES)})")
+    return tuple(names)
+
+
 def config_from_dict(raw: dict) -> ScenarioConfig:
     """Build and validate a scenario from parsed JSON."""
     cfg = ScenarioConfig()
@@ -107,10 +117,9 @@ def config_from_dict(raw: dict) -> ScenarioConfig:
     grid = raw.get("grid", {})
     _expect(isinstance(grid, dict), "grid must be an object")
     _known_fields(grid, "grid.", ("n", "length", "dim"))
-    cfg.grid_length = _positive(grid.get("length", cfg.grid_length), "grid.length")
+    length = _positive(grid.get("length", cfg.grid.length), "grid.length")
     # the grid validates n and dim itself, naming the field
-    checked = Grid(n=grid.get("n", cfg.grid_n), length=cfg.grid_length, dim=grid.get("dim", cfg.grid_dim))
-    cfg.grid_n, cfg.grid_dim = checked.n, checked.dim
+    cfg.grid = Grid(n=grid.get("n", cfg.grid.n), length=length, dim=grid.get("dim", cfg.grid.dim))
 
     units = raw.get("units", {})
     _expect(isinstance(units, dict), "units must be an object")
@@ -122,17 +131,16 @@ def config_from_dict(raw: dict) -> ScenarioConfig:
     _expect(isinstance(state, dict), "state must be an object")
     kind = state.get("kind", "gaussian")
     _expect(kind in ("gaussian", "wave_file"), f"state.kind must be 'gaussian' or 'wave_file', got {kind!r}")
-    cfg.state_kind = kind
     if kind == "gaussian":
         _known_fields(state, "state.", ("kind", "sigma2", "b", "c", "p0", "x0"))
         sigma2 = _positive(state.get("sigma2", 1.0), "state.sigma2")
         rest = {key: _finite(state.get(key, 0.0), f"state.{key}") for key in ("b", "c", "p0", "x0")}
-        cfg.state_params = GaussianParams(sigma2=sigma2, **rest)
+        cfg.state = GaussianParams(sigma2=sigma2, **rest)
     else:
         _known_fields(state, "state.", ("kind", "path"))
         path = state.get("path", "")
         _expect(isinstance(path, str) and path, "state.path is required for wave_file states")
-        cfg.wave_path = path
+        cfg.state = path
 
     flow = raw.get("flow", {})
     _expect(isinstance(flow, dict), "flow must be an object")
@@ -150,11 +158,7 @@ def config_from_dict(raw: dict) -> ScenarioConfig:
     _expect(isinstance(alphas, list), "alphas must be a list of numbers")
     cfg.alphas = tuple(_finite(a, f"alphas[{i}]") for i, a in enumerate(alphas))
 
-    suites = raw.get("suites", list(cfg.suites))
-    _expect(isinstance(suites, list) and suites, "suites must be a nonempty list")
-    for name in suites:
-        _expect(name in SUITE_NAMES, f"suites: unknown suite {name!r} (known: {', '.join(SUITE_NAMES)})")
-    cfg.suites = tuple(suites)
+    cfg.suites = select_suites(raw.get("suites", list(cfg.suites)), "suites")
 
     convention = raw.get("convention", cfg.convention)
     _expect(convention in CONVENTIONS, f"convention must be one of {CONVENTIONS}, got {convention!r}")

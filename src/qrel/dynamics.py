@@ -64,9 +64,11 @@ samples: many fields for a lone run, and one field while a large stack
 is live, stacked on its record axis all the same.  Records are written
 block by block into one float64 column per :class:`TrajectoryRecord`
 field, and a :class:`Trajectory` builds its rows from the columns once,
-when they are first read.  The probes that differentiate along a
-flow (the uncertainty rates and the cross-flow defect) march one step
-each way with :func:`evolve_t` or :func:`evolve_tau`.
+when they are first read.  A record's ``delta_x2`` is the self-consistent
+dispersion; the trajectory table (:func:`qrel.report.trajectory_csv`)
+chooses how to report it.  The probes that differentiate along a flow
+(the uncertainty rates and the cross-flow defect) march one step each
+way with :func:`evolve_t` or :func:`evolve_tau`.
 :func:`evolve_tau` and the probes take stacks too, with the same
 discipline: each member's result is bit for bit its lone result, and
 where guards trip, the first member to trip raises.
@@ -480,7 +482,7 @@ def _probe_fields(w: WaveField, flow: str, step: float, probe: str) -> tuple:
                                    member=err.member) from err
 
 
-def _write_records(columns: dict, live, row: int, step: float, rhos: list, fields: list, convention: str):
+def _write_records(columns: dict, live, row: int, step: float, rhos: list, fields: list):
     """Rows ``row`` on of the ``live`` members' observable columns, one for each of ``fields``.
 
     ``fields`` are consecutive fields of a run and ``rhos`` the densities
@@ -496,7 +498,7 @@ def _write_records(columns: dict, live, row: int, step: float, rhos: list, field
     densities = np.stack(rhos)
     window = [densities[d:d + k] for d in range(_STENCIL_WIDTH)]
     values = {
-        **_record_observables(w, convention),
+        **_record_observables(w),
         "s_gen": wave_s_gen(w),
         "norm": w.norm,
         "continuity_residual": _stencil_residual(window, w, step),
@@ -505,8 +507,7 @@ def _write_records(columns: dict, live, row: int, step: float, rhos: list, field
         columns[name][live, row:row + k] = np.reshape(value, (k, -1)).T
 
 
-def run_trajectories(w0: WaveField, flow: str, step: float, steps: int,
-                     convention: str = "consistent") -> list:
+def run_trajectories(w0: WaveField, flow: str, step: float, steps: int) -> list:
     """Integrate every member of the stack ``w0`` and return one trajectory per member.
 
     ``w0`` holds one member axis before the grid axes, or none: a lone
@@ -549,7 +550,7 @@ def run_trajectories(w0: WaveField, flow: str, step: float, steps: int,
         k = len(pending) - back
         if k <= 0:
             return
-        _write_records(columns, live, rows, step, rhos[:k + 2 * back], pending[:k], convention)
+        _write_records(columns, live, rows, step, rhos[:k + 2 * back], pending[:k])
         finals[live] = pending[k - 1].psi
         rows += k
         lengths[live] = rows
@@ -590,10 +591,9 @@ def run_trajectories(w0: WaveField, flow: str, step: float, steps: int,
     return trajectories
 
 
-def run_trajectory(w0: WaveField, flow: str, step: float, steps: int,
-                   convention: str = "consistent") -> Trajectory:
+def run_trajectory(w0: WaveField, flow: str, step: float, steps: int) -> Trajectory:
     """Integrate one field and return per-step records: :func:`run_trajectories` of a stack of one."""
-    return run_trajectories(_one_field(w0), flow, step, steps, convention)[0]
+    return run_trajectories(_one_field(w0), flow, step, steps)[0]
 
 
 def measured_rates(values, step: float) -> np.ndarray:

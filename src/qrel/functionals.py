@@ -3,15 +3,15 @@
 Conventions
 -----------
 * ``fisher_information`` returns F = 2 * integral |grad sqrt(rho)|^2.
-* ``delta_x2`` defaults to the self-consistent convention
+* ``delta_x2`` is the self-consistent dispersion
   1 / (4 * integral |grad sqrt(rho)|^2), which makes the dilatation
   transformation law an identity and saturates the minimal-Gaussian
-  product at hbar^2/4.  The historical factor-2 reading is available as
-  ``convention="paper-literal"`` purely for documenting the discrepancy.
-  Only the reported dispersions (``delta_x2``, ``uncertainty_pair`` and
-  the records of a trajectory) take a convention; ``evaluate``,
-  ``wave_delta_x2``, the derivative rules and the bracket engine use the
-  consistent one.
+  product at hbar^2/4.  The historical factor-2 reading,
+  ``convention="paper-literal"``, is kept purely for documenting the
+  discrepancy.  A convention is only a way of reporting: ``delta_x2``,
+  ``uncertainty_pair`` and the trajectory table (``qrel.report``) convert
+  the consistent value by :func:`in_convention`, and everything else,
+  the records of a trajectory too, is consistent.
 * The Fisher integral, integral |grad sqrt(rho)|^2 (|grad |psi||^2 on
   the wave route), is ``Grid.gradient_energy``: the spectral gradient's
   squared integral by Parseval on the rfftn half spectrum, one forward
@@ -74,23 +74,21 @@ class UncertaintyPair:
         return self.dx2 * self.dp2
 
 
-def _dispersion_factor(convention: str, integral) -> float:
-    """The factor c of delta_x2 = 1 / (c * integral): 4 when consistent, 2 when paper-literal.
+def _fisher_dispersion(integral):
+    """The consistent delta_x2 = 1 / (4 * integral); a vanishing integral (the uniform density's) is degenerate."""
+    if np.any(integral <= 1e-12):
+        raise DegenerateStateError("Fisher integral vanishes; delta_x2 undefined for this state")
+    return 1.0 / (4.0 * integral)
 
-    Refuses an unknown convention, and a vanishing Fisher integral (e.g.
-    of the uniform density, whose dispersion is undefined on the periodic
-    box) with a degenerate-state error.
+
+def in_convention(dx2, convention: str):
+    """A consistent delta_x2 as ``convention`` reports it, refusing an unknown one.
+
+    Paper-literal is twice it, bit for bit, since the factor is a power of two.
     """
     if convention not in CONVENTIONS:
         raise ValueError(f"convention must be one of {CONVENTIONS}, got {convention!r}")
-    if np.any(integral <= 1e-12):
-        raise DegenerateStateError("Fisher integral vanishes; delta_x2 undefined for this state")
-    return 4.0 if convention == "consistent" else 2.0
-
-
-def _fisher_dispersion(convention: str, integral):
-    # delta_x2 = 1 / (c * integral) of a Fisher integral; see _dispersion_factor
-    return 1.0 / (_dispersion_factor(convention, integral) * integral)
+    return dx2 if convention == "consistent" else 2.0 * dx2
 
 
 # ---------------------------------------------------------------------------
@@ -145,13 +143,12 @@ def fisher_information(state: HydroState) -> float:
 
 
 def delta_x2(state: HydroState, convention: str = "consistent") -> float:
-    """Fisher dispersion 1 / (c * integral |grad sqrt(rho)|^2) of the position distribution.
+    """Fisher dispersion 1 / (4 * integral |grad sqrt(rho)|^2) of the position distribution, in ``convention``.
 
-    c is 4 in the consistent convention and 2 in the paper-literal one.
-    Raises a degenerate-state error when the Fisher integral vanishes
-    (see :func:`_dispersion_factor`).
+    A vanishing Fisher integral and an unknown convention are refused
+    (:func:`_fisher_dispersion`, :func:`in_convention`).
     """
-    return _fisher_dispersion(convention, fisher_integral(state))
+    return in_convention(_fisher_dispersion(fisher_integral(state)), convention)
 
 
 def sigma_x2(state) -> float:
@@ -265,9 +262,9 @@ def variational_derivative(tag: FunctionalTag, state: HydroState, component: str
     if tag is FunctionalTag.DELTA_X2:
         if component == "s":
             return zero
-        integral = fisher_integral(state)
-        factor = _dispersion_factor("consistent", integral)
-        return sqrt_density_curvature(state) / (factor * _per_member(integral, state.grid) ** 2)
+        # d(1/(4 I))/drho with dI/drho = -laplacian(sqrt rho)/sqrt(rho): the curvature times delta_x2 / I
+        integral = _per_member(fisher_integral(state), state.grid)
+        return sqrt_density_curvature(state) * (_fisher_dispersion(integral) / integral)
 
     if tag is FunctionalTag.SIGMA_X2:
         if component == "s":
@@ -339,10 +336,10 @@ def wave_k_q(w: WaveField) -> float:
 
 
 def wave_delta_x2(w: WaveField) -> float:
-    return _fisher_dispersion("consistent", wave_fisher_integral(w))
+    return _fisher_dispersion(wave_fisher_integral(w))
 
 
-def _record_observables(w: WaveField, convention: str) -> dict:
+def _record_observables(w: WaveField) -> dict:
     """h_q, k_q, delta_x2 and delta_p2_q of ``w`` from one delta_p2_q and one Fisher integral.
 
     Each value is bit for bit the one its ``wave_*`` function gives.
@@ -350,7 +347,7 @@ def _record_observables(w: WaveField, convention: str) -> dict:
     dp2, integral = wave_delta_p2_q(w), wave_fisher_integral(w)
     h = dp2 / (2.0 * w.mass)
     return {"h_q": h, "k_q": _companion(h, integral, w),
-            "delta_x2": _fisher_dispersion(convention, integral), "delta_p2_q": dp2}
+            "delta_x2": _fisher_dispersion(integral), "delta_p2_q": dp2}
 
 
 def wave_s_gen(w: WaveField) -> float:

@@ -9,6 +9,7 @@ import io
 from dataclasses import dataclass, field
 
 from .dynamics import _RECORD_FIELDS, Trajectory
+from .functionals import in_convention
 
 TRAJECTORY_HEADER = ",".join(_RECORD_FIELDS)
 
@@ -123,6 +124,8 @@ def table_csv(header, rows) -> str:
     return out.getvalue()
 
 
-def trajectory_csv(traj: Trajectory) -> str:
-    """One row per record, one column per :class:`TrajectoryRecord` field."""
-    return table_csv(_RECORD_FIELDS, zip(*(traj.column(name).tolist() for name in _RECORD_FIELDS)))
+def trajectory_csv(traj: Trajectory, convention: str) -> str:
+    """One row per record, one column per :class:`TrajectoryRecord` field, delta_x2 in ``convention``."""
+    columns = {name: traj.column(name) for name in _RECORD_FIELDS}
+    columns["delta_x2"] = in_convention(columns["delta_x2"], convention)
+    return table_csv(_RECORD_FIELDS, zip(*(column.tolist() for column in columns.values())))

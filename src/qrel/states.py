@@ -284,32 +284,36 @@ def from_wave(w: WaveField) -> HydroState:
 
 
 def check_nodeless_interior(state):
-    """Reject densities with (near-)nodes inside their support.
+    """Reject densities with (near-)nodes inside their support, in any dimension.
 
     Quantum-potential fields divide by sqrt(rho); exterior tails are
     harmless (every use carries a density weight) but an interior dip
     below 1e-15 of the peak makes those fields meaningless where they
-    matter.  Only the 1-D case has a well-defined interior; every member
-    of a stack of 1-D densities is checked.  Reads only the grid and the
-    density, so ``state`` may be a :class:`HydroState` or a
-    :class:`WaveField`.
+    matter.  Along every grid line of every axis, a line's interior runs
+    from its first body sample (above 1e-6 of its member's peak) to its
+    last; a line with no body sample has none, and a 1-D density is one
+    line.  Each member of a stack is checked.  Reads only the grid and the
+    density, so ``state`` may be a :class:`HydroState` or a :class:`WaveField`.
     """
-    if state.grid.dim != 1:
-        return
     n = state.grid.n
-    rho = state.rho.reshape(-1, n)
-    peak = rho.max(axis=1).astype(np.float64, copy=False)  # the peak and the dip test in double
-    body = rho > 1e-6 * peak[:, None]
-    # each member's interior runs from its first body sample to its last, a body sample
-    # itself: so one reduction over the flattened stack finds each member's dip as the
-    # minimum from its first body sample up to its last (the odd segments lie between)
-    bounds = np.empty((len(rho), 2), dtype=np.intp)
-    bounds[:, 0] = body.argmax(axis=1)
-    bounds[:, 1] = n - 1 - body[:, ::-1].argmax(axis=1)
-    bounds += np.arange(0, rho.size, n)[:, None]
-    dips = np.minimum.reduceat(rho.ravel(), bounds.ravel())[0::2]
-    if (dips.astype(np.float64, copy=False) < 1e-15 * peak).any():
-        raise DegenerateStateError("density has an interior node; quantum-potential fields undefined")
+    rho = state.rho.reshape((-1,) + state.grid.shape)  # one member axis
+    peak = rho.reshape(len(rho), -1).max(axis=1).astype(np.float64, copy=False)  # the peak and the dip test in double
+    for axis in range(1, rho.ndim):
+        # the lines along this axis, by member: the last axis's are a view of the density
+        lines = rho.swapaxes(axis, -1).reshape(len(rho), -1, n)
+        body = (lines > (1e-6 * peak)[:, None, None]).reshape(-1, n)
+        # each line's interior runs from its first body sample to its last, a body sample
+        # itself: so one reduction over the flattened lines finds each line's dip as the
+        # minimum from its first body sample up to its last (the odd segments lie between)
+        bounds = np.empty((len(body), 2), dtype=np.intp)
+        bounds[:, 0] = body.argmax(axis=1)
+        bounds[:, 1] = n - 1 - body[:, ::-1].argmax(axis=1)
+        bounds += np.arange(0, lines.size, n)[:, None]
+        dips = np.minimum.reduceat(lines.ravel(), bounds.ravel())[0::2].reshape(len(rho), -1)
+        deep = dips.astype(np.float64, copy=False) < 1e-15 * peak[:, None]
+        # a line with no body sample spans its bounds and has no interior, so no node
+        if deep.any() and body[deep.ravel()].any():
+            raise DegenerateStateError("density has an interior node; quantum-potential fields undefined")
 
 
 def reduced_current(w: WaveField) -> list:

@@ -80,8 +80,7 @@ def _dilatation_sweep(state, alphas, convention: str = "consistent") -> list:
 
 
 def suite_group(cfg: ScenarioConfig):
-    grid = cfg.make_grid()
-    hb = cfg.hbar
+    grid, hb = cfg.grid, cfg.hbar
     checks = []
     notes = [ORIENTATION_NOTE]
 
@@ -151,8 +150,7 @@ def suite_group(cfg: ScenarioConfig):
 
 
 def suite_functionals(cfg: ScenarioConfig):
-    grid = cfg.make_grid()
-    hb, m = cfg.hbar, cfg.mass
+    grid, hb, m = cfg.grid, cfg.hbar, cfg.mass
     checks = []
 
     minimal = make_gaussian(GaussianParams(sigma2=1.0), grid, hb, m)
@@ -244,8 +242,7 @@ def oracle_field_error(states) -> float:
 
 
 def suite_brackets(cfg: ScenarioConfig):
-    grid = cfg.make_grid()
-    hb, m = cfg.hbar, cfg.mass
+    grid, hb, m = cfg.grid, cfg.hbar, cfg.mass
     checks = []
     battery = battery_states(grid, hb, m)
     T = fn.FunctionalTag
@@ -316,9 +313,9 @@ def gaussian_fit(w) -> tuple:
 def tau_record_gap(traj, params: GaussianParams, hbar: float = 1.0, mass: float = 1.0) -> float:
     """Worst relative gap of a Gaussian's tau-run records to the closed-form flow of ``params``.
 
-    The run's records are read in the consistent convention.  delta_x2 is
-    compared with its expected value; delta_p2_q, h_q and k_q with the
-    expected delta_p2_q, which bounds |h_q| and |k_q|.
+    delta_x2 (a record's is consistent) is compared with its expected
+    value; delta_p2_q, h_q and k_q with the expected delta_p2_q, which
+    bounds |h_q| and |k_q|.
     """
     sigma2, b, _ = orc.gaussian_flow(params.sigma2, params.b, 0.0, "tau", traj.column("time"), hbar, mass)
     expect = orc.gaussian_observables(sigma2, b, hbar=hbar, mass=mass, p0=params.p0)
@@ -328,14 +325,11 @@ def tau_record_gap(traj, params: GaussianParams, hbar: float = 1.0, mass: float 
 
 
 def suite_dynamics(cfg: ScenarioConfig):
-    grid = cfg.make_grid()
-    hb, m = cfg.hbar, cfg.mass
+    grid, hb, m = cfg.grid, cfg.hbar, cfg.mass
     checks = []
     notes = []
     minimal = to_wave(make_gaussian(GaussianParams(sigma2=1.0), grid, hb, m))
 
-    # trajectories are recorded in the consistent convention: the closed-form gap reads
-    # their delta_x2, and no other check reads a convention-dependent column
     traj = dyn.run_trajectory(minimal, "t", 0.05, 80)
     checks.append(bound("t-flow norm drift", float(np.abs(traj.column("norm") - 1.0).max()), 1e-14,
                         provenance="unitary propagator"))
@@ -461,14 +455,13 @@ def suite_dynamics(cfg: ScenarioConfig):
 
 
 def suite_classical_limit(cfg: ScenarioConfig):
-    grid = cfg.make_grid()
     checks = []
     hbars = np.array([1.0, 0.5, 0.25, 0.125])
     for label, params in (("minimal", GaussianParams(sigma2=1.0)),
                           ("chirped", GaussianParams(sigma2=1.0, b=1.0, p0=2.0))):
         gaps_h, gaps_k = [], []
         for hb in hbars:
-            state = make_gaussian(params, grid, hbar=hb, mass=cfg.mass)
+            state = make_gaussian(params, cfg.grid, hbar=hb, mass=cfg.mass)
             gaps_h.append(abs(fn.h_q(state) - fn.h_cl(state)))
             gaps_k.append(abs(fn.k_q(state) - fn.h_cl(state)))
         slope_h = np.polyfit(np.log(hbars), np.log(gaps_h), 1)[0]

@@ -9,9 +9,10 @@ import pytest
 
 from qrel import dynamics
 from qrel.cli import main
-from qrel.config import load_config
+from qrel.config import ScenarioConfig, config_from_dict, load_config
+from qrel.grid import Grid
 from qrel.report import TRAJECTORY_HEADER
-from qrel.states import from_wave
+from qrel.states import GaussianParams, from_wave
 from qrel.suites import _dilatation_sweep
 
 
@@ -69,10 +70,11 @@ class TestVerify:
         ({"state": {"kind": "wave_file", "path": "psi.npy", "sigma2": 1.0}}, "group", "state.sigma2"),
         ({"suite": ["group"]}, "group", "suite is not a known field"),
         ({"flow": {"kind": "sideways"}}, "group", "flow.kind"),
+        ({"suites": []}, "group", "suites must be a nonempty list"),
     ], ids=["grid-n", "grid-dim-float", "state-b-nan", "state-p0-string", "state-x0-list",
             "alphas-nan", "alphas-infinity", "alphas-bool", "flow-step-coarse",
             "grid-key-N", "grid-key-lenght", "units-key-hbarr", "flow-key-stpe", "wave-file-key-sigma2",
-            "root-key-suite", "flow-kind-sideways"])
+            "root-key-suite", "flow-kind-sideways", "suites-empty"])
     def test_malformed_config_names_field(self, tmp_path, capsys, overrides, suite, field):
         cfg = write_config(tmp_path, **overrides)
         assert main(["verify", "--suite", suite, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
@@ -128,6 +130,11 @@ class TestVerify:
 
     def test_unknown_suite_rejected(self, tmp_path):
         assert main(["verify", "--suite", "nonsense", "--out", str(tmp_path / "o")]) == 2
+
+    def test_empty_suite_flag_refused(self, tmp_path, capsys):
+        # it used to run zero checks and report status=pass, where "suites": [] is refused
+        assert main(["verify", "--suite", ",", "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("config error: --suite must be a nonempty list")
 
     def test_reports_are_deterministic(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -203,6 +210,28 @@ class TestEvolve:
         summary = json.loads((outs["paper-literal"] / "evolve_summary.json").read_text())
         assert summary["convention"] == "paper-literal"
 
+    @pytest.mark.parametrize("command", ["evolve", "transform"])
+    def test_wave_file_touching_the_far_face_refused(self, tmp_path, capsys, grid, minimal_wave, command):
+        # the packet that {"state": {"x0": 15.0}} refuses, given as wave samples: the same tail rule holds
+        wave_path = tmp_path / "psi.npy"
+        np.save(wave_path, np.roll(minimal_wave.psi, round(15.0 / grid.spacing)))
+        cfg = write_config(tmp_path, state={"kind": "wave_file", "path": str(wave_path)})
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: state.path: ") and "grid.length: 40.0" in err
+
+    @pytest.mark.parametrize("name", ["psi.txt", "psi.npz"])
+    def test_wave_file_without_an_array_refused(self, tmp_path, capsys, name):
+        # a text file used to escape as a ValueError traceback, and an .npz archive as an AttributeError
+        wave_path = tmp_path / name
+        if name.endswith(".npz"):
+            np.savez(wave_path, psi=np.ones(16))
+        else:
+            wave_path.write_text("not wave samples\n")
+        cfg = write_config(tmp_path, state={"kind": "wave_file", "path": str(wave_path)})
+        assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("config error: state.path: cannot read wave samples")
+
     def test_wave_file_shape_mismatch(self, tmp_path):
         wave_path = tmp_path / "psi.npy"
         np.save(wave_path, np.ones(16, dtype=complex))
@@ -261,6 +290,22 @@ class TestTransform:
     def test_empty_alpha_list_rejected(self, tmp_path):
         cfg = write_config(tmp_path, alphas=[])
         assert main(["transform", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+
+class TestScenarioConfig:
+    """A scenario is validated into the objects that act on it."""
+
+    def test_grid_is_the_grid(self):
+        cfg = config_from_dict({"grid": {"n": 256, "length": 30.0, "dim": 2}})
+        assert cfg.grid == Grid(256, 30.0, 2)
+        assert ScenarioConfig().grid == Grid(512, 40.0, 1)
+
+    def test_state_is_the_gaussian_or_the_path(self):
+        cfg = config_from_dict({"state": {"sigma2": 2.0, "x0": 1.5}})
+        assert cfg.state == GaussianParams(sigma2=2.0, x0=1.5)
+        assert config_from_dict({}).state == GaussianParams()
+        cfg = config_from_dict({"state": {"kind": "wave_file", "path": "psi.npy"}})
+        assert cfg.state == "psi.npy"
 
 
 class TestSeventeenDigitOutput:

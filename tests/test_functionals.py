@@ -220,6 +220,15 @@ class TestDegenerateDensities:
         with pytest.raises(DegenerateStateError):
             variational_derivative(T.FISHER, nodal, "rho")
 
+    def test_interior_node_rejected_in_2d(self):
+        # a node along the first axis only: every line of that axis crosses it
+        grid = Grid(128, 20.0, 2)
+        x, y = grid.coords
+        rho = x**2 * np.exp(-(x**2 + y**2) / 2.0)
+        nodal = HydroState(grid=grid, rho=rho / grid.quadrature(rho), s=np.zeros(grid.shape))
+        with pytest.raises(DegenerateStateError, match="interior node"):
+            variational_derivative(T.FISHER, nodal, "rho")
+
     def test_tail_zeros_are_fine(self, minimal):
         # exterior sub-floor tails never trip the interior-node guard
         field = variational_derivative(T.H_Q, minimal, "rho")

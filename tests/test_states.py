@@ -281,6 +281,40 @@ class TestStackedHydroState:
                 with pytest.raises(DegenerateStateError, match="interior node"):
                     check_nodeless_interior(stack)
 
+    @staticmethod
+    def refused_by_lines(member):
+        # the per-member rule along every grid line of every axis; a line with no
+        # sample above 1e-6 of the member's peak has no interior
+        peak = float(member.max())
+        for axis in range(member.ndim):
+            for line in np.moveaxis(member, axis, -1).reshape(-1, member.shape[axis]):
+                body = np.flatnonzero(line > 1e-6 * peak)
+                if body.size and float(line[body[0]:body[-1] + 1].min()) < 1e-15 * peak:
+                    return True
+        return False
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_every_line_of_every_axis(self, dim):
+        # nodes across either axis, rings whose central dip sits on either side of 1e-15 of
+        # the peak, bumps split along the last axis, and nodeless packets off the center
+        grid = Grid(32, 24.0, dim)
+        r2 = sum(c**2 for c in grid.coords)
+        first, last = grid.coords[0], grid.coords[-1]
+        shapes = [first**2 * np.exp(-r2 / 2.0), last**2 * np.exp(-r2 / 2.0)]
+        shapes += [np.exp(-((np.sqrt(r2) - a) ** 2)) for a in (5.0, 6.5)]
+        shapes += [np.exp(-(r2 - last**2 + (np.abs(last) - 6.5) ** 2)), np.exp(-r2 / 4.0),
+                   np.exp(-((first - 3.0) ** 2 + r2 - first**2))]
+        members = [f / grid.quadrature(f) for f in shapes]
+        refused = [self.refused_by_lines(m) for m in members]
+        assert refused == [True, True, False, True, True, False, False]
+        accepted = [m for m, r in zip(members, refused, strict=True) if not r]
+        check_nodeless_interior(HydroState(grid=grid, rho=np.stack(accepted), s=np.zeros(grid.shape)))
+        for member, r in zip(members, refused, strict=True):
+            if r:
+                stack = HydroState(grid=grid, rho=np.stack(accepted + [member]), s=np.zeros(grid.shape))
+                with pytest.raises(DegenerateStateError, match="interior node"):
+                    check_nodeless_interior(stack)
+
 
 class TestStackedWaveField:
     """Every cache of a stacked field holds, bit for bit, each member's lone value."""
