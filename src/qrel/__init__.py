@@ -56,12 +56,7 @@ from .functionals import (
 )
 from .grid import Grid
 from .group import dilate, mix_hk, mix_times, product_law, transform_uncertainty
-from .oracles import (
-    GaussianOdeState,
-    gaussian_observables,
-    gaussian_flow,
-    integrate_gaussian_ode,
-)
+from .oracles import gaussian_flow, gaussian_observables
 from .states import (
     GaussianParams,
     HydroState,
@@ -110,14 +105,14 @@ _pin_malloc_thresholds()
 
 __all__ = [
     "ConfigurationError", "DegenerateStateError", "FunctionalTag",
-    "GaussianOdeState", "GaussianParams", "GeneratorCheck", "Grid", "GridMismatchError",
+    "GaussianParams", "GeneratorCheck", "Grid", "GridMismatchError",
     "HydroState", "QrelError", "ResolutionGuardError",
     "ScenarioConfig", "Trajectory", "TrajectoryRecord", "UncertaintyPair", "WaveField",
     "config_from_dict", "cross_flow_defect", "delta_p2_cl",
     "delta_p2_q", "delta_x2", "dilate", "evaluate", "evolve_t", "evolve_tau",
     "fd_functional_derivative", "fisher_information", "from_wave",
     "gaussian_flow", "gaussian_observables", "generator_check", "h_cl", "h_q", "hydro_rhs", "inner_product",
-    "integrate_gaussian_ode", "jacobi_defect", "k_q", "load_config", "make_double_gaussian",
+    "jacobi_defect", "k_q", "load_config", "make_double_gaussian",
     "make_gaussian", "measured_rates", "mix_hk", "mix_times", "p_translation",
     "phase_gradient", "poisson_bracket", "product_law", "run_trajectories", "run_trajectory", "s_gen",
     "sigma_x2", "to_wave", "transform_uncertainty", "uncertainty_pair", "uncertainty_rates",

@@ -3,7 +3,7 @@
 The Gaussian family rho = N(x0, sigma2), s = b x^2/2 + p0 x + c is closed
 under both flows; substituting it into the continuity and (sign-flipped)
 Hamilton-Jacobi equations gives ordinary differential equations for the
-parameters:
+parameters (:func:`gaussian_ode_rhs`):
 
     d(sigma2)/dtheta = 2 b sigma2 / m
     db/dtheta        = -b^2/m + sign * hbar^2 / (4 m sigma2^2)
@@ -11,16 +11,17 @@ parameters:
 
 with sign = +1 for the Schroedinger flow in t and -1 for the companion
 flow in tau.  Both flows solve them in closed form (:func:`gaussian_flow`),
-which is what the suites and the demos read: in t the width parameter
-A = 1/(4 sigma2) - i b/(2 hbar) of psi ~ exp(-A x^2) evolves as the free
-propagator's A/(1 + 2i hbar A t/m); in tau the coefficients
-a+- = 1/(4 sigma2) -+ b/(2 hbar) of the heat pair sqrt(rho) exp(+-s/hbar)
-of Euclidean quantum mechanics each obey a Riccati law of their own; in t
-a minimal packet (b = 0) spreads by the law sigma2 + (hbar t/2m)^2/sigma2.
-The ODEs are kept, integrated at tolerance 1e-12
-(:func:`integrate_gaussian_ode`), as the closed forms' cross-check in the
-tests and the benchmark's gate; scipy is imported only then.  Neither
-oracle touches the PDE integrators it checks.
+which is what the suites, the demos and the benchmark's gate read: in t
+the width parameter A = 1/(4 sigma2) - i b/(2 hbar) of psi ~ exp(-A x^2)
+evolves as the free propagator's A/(1 + 2i hbar A t/m); in tau the
+coefficients a+- = 1/(4 sigma2) -+ b/(2 hbar) of the heat pair
+sqrt(rho) exp(+-s/hbar) of Euclidean quantum mechanics (Zambrini, Phys.
+Rev. A 35, 3631, 1987) each obey a Riccati law of their own; in t a
+minimal packet (b = 0) spreads by the law sigma2 + (hbar t/2m)^2/sigma2.
+The right-hand side stays as the reference the tests hold the closed
+forms to: the centred theta-derivative of :func:`gaussian_flow` must
+equal it, so no integrator is needed.  Neither oracle touches the PDE
+integrators it checks.
 """
 
 from dataclasses import dataclass
@@ -30,7 +31,11 @@ import numpy as np
 
 @dataclass(frozen=True)
 class GaussianOdeState:
-    """Gaussian-family parameters along a flow."""
+    """Gaussian-family parameters along a flow: the initial value :func:`integrate_gaussian_ode` takes.
+
+    Kept only for the benchmark's tau-battery gate, with that function;
+    ROADMAP item 7 deletes both.
+    """
 
     sigma2: float
     b: float
@@ -72,6 +77,7 @@ def gaussian_flow(sigma2, b, c, flow: str, theta, hbar: float = 1.0, mass: float
 
 
 def gaussian_ode_rhs(theta, y, flow: str, hbar: float = 1.0, mass: float = 1.0):
+    """d(sigma2, b, c)/dtheta of the Gaussian family: the reference the closed forms are tested against."""
     sigma2, b, _ = y
     sign = _flow_sign(flow)
     return [
@@ -83,20 +89,14 @@ def gaussian_ode_rhs(theta, y, flow: str, hbar: float = 1.0, mass: float = 1.0):
 
 def integrate_gaussian_ode(initial: GaussianOdeState, flow: str, times,
                            hbar: float = 1.0, mass: float = 1.0):
-    """Parameter trajectories at ``times`` (tolerance-1e-12 integration)."""
-    from scipy.integrate import solve_ivp  # only here: scipy's import is most of a cold start
+    """``(times, y)``, ``y`` of shape (3, len(times)): :func:`gaussian_flow` from ``initial``.
 
+    It remains, with :class:`GaussianOdeState`, only because the
+    benchmark's tau-battery gate and its span table call it; ROADMAP item 7
+    moves them to :func:`gaussian_flow` and deletes both.
+    """
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    span = (0.0, float(times[-1])) if times[-1] > 0 else (0.0, 0.0)
-    if span[1] == 0.0:
-        y = np.tile([[initial.sigma2], [initial.b], [initial.c]], (1, len(times)))
-        return times, y
-    sol = solve_ivp(gaussian_ode_rhs, span, [initial.sigma2, initial.b, initial.c],
-                    t_eval=times, args=(flow, hbar, mass),
-                    method="DOP853", rtol=1e-12, atol=1e-12)
-    if not sol.success:
-        raise RuntimeError(f"Gaussian ODE oracle failed: {sol.message}")
-    return sol.t, sol.y
+    return times, np.array(gaussian_flow(initial.sigma2, initial.b, initial.c, flow, times, hbar, mass))
 
 
 def gaussian_observables(sigma2: float, b: float, c: float = 0.0,

@@ -7,7 +7,6 @@ import pytest
 
 from qrel import (
     DegenerateStateError,
-    GaussianOdeState,
     GaussianParams,
     Grid,
     GridMismatchError,
@@ -22,7 +21,6 @@ from qrel import (
     gaussian_flow,
     hydro_rhs,
     inner_product,
-    integrate_gaussian_ode,
     make_gaussian,
     measured_rates,
     phase_gradient,
@@ -42,6 +40,7 @@ from qrel.functionals import (
     wave_p_translation,
     wave_s_gen,
 )
+from qrel.oracles import gaussian_ode_rhs
 from qrel.report import TRAJECTORY_HEADER, table_csv, trajectory_csv
 from qrel.suites import battery_params, gaussian_fit, tau_record_gap
 
@@ -662,27 +661,29 @@ class TestGaussianOracleInternals:
     def test_lyapunov_identity_inside_oracle(self):
         # d(s_gen)/dtau = h_q holds exactly in the parameter ODEs
         times = np.linspace(0.0, 0.4, 5)
-        _, y = integrate_gaussian_ode(GaussianOdeState(1.0, 0.5, 0.1), "tau", times)
-        sg = 0.5 * y[1] * y[0] + y[2]
-        hq = (y[1] ** 2 * y[0] + 1.0 / (4.0 * y[0])) / 2.0
+        sigma2, b, c = gaussian_flow(1.0, 0.5, 0.1, "tau", times)
+        sg = 0.5 * b * sigma2 + c
+        hq = (b**2 * sigma2 + 1.0 / (4.0 * sigma2)) / 2.0
         rate = np.gradient(sg, times)
         assert abs(rate[2] - hq[2]) < 1e-3
 
-
     @pytest.mark.parametrize("hbar, mass", [(1.0, 1.0), (0.7, 1.3), (0.5, 1.0), (1.5, 1.0)])
     def test_closed_form_flow_matches_ode(self, hbar, mass):
-        # measured worst: 1.3e-11 relative in sigma2, 2.7e-11 in b (relative to |b| or hbar/4 sigma2,
-        # as b crosses 0), 2.5e-12 absolute in c; the t-flow of b = 0 is the free-packet spreading law
+        # the 4th-order centred theta-derivative of the closed form against the ODE's right-hand side;
+        # measured worst at delta = 1e-4: 1.2e-11 relative to max(|rhs|, 1), bounded here with an 8x margin
+        delta = 1e-4
         for flow, end in (("tau", 0.2), ("t", 4.0)):
             times = np.linspace(0.0, end, 8)
             for sigma2 in (0.5, 1.0, 2.0):
                 for b in (-1.0, -0.3, 0.0, 0.5, 1.0):
-                    _, (s2_ode, b_ode, c_ode) = integrate_gaussian_ode(GaussianOdeState(sigma2, b, 0.1), flow,
-                                                                       times, hbar, mass)
-                    s2_got, b_got, c_got = gaussian_flow(sigma2, b, 0.1, flow, times, hbar, mass)
-                    assert np.abs(s2_got / s2_ode - 1.0).max() < 1e-9
-                    assert (np.abs(b_got - b_ode) / np.maximum(np.abs(b_ode), hbar / (4.0 * s2_ode))).max() < 1e-9
-                    assert np.abs(c_got - c_ode).max() < 1e-10
+                    def flowed(theta):
+                        return np.array(gaussian_flow(sigma2, b, 0.1, flow, theta, hbar, mass))
+
+                    rate = (flowed(times - 2 * delta) - 8 * flowed(times - delta)
+                            + 8 * flowed(times + delta) - flowed(times + 2 * delta)) / (12 * delta)
+                    rhs = np.array(gaussian_ode_rhs(times, flowed(times), flow, hbar, mass))
+                    gap = np.abs(rate - rhs) / np.maximum(np.abs(rhs), 1.0)
+                    assert gap.max() < 1e-10, (flow, sigma2, b)
 
     def test_gaussian_fit_recovers_battery_parameters(self, grid):
         # measured worst: 4.4e-16 relative in sigma2 and 4.4e-16 absolute in b

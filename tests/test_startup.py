@@ -10,9 +10,26 @@ import pytest
 
 
 def test_verify_runs_without_scipy(default_verify):
-    # scipy is needed only to integrate the Gaussian ODE, which the suites no longer do
+    # qrel depends on numpy alone: scipy, where it is installed, stays unloaded
     assert default_verify.returncode == 0, default_verify.stderr
     assert default_verify.stdout.splitlines()[-1] == "[]"
+
+
+def test_tau_battery_gate_runs_without_scipy(run_python):
+    # the benchmark's tau-battery gate: a battery member's tau-run, then the Gaussian oracle at its last record
+    done = run_python(
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from qrel import Grid, make_gaussian, run_trajectory, to_wave\n"
+        "from qrel.oracles import GaussianOdeState, integrate_gaussian_ode\n"
+        "from qrel.suites import battery_params\n"
+        "params = battery_params()[0]\n"
+        "traj = run_trajectory(to_wave(make_gaussian(params, Grid(512, 40.0))), 'tau', 1e-3, 20)\n"
+        "_, y = integrate_gaussian_ode(GaussianOdeState(params.sigma2, params.b), 'tau', [traj.records[-1].time])\n"
+        "print(y.shape, sorted(name for name, module in sys.modules.items()\n"
+        "                      if name.split('.')[0] == 'scipy' and module is not None))\n")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "(3, 1) []"
 
 
 @pytest.mark.skipif(platform.system() != "Linux" or platform.libc_ver()[0] != "glibc",
