@@ -103,8 +103,10 @@ def _known_fields(section: dict, prefix: str, known: tuple):
 def select_suites(names, source: str) -> tuple:
     """The suites of the nonempty list ``names``; a refusal names ``source``, the field or flag they came from."""
     _expect(isinstance(names, list) and names, f"{source} must be a nonempty list")
-    for name in names:
+    for i, name in enumerate(names):
         _expect(name in SUITE_NAMES, f"{source}: unknown suite {name!r} (known: {', '.join(SUITE_NAMES)})")
+        # a repeated suite would run twice and report each of its checks twice under one name
+        _expect(name not in names[:i], f"{source}: suite {name!r} is listed more than once")
     return tuple(names)
 
 

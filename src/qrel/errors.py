@@ -28,3 +28,7 @@ class ResolutionGuardError(QrelError):
         super().__init__(message)
         self.steps_completed = steps_completed
         self.member = member
+
+    def __reduce__(self):
+        # pickled as all three arguments, so that the error survives its way back from a worker
+        return type(self), (*self.args, self.steps_completed, self.member), self.__dict__

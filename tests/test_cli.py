@@ -71,10 +71,11 @@ class TestVerify:
         ({"suite": ["group"]}, "group", "suite is not a known field"),
         ({"flow": {"kind": "sideways"}}, "group", "flow.kind"),
         ({"suites": []}, "group", "suites must be a nonempty list"),
+        ({"suites": ["group", "dynamics", "group"]}, "group", "suites: suite 'group' is listed more than once"),
     ], ids=["grid-n", "grid-dim-float", "state-b-nan", "state-p0-string", "state-x0-list",
             "alphas-nan", "alphas-infinity", "alphas-bool", "flow-step-coarse",
             "grid-key-N", "grid-key-lenght", "units-key-hbarr", "flow-key-stpe", "wave-file-key-sigma2",
-            "root-key-suite", "flow-kind-sideways", "suites-empty"])
+            "root-key-suite", "flow-kind-sideways", "suites-empty", "suites-repeated"])
     def test_malformed_config_names_field(self, tmp_path, capsys, overrides, suite, field):
         cfg = write_config(tmp_path, **overrides)
         assert main(["verify", "--suite", suite, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
@@ -135,6 +136,13 @@ class TestVerify:
         # it used to run zero checks and report status=pass, where "suites": [] is refused
         assert main(["verify", "--suite", ",", "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.startswith("config error: --suite must be a nonempty list")
+
+    def test_repeated_suite_flag_refused(self, tmp_path, capsys):
+        # it used to run the suite twice and report 8 checks under 4 names
+        out = tmp_path / "o"
+        assert main(["verify", "--suite", "classical-limit,classical-limit", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "config error: --suite: suite 'classical-limit' is listed more than once\n"
+        assert not (out / "report.json").exists()
 
     def test_reports_are_deterministic(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

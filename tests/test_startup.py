@@ -15,6 +15,16 @@ def test_verify_runs_without_scipy(default_verify):
     assert default_verify.stdout.splitlines()[-1] == "[]"
 
 
+def test_importing_the_cli_loads_no_worker_pool(run_python):
+    # every benchmark workload's set-up imports qrel.cli; run_suites imports multiprocessing itself
+    done = run_python(
+        "import sys\n"
+        "import qrel.cli\n"
+        "print(sorted(name for name in sys.modules if name.split('.')[0] in ('multiprocessing', 'concurrent')))\n")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
+
+
 def test_tau_battery_gate_runs_without_scipy(run_python):
     # the benchmark's tau-battery gate: a battery member's tau-run, then the Gaussian oracle at its last record
     done = run_python(
