@@ -148,7 +148,7 @@ def config_from_dict(raw: dict) -> ScenarioConfig:
     _expect(isinstance(flow, dict), "flow must be an object")
     _known_fields(flow, "flow.", ("kind", "step", "duration"))
     kind = flow.get("kind", cfg.flow)
-    _expect(kind in FLOWS, f"flow.kind must be 't' or 'tau', got {kind!r}")
+    _expect(isinstance(kind, str) and kind in FLOWS, f"flow.kind must be 't' or 'tau', got {kind!r}")
     cfg.flow = kind
     cfg.step = _positive(flow.get("step", cfg.step), "flow.step")
     duration = flow.get("duration", cfg.duration)

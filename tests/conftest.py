@@ -30,10 +30,11 @@ def minimal_wave(minimal):
 
 @pytest.fixture(scope="session")
 def battery(grid):
-    """The standard 18-state Gaussian test battery."""
-    from qrel.suites import battery_states
+    """The standard 18-state Gaussian test battery: (label, state) pairs of the suites' subject table."""
+    from qrel.config import ScenarioConfig
+    from qrel.suites import battery, subjects
 
-    return battery_states(grid)
+    return [(s.label, s.state) for s in battery(subjects(ScenarioConfig(grid=grid)))]
 
 
 @pytest.fixture(scope="session")

@@ -70,12 +70,16 @@ class TestVerify:
         ({"state": {"kind": "wave_file", "path": "psi.npy", "sigma2": 1.0}}, "group", "state.sigma2"),
         ({"suite": ["group"]}, "group", "suite is not a known field"),
         ({"flow": {"kind": "sideways"}}, "group", "flow.kind"),
+        # an unhashable kind used to escape as a TypeError
+        ({"flow": {"kind": ["t"]}}, "group", "flow.kind"),
+        ({"flow": {"kind": {"t": 1}}}, "group", "flow.kind"),
         ({"suites": []}, "group", "suites must be a nonempty list"),
         ({"suites": ["group", "dynamics", "group"]}, "group", "suites: suite 'group' is listed more than once"),
     ], ids=["grid-n", "grid-dim-float", "state-b-nan", "state-p0-string", "state-x0-list",
             "alphas-nan", "alphas-infinity", "alphas-bool", "flow-step-coarse",
             "grid-key-N", "grid-key-lenght", "units-key-hbarr", "flow-key-stpe", "wave-file-key-sigma2",
-            "root-key-suite", "flow-kind-sideways", "suites-empty", "suites-repeated"])
+            "root-key-suite", "flow-kind-sideways", "flow-kind-list", "flow-kind-object", "suites-empty",
+            "suites-repeated"])
     def test_malformed_config_names_field(self, tmp_path, capsys, overrides, suite, field):
         cfg = write_config(tmp_path, **overrides)
         assert main(["verify", "--suite", suite, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
@@ -121,6 +125,20 @@ class TestVerify:
         err = capsys.readouterr().err
         assert err.startswith("config error: grid.length: ")
         assert all(part in err for part in ("tail 7.947e-10", "sigma2=2.0", "x0=0.0"))
+
+    @pytest.mark.parametrize("state, prefix", [
+        ({"x0": 15.0}, "state.sigma2/state.x0: grid.length: "),
+        ({"kind": "wave_file", "path": "missing.npy"}, "state.path: "),
+    ], ids=["packet-at-the-face", "missing-wave-file"])
+    def test_state_that_cannot_be_built_is_refused(self, tmp_path, capsys, state, prefix):
+        # refused as evolve refuses it, before any suite runs; no suite verifies the state yet
+        if "path" in state:
+            state = {**state, "path": str(tmp_path / state["path"])}
+        cfg = write_config(tmp_path, state=state)
+        out = tmp_path / "o"
+        assert main(["verify", "--suite", "classical-limit", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {prefix}")
+        assert not (out / "report.json").exists()
 
     def test_default_report_booleans_are_json_booleans(self, default_verify):
         # a numpy boolean used to be written as the string "True", which any JSON reader takes as true

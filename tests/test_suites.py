@@ -1,4 +1,5 @@
-"""run_suites: suites in forked workers give the serial run's report and error, and leave no process behind."""
+"""The suites' subject table, and run_suites: suites in forked workers give the serial run's report and error,
+and leave no process behind."""
 
 import multiprocessing
 import os
@@ -7,11 +8,54 @@ import time
 
 import pytest
 
+from qrel import functionals as fn
 from qrel import suites
 from qrel.cli import main
 from qrel.config import SUITE_NAMES, ScenarioConfig
 from qrel.errors import ConfigurationError, QrelError, ResolutionGuardError
 from qrel.report import dumps17
+from qrel.states import make_gaussian
+
+UNITS = [(1.0, 1.0), (0.7, 1.3)]
+
+
+@pytest.fixture(scope="module", params=UNITS, ids=["default-units", "hbar0.7-m1.3"])
+def table(request):
+    hbar, mass = request.param
+    return suites.subjects(ScenarioConfig(hbar=hbar, mass=mass))
+
+
+def test_each_gaussian_subject_is_the_state_its_params_make(table):
+    gaussians = [s for s in table.values() if s.params is not None]
+    assert len(gaussians) == len(table) - 1 == 21
+    for s in gaussians:
+        made = make_gaussian(s.params, s.state.grid, s.state.hbar, s.state.mass)
+        assert made.rho.tobytes() == s.state.rho.tobytes() and made.s.tobytes() == s.state.s.tobytes(), s.label
+        assert (made.grid, made.hbar, made.mass) == (s.state.grid, s.state.hbar, s.state.mass), s.label
+
+
+def test_labels_are_unique_and_the_battery_comes_in_params_order(table):
+    assert [s.label for s in table.values()] == list(table)
+    assert [s.params for s in suites.battery(table)] == suites.battery_params()
+    assert list(table)[:18] == [suites.battery_label(p) for p in suites.battery_params()]
+    assert list(table)[18:] == ["contracting", "other", "wide", "bimodal"]
+    assert table["bimodal"].params is None
+
+
+def test_each_gaussian_subject_matches_its_own_closed_form(table):
+    # contracting, other and wide included: no suite check compares them with their closed form
+    for s in (s for s in table.values() if s.params is not None):
+        expect = s.observables()
+        for name in ("h_q", "k_q", "delta_p2_q", "sigma_x2", "s_gen"):
+            assert abs(getattr(fn, name)(s.state) - expect[name]) < 1e-10, (s.label, name)
+
+
+def test_subject_flow_at_zero_is_its_params(table):
+    for s in (s for s in table.values() if s.params is not None):
+        for flow in ("t", "tau"):
+            sigma2, b, c = s.flow(flow, 0.0)
+            assert (float(sigma2), float(b), float(c)) == pytest.approx((s.params.sigma2, s.params.b, s.params.c),
+                                                                          abs=1e-15), (s.label, flow)
 
 
 def _family(cls):
