@@ -99,8 +99,6 @@ def cmd_evolve(args) -> int:
 
 def cmd_transform(args) -> int:
     cfg = _prepare(args)
-    if not cfg.alphas:
-        raise ConfigurationError("alphas: list must be nonempty for the transform command")
     rows = _dilatation_sweep(cfg.make_state(), cfg.alphas, cfg.convention)
     worst = max(row["residual"] for row in rows)
     csv_path = os.path.join(args.out, "transform.csv")

@@ -158,6 +158,8 @@ def config_from_dict(raw: dict) -> ScenarioConfig:
 
     alphas = raw.get("alphas", list(cfg.alphas))
     _expect(isinstance(alphas, list), "alphas must be a list of numbers")
+    # an empty sweep would pass every check over it vacuously
+    _expect(alphas, "alphas: list must be nonempty")
     cfg.alphas = tuple(_finite(a, f"alphas[{i}]") for i, a in enumerate(alphas))
 
     cfg.suites = select_suites(raw.get("suites", list(cfg.suites)), "suites")

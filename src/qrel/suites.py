@@ -9,6 +9,13 @@ on an L=64 box) and the ``bimodal`` mixture.  Each :class:`Subject` keeps
 the :class:`GaussianParams` it was made from, and offers the Gaussian
 closed forms exactly when it has them.
 
+A suite is one or more parts that share nothing (:class:`Suite`), and
+:func:`run_suites` runs each part as one task.  The dynamics suite has two:
+:func:`dynamics_battery` marches the battery and checks its runs, and
+:func:`dynamics_rest` runs the t-flow, the step-halving re-march, the rate
+probes and the trio.  :func:`join_dynamics` puts their checks back in report
+order, from check lists and two floats only.
+
 Documented discrepancies (the factor-2 reading of the Fisher dispersion,
 the sign of the position-spread rate under the t-flow, the strictness of
 the rate-product claim at b=0) are always reported informationally and
@@ -18,6 +25,7 @@ never asserted.
 import dataclasses
 import math
 import os
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -332,31 +340,40 @@ def tau_record_gap(traj, subject: Subject) -> float:
     return float(np.max(gaps))
 
 
-def suite_dynamics(cfg: ScenarioConfig):
-    grid, hb, m, table = cfg.grid, cfg.hbar, cfg.mass, subjects(cfg)
-    checks, notes = [], []
-    minimal, chirped = table["s2=1,b=0,p0=0"], table["s2=1,b=1,p0=0"]
-    wave = to_wave(minimal.state)
+def _battery_stack(cfg: ScenarioConfig, members) -> WaveField:
+    """The battery ``members``' wave fields as one stack, in battery order."""
+    return WaveField(grid=cfg.grid, psi=np.stack([to_wave(s.state).psi for s in members]), hbar=cfg.hbar,
+                     mass=cfg.mass)
 
-    traj = dyn.run_trajectory(wave, "t", 0.05, 80)
-    checks.append(bound("t-flow norm drift", float(np.abs(traj.column("norm") - 1.0).max()), 1e-14,
-                        provenance="unitary propagator"))
-    dp2 = traj.column("delta_p2_q")
-    checks.append(bound("t-flow delta_p2_q drift", float(np.abs(dp2 - dp2[0]).max()), 1e-12,
-                        provenance="free-flow conservation"))
-    times = traj.column("time")
-    spreads, _, _ = minimal.flow("t", times)
-    measured = [fn.sigma_x2(dyn.evolve_t(wave, t)) for t in times]
-    checks.append(bound("t-flow packet spreading law (to t=4)", float(np.abs(measured - spreads).max()), 1e-8,
-                        provenance="spreading oracle"))
 
-    members = battery(table)
-    stack = WaveField(grid=grid, psi=np.stack([to_wave(s.state).psi for s in members]), hbar=hb, mass=m)
-    # the oracle is read where an integration ends, steps * dtau, which is 0.5 only when dtau divides it
+def _tau_end(cfg: ScenarioConfig) -> tuple:
+    """(steps, tau) of the battery's tau-runs: the oracle is read where an integration ends, steps * dtau,
+    which is 0.5 only when dtau divides it."""
     steps = int(round(0.5 / cfg.step))
-    tau = steps * cfg.step
+    return steps, steps * cfg.step
+
+
+def _closed_form_error(subject: Subject, tau: float, w: WaveField) -> float:
+    """sigma2 + b error of a tau-run's last field ``w`` of ``subject`` against the closed form at ``tau``."""
+    sigma2_flow, b_flow, _ = subject.flow("tau", tau)
+    sigma2, b = gaussian_fit(w)
+    return abs(sigma2 - sigma2_flow) + abs(b - b_flow)
+
+
+def dynamics_battery(cfg: ScenarioConfig) -> dict:
+    """The dynamics suite's battery part: the battery's tau-runs, marched as one stack, and what reads them.
+
+    Returns the checks on the runs (``march``), the k_q-conservation check
+    on ``minimal``'s run (``k_q``), the guard-trip note (``notes``) and
+    ``error``, the sigma2 + b error of ``minimal``'s last field.  A
+    scenario the runs cannot verify is refused here, by field; serially
+    this part runs first, and nothing the other part refuses comes before.
+    """
+    grid, table = cfg.grid, subjects(cfg)
+    members, minimal = battery(table), table["s2=1,b=0,p0=0"]
+    steps, tau = _tau_end(cfg)
     try:
-        trajectories = dyn.run_trajectories(stack, "tau", cfg.step, steps)
+        trajectories = dyn.run_trajectories(_battery_stack(cfg, members), "tau", cfg.step, steps)
     except ResolutionGuardError as err:
         if not err.steps_completed:  # the battery state itself trips, before any step
             raise ConfigurationError(
@@ -378,84 +395,124 @@ def suite_dynamics(cfg: ScenarioConfig):
             f"flow.step: {cfg.step!r} leaves the battery tau-run {minimal.label} short of "
             f"tau = {tau:g} ({minimal_run.guard_reason})")
 
-    half = 0.5 * cfg.step  # 2 * steps half-steps end at tau too
+    s_gens = [traj.column("s_gen") for traj in trajectories]
+    h_qs = [traj.column("h_q") for traj in trajectories]
+    march = [bound("Lyapunov: s_gen nondecreasing (battery tau-runs)",
+                   -min(float(np.diff(s).min()) for s in s_gens), 1e-12, provenance="Lyapunov generator")]
+    rel = max(float(np.abs((dyn.measured_rates(s, cfg.step) - h[2:-2]) / h[2:-2]).max())
+              for s, h in zip(s_gens, h_qs))
+    march.append(bound("Lyapunov: d(s_gen)/dtau = h_q (relative, battery)", rel, 1e-5,
+                       provenance="Lyapunov generator"))
+    march.append(bound("continuity residual (battery tau-runs)",
+                       max(float(traj.column("continuity_residual").max()) for traj in trajectories), 1e-5,
+                       provenance="continuity"))
+    march.append(bound("h_q >= 0 along tau-runs", -min(float(h.min()) for h in h_qs), 0.0,
+                       provenance="energy positivity"))
+    march.append(bound("tau-flow norm drift (battery)",
+                       max(float(np.abs(traj.column("norm") - 1.0).max()) for traj in trajectories), 1e-10,
+                       provenance="norm conservation"))
+    march.append(bound("tau-flow vs Gaussian closed form (battery records, relative)",
+                       max(tau_record_gap(traj, s) for traj, s in zip(trajectories, members)), 1e-5,
+                       provenance="Gaussian closed form"))
+    note = (f"tau-run guards tripped on {sum(traj.guard_tripped for traj in trajectories)} of {len(runs)} "
+            "battery states (contracting/wide-spectrum packets; windows certified by guards)")
+    kq = minimal_run.column("k_q")
+    k_q = bound("tau-flow conserves its generator k_q", float(np.abs(kq - kq[0]).max()), 1e-6,
+                provenance="generator conservation")
+    return {"error": _closed_form_error(minimal, tau, minimal_run.final), "march": march, "k_q": [k_q],
+            "notes": [note]}
+
+
+def dynamics_rest(cfg: ScenarioConfig) -> dict:
+    """The dynamics suite's other part: the t-run, the step-halving re-march, the rates, probes and trio.
+
+    Returns the t-run's checks (``t-run``), the rate and probe checks
+    (``rates``), the trio's (``trio``), their notes and ``error``, the
+    sigma2 + b error of the re-march's last field.
+    """
+    grid, hb, m, table = cfg.grid, cfg.hbar, cfg.mass, subjects(cfg)
+    minimal, chirped = table["s2=1,b=0,p0=0"], table["s2=1,b=1,p0=0"]
+    wave, notes = to_wave(minimal.state), []
+
+    traj = dyn.run_trajectory(wave, "t", 0.05, 80)
+    t_run = [bound("t-flow norm drift", float(np.abs(traj.column("norm") - 1.0).max()), 1e-14,
+                   provenance="unitary propagator")]
+    dp2 = traj.column("delta_p2_q")
+    t_run.append(bound("t-flow delta_p2_q drift", float(np.abs(dp2 - dp2[0]).max()), 1e-12,
+                       provenance="free-flow conservation"))
+    times = traj.column("time")
+    spreads, _, _ = minimal.flow("t", times)
+    measured = [fn.sigma_x2(dyn.evolve_t(wave, t)) for t in times]
+    t_run.append(bound("t-flow packet spreading law (to t=4)", float(np.abs(measured - spreads).max()), 1e-8,
+                       provenance="spreading oracle"))
+
+    steps, tau = _tau_end(cfg)
+    half = 0.5 * cfg.step  # 2 * steps half-steps end where the battery runs do
     try:
         halved = dyn.evolve_tau(wave, half, 2 * steps)
     except ResolutionGuardError as err:
         raise ConfigurationError(
             f"flow.step: {cfg.step!r} leaves the re-march of {minimal.label} at step {half!r} "
             f"short of tau = {tau:g} ({err})") from err
-    # sigma2 + b of each run's last field against the closed form at tau
-    sigma2_flow, b_flow, _ = minimal.flow("tau", tau)
-    fits = (gaussian_fit(minimal_run.final), gaussian_fit(halved))
-    err1, err2 = (abs(sig2 - sigma2_flow) + abs(b - b_flow) for sig2, b in fits)
-    checks.append(bound("tau-flow vs Gaussian closed form (sigma2+b at tau=0.5)", err1, 1e-6,
-                        provenance="Gaussian closed form"))
-    checks.append(compare("tau-flow order-2 convergence (error ratio)", err1 / err2, 4.0, 0.4,
-                          provenance="step halving"))
-    s_gens = [traj.column("s_gen") for traj in trajectories]
-    h_qs = [traj.column("h_q") for traj in trajectories]
-    checks.append(bound("Lyapunov: s_gen nondecreasing (battery tau-runs)",
-                        -min(float(np.diff(s).min()) for s in s_gens), 1e-12, provenance="Lyapunov generator"))
-    rel = max(float(np.abs((dyn.measured_rates(s, cfg.step) - h[2:-2]) / h[2:-2]).max())
-              for s, h in zip(s_gens, h_qs))
-    checks.append(bound("Lyapunov: d(s_gen)/dtau = h_q (relative, battery)", rel, 1e-5,
-                        provenance="Lyapunov generator"))
-    checks.append(bound("continuity residual (battery tau-runs)",
-                        max(float(traj.column("continuity_residual").max()) for traj in trajectories), 1e-5,
-                        provenance="continuity"))
-    checks.append(bound("h_q >= 0 along tau-runs", -min(float(h.min()) for h in h_qs), 0.0,
-                        provenance="energy positivity"))
-    checks.append(bound("tau-flow norm drift (battery)",
-                        max(float(np.abs(traj.column("norm") - 1.0).max()) for traj in trajectories), 1e-10,
-                        provenance="norm conservation"))
-    checks.append(bound("tau-flow vs Gaussian closed form (battery records, relative)",
-                        max(tau_record_gap(traj, s) for traj, s in zip(trajectories, members)), 1e-5,
-                        provenance="Gaussian closed form"))
-    notes.append(f"tau-run guards tripped on {sum(traj.guard_tripped for traj in trajectories)} of {len(runs)} "
-                 "battery states (contracting/wide-spectrum packets; windows certified by guards)")
 
-    rdx2, rdp2 = dyn.uncertainty_rates(stack, "tau")
-    products = dict(zip(runs, rdx2 * rdp2))  # by battery label
+    members = battery(table)
+    rdx2, rdp2 = dyn.uncertainty_rates(_battery_stack(cfg, members), "tau")
+    products = {s.label: product for s, product in zip(members, rdx2 * rdp2)}
     # a Gaussian's tau-rates of delta_x2 and delta_p2_q multiply to -2 b^2 hbar^2 / m^2
-    checks.append(compare("rate product (b=1 tau-flow)", products[chirped.label],
-                          -2.0 * chirped.params.b**2 * hb**2 / m**2, 1e-4, provenance="Gaussian rate algebra"))
-    checks.append(bound("rate product <= 0 across battery (tau-flow)", max(products.values()), 1e-8,
-                        provenance="rate sign"))
-    checks.append(info("boundary case b=0: rate product (strict claim saturates)", products["s2=1,b=0,p0=0"],
-                       provenance="documented boundary case"))
+    rates = [compare("rate product (b=1 tau-flow)", products[chirped.label],
+                     -2.0 * chirped.params.b**2 * hb**2 / m**2, 1e-4, provenance="Gaussian rate algebra"),
+             bound("rate product <= 0 across battery (tau-flow)", max(products.values()), 1e-8,
+                   provenance="rate sign"),
+             info("boundary case b=0: rate product (strict claim saturates)", products[minimal.label],
+                  provenance="documented boundary case")]
     tdx2, _ = dyn.uncertainty_rates(table["contracting"].state, "t")
-    checks.append(info("t-flow d(delta_x2)/dt for contracting packet b=-0.5 (counterexample)",
-                       tdx2, provenance="documented discrepancy"))
+    rates.append(info("t-flow d(delta_x2)/dt for contracting packet b=-0.5 (counterexample)",
+                      tdx2, provenance="documented discrepancy"))
     notes.append("the strict positivity claim for d(delta_x2)/dt under the t-flow fails for "
                  "contracting packets; measured and reported, never asserted")
     _, tdp2 = dyn.uncertainty_rates(chirped.state, "t")
-    checks.append(bound("t-flow d(delta_p2_q)/dt = 0", abs(tdp2), 1e-8, provenance="free-flow conservation"))
+    rates.append(bound("t-flow d(delta_p2_q)/dt = 0", abs(tdp2), 1e-8, provenance="free-flow conservation"))
 
     dk_dt, dh_dtau, defect = dyn.cross_flow_defect(chirped.state)
     # a Gaussian's k_q grows at b hbar^2 / (2 m^2 sigma2) along the t-flow
     p = chirped.params
-    checks.append(compare("d(k_q)/dt along t-flow (b=1, sigma2=1)", dk_dt, p.b * hb**2 / (2.0 * m**2 * p.sigma2), 1e-5,
-                          provenance="Gaussian rate algebra"))
-    checks.append(bound("cross-flow holomorphy defect", abs(defect), 1e-6, provenance="holomorphic pair"))
+    rates.append(compare("d(k_q)/dt along t-flow (b=1, sigma2=1)", dk_dt, p.b * hb**2 / (2.0 * m**2 * p.sigma2),
+                         1e-5, provenance="Gaussian rate algebra"))
+    rates.append(bound("cross-flow holomorphy defect", abs(defect), 1e-6, provenance="holomorphic pair"))
 
-    kq = minimal_run.column("k_q")
-    checks.append(bound("tau-flow conserves its generator k_q", float(np.abs(kq - kq[0]).max()),
-                        1e-6, provenance="generator conservation"))
     mover, other = to_wave(table["s2=1,b=0,p0=2"].state), to_wave(table["other"].state)
     trio = WaveField(grid=grid, psi=np.stack([mover.psi, wave.psi, other.psi]), hbar=hb, mass=m)
     marched = dyn.evolve_tau(trio, cfg.step, 200)
-    checks.append(bound("tau-flow conserves translation generator",
-                        abs(fn.wave_p_translation(marched.take(0)) - fn.wave_p_translation(mover)), 1e-8,
-                        provenance="translation invariance"))
-
+    trio_checks = [bound("tau-flow conserves translation generator",
+                         abs(fn.wave_p_translation(marched.take(0)) - fn.wave_p_translation(mover)), 1e-8,
+                         provenance="translation invariance")]
     before = dyn.inner_product(wave, other)
     after = dyn.inner_product(marched.take(1), marched.take(2))
-    checks.append(info("nonunitarity probe: |<psi1|psi2>| drift under tau-flow",
-                       abs(abs(after) - abs(before)), provenance="nonunitarity probe"))
+    trio_checks.append(info("nonunitarity probe: |<psi1|psi2>| drift under tau-flow",
+                            abs(abs(after) - abs(before)), provenance="nonunitarity probe"))
     notes.append("tau-flow conserves each state's norm while inner products between distinct "
                  "states drift: norm-preserving but nonunitary")
-    return checks, notes
+    return {"error": _closed_form_error(minimal, tau, halved), "t-run": t_run, "rates": rates, "trio": trio_checks,
+            "notes": notes}
+
+
+def join_dynamics(march: dict, rest: dict):
+    """The dynamics suite's (checks, notes) in report order, from its parts' check lists and two errors.
+
+    The two sigma2 + b errors at the runs' last tau give the closed-form
+    check and the order-2 convergence ratio of the step halving.
+    """
+    err1, err2 = march["error"], rest["error"]
+    joint = [bound("tau-flow vs Gaussian closed form (sigma2+b at tau=0.5)", err1, 1e-6,
+                   provenance="Gaussian closed form"),
+             compare("tau-flow order-2 convergence (error ratio)", err1 / err2, 4.0, 0.4, provenance="step halving")]
+    checks = rest["t-run"] + joint + march["march"] + rest["rates"] + march["k_q"] + rest["trio"]
+    return checks, march["notes"] + rest["notes"]
+
+
+def suite_dynamics(cfg: ScenarioConfig):
+    """The dynamics suite: its two parts run here, one after the other, and joined."""
+    return join_dynamics(dynamics_battery(cfg), dynamics_rest(cfg))
 
 
 def suite_classical_limit(cfg: ScenarioConfig):
@@ -471,27 +528,41 @@ def suite_classical_limit(cfg: ScenarioConfig):
     return checks, []
 
 
+def _only(result):
+    """The join of a suite of one part: the part's own (checks, notes)."""
+    return result
+
+
+class Suite(NamedTuple):
+    """A suite as parts that share nothing, each a function of the scenario run as one task, and the join that
+    makes the suite's (checks, notes) of its parts' results, given in part order."""
+
+    parts: tuple
+    join: Callable = _only
+
+
 _SUITES = {
-    "group": suite_group,
-    "functionals": suite_functionals,
-    "brackets": suite_brackets,
-    "dynamics": suite_dynamics,
-    "classical-limit": suite_classical_limit,
+    "group": Suite((suite_group,)),
+    "functionals": Suite((suite_functionals,)),
+    "brackets": Suite((suite_brackets,)),
+    "dynamics": Suite((dynamics_battery, dynamics_rest), join_dynamics),
+    "classical-limit": Suite((suite_classical_limit,)),
 }
 
-#: The suites longest first, the order in which they go to the worker pool.
-#: In process on the default scenario (2-core VM, min of 3): dynamics 848 ms,
-#: brackets 230, group 101, functionals 8, classical-limit 2.  With two
-#: workers the dynamics suite holds one while the rest share the other, so a
-#: verify takes about as long as its dynamics suite (Graham, SIAM J. Appl.
-#: Math. 17:416, 1969).
-LONGEST_FIRST = ("dynamics", "brackets", "group", "functionals", "classical-limit")
+#: The parts, as (suite, index), longest first: the order in which they go to
+#: the worker pool.  In process on the default scenario (2-core VM, min of 5):
+#: dynamics battery 567 ms, dynamics rest 218, brackets 208, group 87,
+#: functionals 6, classical-limit 3.  With two workers the battery part holds
+#: one while the others share the other (about 520 ms together), so a verify
+#: takes about as long as its battery march (Graham, SIAM J. Appl. Math.
+#: 17:416, 1969).
+LONGEST_FIRST = (("dynamics", 0), ("dynamics", 1), ("brackets", 0), ("group", 0), ("functionals", 0),
+                 ("classical-limit", 0))
 
 
-def _run_suite(name: str, cfg: ScenarioConfig):
-    """One suite's checks, each named after the suite, and its notes."""
-    checks, notes = _SUITES[name](cfg)
-    return [dataclasses.replace(c, name=f"{name}: {c.name}") for c in checks], notes
+def _run_part(name: str, index: int, cfg: ScenarioConfig):
+    """The result of part ``index`` of suite ``name``."""
+    return _SUITES[name].parts[index](cfg)
 
 
 def _usable_cpus() -> int:
@@ -507,29 +578,33 @@ def _usable_cpus() -> int:
 def run_suites(cfg: ScenarioConfig) -> Report:
     """Run the selected suites into one report, in the order of ``cfg.suites``.
 
-    The suites share no state, so they run in forked workers, one per usable
-    CPU, longest first; with one worker they run here, one after another.
-    Either way the report is the same, and the first failing suite in report
-    order raises its own error.  No worker outlives the call.  A scenario
-    state that cannot be built is refused first; no suite verifies it yet.
+    The parts of the suites share no state, so they run in forked workers,
+    one per usable CPU, longest first; with one worker they run here, one
+    after another.  Their results are read in report order and joined per
+    suite here, so either way the report is the same, and the first failing
+    part in report order raises its own error.  No worker outlives the
+    call.  A scenario state that cannot be built is refused first; no suite
+    verifies it yet.
     """
     cfg.make_state()
-    workers = min(len(cfg.suites), _usable_cpus())
+    tasks = [(name, index) for name in cfg.suites for index in range(len(_SUITES[name].parts))]
+    workers = min(len(tasks), _usable_cpus())
     if workers <= 1:
-        parts = [_run_suite(name, cfg) for name in cfg.suites]
+        results = {task: _run_part(*task, cfg) for task in tasks}
     else:
         # Imported here, so that importing qrel loads no pool.  Fork, not spawn: a spawned
         # worker imports numpy and qrel again on every verify, and the pool forks its workers
         # before it starts its own thread.  An executor, not a multiprocessing.Pool: a worker
-        # killed mid-suite breaks the executor, where a Pool waits for its result forever.
+        # killed mid-part breaks the executor, where a Pool waits for its result forever.
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-            pending = {name: pool.submit(_run_suite, name, cfg)
-                       for name in sorted(cfg.suites, key=LONGEST_FIRST.index)}
-            parts = [pending[name].result() for name in cfg.suites]
+            pending = {task: pool.submit(_run_part, *task, cfg) for task in sorted(tasks, key=LONGEST_FIRST.index)}
+            results = {task: pending[task].result() for task in tasks}
     report = Report(title="verification", convention=cfg.convention)
-    for checks, notes in parts:
-        report.extend(checks, notes)
+    for name in cfg.suites:
+        suite = _SUITES[name]
+        checks, notes = suite.join(*(results[name, index] for index in range(len(suite.parts))))
+        report.extend([dataclasses.replace(c, name=f"{name}: {c.name}") for c in checks], notes)
     return report

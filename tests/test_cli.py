@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from qrel import dynamics
+from qrel import dynamics, suites
 from qrel.cli import main
 from qrel.config import ScenarioConfig, config_from_dict, load_config
 from qrel.grid import Grid
@@ -60,6 +60,8 @@ class TestVerify:
         ({"alphas": [math.nan]}, "group", "alphas"),
         ({"alphas": [math.inf]}, "group", "alphas"),
         ({"alphas": [True]}, "group", "alphas"),
+        # an empty sweep used to pass seven group checks at exactly 0
+        ({"alphas": []}, "group", "alphas: list must be nonempty"),
         # two steps of 0.2 give 3 records; the rate stencil needs 5
         ({"flow": {"step": 0.2}}, "dynamics", "flow.step"),
         # misspelt keys are refused rather than replaced by their defaults
@@ -76,7 +78,7 @@ class TestVerify:
         ({"suites": []}, "group", "suites must be a nonempty list"),
         ({"suites": ["group", "dynamics", "group"]}, "group", "suites: suite 'group' is listed more than once"),
     ], ids=["grid-n", "grid-dim-float", "state-b-nan", "state-p0-string", "state-x0-list",
-            "alphas-nan", "alphas-infinity", "alphas-bool", "flow-step-coarse",
+            "alphas-nan", "alphas-infinity", "alphas-bool", "alphas-empty", "flow-step-coarse",
             "grid-key-N", "grid-key-lenght", "units-key-hbarr", "flow-key-stpe", "wave-file-key-sigma2",
             "root-key-suite", "flow-kind-sideways", "flow-kind-list", "flow-kind-object", "suites-empty",
             "suites-repeated"])
@@ -110,6 +112,8 @@ class TestVerify:
             return _original(w, dtau, steps)
 
         monkeypatch.setattr(dynamics, "evolve_tau", counted)
+        # serially, so that every march runs in this process, where the counter sees it
+        monkeypatch.setattr(suites, "_usable_cpus", lambda: 1)
         cfg = write_config(tmp_path, units={"hbar": 1.42, "mass": 0.3}, grid={"length": 68.8}, flow={"step": step})
         out = tmp_path / "o"
         assert main(["verify", "--suite", "dynamics", "--config", cfg, "--out", str(out)]) == 2

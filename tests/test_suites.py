@@ -1,5 +1,5 @@
-"""The suites' subject table, and run_suites: suites in forked workers give the serial run's report and error,
-and leave no process behind."""
+"""The suites' subject table, and run_suites: suite parts in forked workers give the serial run's report and
+error, and leave no process behind."""
 
 import multiprocessing
 import os
@@ -75,7 +75,10 @@ def test_error_survives_pickling(cls):
 
 
 def test_longest_first_lists_every_suite_once():
-    assert sorted(suites.LONGEST_FIRST) == sorted(SUITE_NAMES)
+    # by its parts, each once
+    assert sorted(suites._SUITES) == sorted(SUITE_NAMES)
+    parts = [(name, index) for name, suite in suites._SUITES.items() for index in range(len(suite.parts))]
+    assert sorted(suites.LONGEST_FIRST) == sorted(parts) and len(set(parts)) == len(parts) == 6
 
 
 def test_pool_report_equals_the_serial_report(monkeypatch):
@@ -89,12 +92,39 @@ def test_pool_report_equals_the_serial_report(monkeypatch):
     assert dumps17(pooled.to_obj()) == dumps17(serial.to_obj())
 
 
+def test_pool_and_serial_default_verify_write_the_same_bytes(default_verify, monkeypatch, capsys, tmp_path):
+    # every suite, the dynamics suite's two parts too: the shared default verify ran on this process's CPUs,
+    # so this side runs the other way, serially where that one pooled, and pooled where it ran serially
+    cpus = 1 if suites._usable_cpus() > 1 else 2
+    monkeypatch.setattr(suites, "_usable_cpus", lambda: cpus)
+    assert main(["verify", "--out", str(tmp_path)]) == 0 == default_verify.returncode
+    assert (tmp_path / "report.json").read_bytes() == (default_verify.out / "report.json").read_bytes()
+    # the check lines: both runs then name their own report, and the shared run lists its scipy modules
+    checks = default_verify.stdout.splitlines()[:-2]
+    assert capsys.readouterr().out.splitlines()[:-1] == checks and len(checks) == 62
+
+
 def test_pool_runs_suites_in_workers_and_leaves_none(monkeypatch):
     monkeypatch.setattr(suites, "_usable_cpus", lambda: 2)
     for name in ("group", "classical-limit"):
-        monkeypatch.setitem(suites._SUITES, name, lambda cfg: ([], [os.getpid()]))
+        monkeypatch.setitem(suites._SUITES, name, suites.Suite((lambda cfg: ([], [os.getpid()]),)))
     report = suites.run_suites(ScenarioConfig(suites=("group", "classical-limit")))
     assert len(report.notes) == 2 and os.getpid() not in report.notes
+    assert multiprocessing.active_children() == []
+
+
+def test_the_dynamics_parts_run_in_two_workers(monkeypatch):
+    # --suite dynamics alone is two tasks: each part waits for the other, so they must run at once
+    barrier = multiprocessing.get_context("fork").Barrier(2, timeout=30)
+
+    def part(cfg):
+        barrier.wait()
+        return os.getpid()
+
+    monkeypatch.setattr(suites, "_usable_cpus", lambda: 2)
+    monkeypatch.setitem(suites._SUITES, "dynamics", suites.Suite((part, part), lambda a, b: ([], [a, b])))
+    report = suites.run_suites(ScenarioConfig(suites=("dynamics",)))
+    assert len(set(report.notes)) == 2 and os.getpid() not in report.notes
     assert multiprocessing.active_children() == []
 
 
@@ -108,12 +138,17 @@ def _refusal(message, delay_s=0.0):
 
 @pytest.mark.parametrize("cpus", [1, 2], ids=["serial", "pool"])
 def test_first_error_in_report_order_is_raised(monkeypatch, capsys, tmp_path, cpus):
-    # longest first, dynamics goes to the pool first, and its error comes back first
+    # longest first, the dynamics parts go to the pool first, and the rest part's error comes back first
     monkeypatch.setattr(suites, "_usable_cpus", lambda: cpus)
-    monkeypatch.setitem(suites._SUITES, "group", _refusal("grid.n: the first", delay_s=0.2))
-    monkeypatch.setitem(suites._SUITES, "dynamics", _refusal("flow.step: the second"))
+    monkeypatch.setitem(suites._SUITES, "group", suites.Suite((_refusal("grid.n: the first", delay_s=0.2),)))
+    parts = (_refusal("flow.step: the battery", delay_s=0.2), _refusal("flow.step: the rest"))
+    monkeypatch.setitem(suites._SUITES, "dynamics", suites._SUITES["dynamics"]._replace(parts=parts))
     with pytest.raises(ConfigurationError, match="^grid.n: the first$"):
         suites.run_suites(ScenarioConfig(suites=("group", "dynamics")))
+    assert multiprocessing.active_children() == []
+    # within a suite, the battery part's refusal comes first, as it does serially
+    with pytest.raises(ConfigurationError, match="^flow.step: the battery$"):
+        suites.run_suites(ScenarioConfig(suites=("dynamics",)))
     assert multiprocessing.active_children() == []
     out = tmp_path / "o"
     assert main(["verify", "--suite", "group,dynamics", "--out", str(out)]) == 2
@@ -134,7 +169,7 @@ def test_a_killed_worker_ends_the_run_with_an_error(run_python):
         "from qrel import suites\n"
         "from qrel.config import ScenarioConfig\n"
         "suites._usable_cpus = lambda: 2\n"
-        "suites._SUITES['group'] = lambda cfg: os.kill(os.getpid(), signal.SIGKILL)\n"
+        "suites._SUITES['group'] = suites.Suite((lambda cfg: os.kill(os.getpid(), signal.SIGKILL),))\n"
         "try:\n"
         "    suites.run_suites(ScenarioConfig(suites=('group', 'classical-limit')))\n"
         "except Exception as err:\n"
