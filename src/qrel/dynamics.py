@@ -59,9 +59,14 @@ consumes the fields of a run as a stream and builds records in blocks:
 once the stencils of a block of consecutive fields are complete, their
 records are evaluated at once on the C-contiguous stack of those fields
 (a record axis before the member axis), each row bit for bit the record
-its field gives alone.  A block holds about RECORD_BLOCK_SAMPLES
-samples: many fields for a lone run, and one field while a large stack
-is live, stacked on its record axis all the same.  Records are written
+its field gives alone.  A block holds RECORD_BLOCK_FIELDS fields, fewer
+where that would pass RECORD_BLOCK_SAMPLES samples, and at least one:
+16 fields for a lone run at n = 512, 7 while all 18 battery members are
+live, one for a 2-D field at n = 256, stacked on its record axis all the
+same.  Every operator a record applies treats each row of the stack as
+it treats a lone field (the phase increments too: see
+``states._increments_from_center``), so a block's size never moves a
+record's bits.  Records are written
 block by block into one float64 column per :class:`TrajectoryRecord`
 field, and a :class:`Trajectory` builds its rows from the columns once,
 when they are first read.  A record's ``delta_x2`` is the self-consistent
@@ -396,17 +401,27 @@ def hydro_rhs(state: HydroState, flow: str) -> tuple:
 #: Fields a record needs: its own and two on each side for the stencil.
 _STENCIL_WIDTH = 5
 
-#: Samples a block of records holds: the runner evaluates the records of
-#: max(1, RECORD_BLOCK_SAMPLES // (live members * grid.size)) consecutive
-#: fields at once, 16 for a lone run at n = 512 and one while 16 or more
-#: such members are live.  Records are bound by per-call overhead on small
-#: arrays, so longer blocks are faster until the gain levels off, while
-#: every buffered field costs memory.  Measured on the 18 lone 500-step
-#: tau-runs of a seeded battery at n = 512 (2-core Xeon VM, numpy 2.4,
-#: medians of three interleaved passes): about 1,600, 2,400, 2,600, 2,550
-#: and 2,600 records/s at 1, 8, 16, 32 and 64 fields per block; the traced
-#: peak of one run was 0.14, 0.78, 1.43, 2.68 and 5.20 MiB.
-RECORD_BLOCK_SAMPLES = 2**13
+#: Fields and samples a block of records holds: the runner evaluates the
+#: records of min(RECORD_BLOCK_FIELDS, max(1, RECORD_BLOCK_SAMPLES //
+#: (live members * grid.size))) consecutive fields at once.  Records are
+#: bound by per-call overhead on small arrays, so longer blocks are faster
+#: until the gain levels off, while every buffered field costs memory.
+#: Measured on the 18 lone 500-step tau-runs of a seeded battery at n = 512
+#: (2-core Xeon VM, numpy 2.4, medians of three interleaved passes): about
+#: 1,600, 2,400, 2,600, 2,550 and 2,600 records/s at 1, 8, 16, 32 and 64
+#: fields per block; the traced peak of one run was 0.14, 0.78, 1.43, 2.68
+#: and 5.20 MiB.  The dynamics suite's stacked march of the 18-member
+#: battery (500 steps, same VM, min of 5 in process, traced peak of one):
+#:
+#:     fields per block     1        3        7        14
+#:     march time           0.668 s  0.572 s  0.546 s  0.563 s
+#:     traced peak          3.1 MiB  5.5 MiB  9.9 MiB  17.8 MiB
+#:
+#: So a lone run at n = 512 takes 16 fields, where its gain has levelled
+#: off, and the battery takes 7 while all its members are live: the sample
+#: cap keeps its traced peak near 10 MiB, and 14 fields gain no more.
+RECORD_BLOCK_FIELDS = 16
+RECORD_BLOCK_SAMPLES = 2**16
 
 
 def _centered_rate(window, step: float):
@@ -517,15 +532,15 @@ def run_trajectories(w0: WaveField, flow: str, step: float, steps: int) -> list:
     helper steps beyond each end of the reporting window so every emitted
     record carries a 4th-order centered continuity residual.  Fields are
     consumed as a stream and buffered until the stencils of a block of
-    max(1, RECORD_BLOCK_SAMPLES // (live members * grid.size)) consecutive
-    fields are complete; the block's records are then written at once, and
-    only the fields from the next record's on, with the densities of the
-    two before, are kept alive.  If a tau-flow guard trips for a member,
-    the records whose stencils are complete are written first, so that
-    member's window shrinks to its certified part; its trajectory is
-    marked, and it leaves the stack.  A member that trips before its first
-    record raises the error its lone run raises; where several do, the
-    first to trip (the lowest index among those tripping at once) decides.
+    consecutive fields (see RECORD_BLOCK_FIELDS) are complete; the block's
+    records are then written at once, and only the fields from the next
+    record's on, with the densities of the two before, are kept alive.
+    If a tau-flow guard trips for a member, the records whose stencils
+    are complete are written first, so that member's window shrinks to its
+    certified part; its trajectory is marked, and it leaves the stack.  A
+    member that trips before its first record raises the error its lone
+    run raises; where several do, the first to trip (the lowest index
+    among those tripping at once) decides.
     A nonpositive ``step`` and a negative or non-integer ``steps`` are
     refused with a ``ValueError``.
     """
@@ -574,7 +589,8 @@ def run_trajectories(w0: WaveField, flow: str, step: float, steps: int) -> list:
         rhos.append(w.rho)
         if j >= 0:
             pending.append(w)
-        if len(pending) - back >= max(1, RECORD_BLOCK_SAMPLES // (live.size * w0.grid.size)):
+        block = min(RECORD_BLOCK_FIELDS, max(1, RECORD_BLOCK_SAMPLES // (live.size * w0.grid.size)))
+        if len(pending) - back >= block:
             flush()
     flush()
     columns["step"][:] = np.arange(steps + 1)

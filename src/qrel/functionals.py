@@ -33,6 +33,7 @@ derivatives of H_q and K_q are the phase equations of the t- and tau-flows
 """
 
 import enum
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,11 +94,44 @@ def in_convention(dx2, convention: str):
 
 # ---------------------------------------------------------------------------
 # building blocks
+#
+# Each block is computed once per HydroState and kept on it, read-only, as
+# ``sqrt_rho`` is kept: every functional and derivative field of one state
+# reads the same Fisher integral, kinetic integral, |grad s|^2, curvature
+# quotient and div(rho grad s).  Only public functions hand arrays out, and
+# they hand out copies.
+
+
+def _kept(block):
+    """``block(state)``, computed on first use and kept in the state's ``__dict__`` as a cached property is."""
+    key = block.__name__
+
+    @functools.wraps(block)
+    def kept(state: HydroState):
+        cache = vars(state)
+        if key not in cache:
+            value = block(state)
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+            cache[key] = value
+        return cache[key]
+
+    return kept
+
+
+def _owned(value):
+    # a kept block as a public function returns it: an array the caller may write
+    return value.copy() if isinstance(value, np.ndarray) else value
+
+
+@_kept
+def _fisher(state: HydroState):
+    return state.grid.gradient_energy(state.sqrt_rho)
 
 
 def fisher_integral(state: HydroState) -> float:
     """integral |grad sqrt(rho)|^2 (the quantum term of every functional)."""
-    return state.grid.gradient_energy(state.sqrt_rho)
+    return _owned(_fisher(state))
 
 
 def _curvature_quotient(grid, u: np.ndarray) -> np.ndarray:
@@ -106,23 +140,42 @@ def _curvature_quotient(grid, u: np.ndarray) -> np.ndarray:
     return grid.laplacian(u) / np.maximum(u, np.sqrt(RHO_FLOOR))
 
 
+@_kept
+def _curvature(state: HydroState) -> np.ndarray:
+    check_nodeless_interior(state)
+    return _curvature_quotient(state.grid, state.sqrt_rho)
+
+
 def sqrt_density_curvature(state: HydroState) -> np.ndarray:
     """Field laplacian(sqrt rho)/sqrt(rho), regularized below RHO_FLOOR.
 
     Raises a degenerate-state error for densities with interior nodes,
     where the ratio is meaningless on the support itself.
     """
-    check_nodeless_interior(state)
-    return _curvature_quotient(state.grid, state.sqrt_rho)
+    return _owned(_curvature(state))
 
 
+@_kept
 def _grad_s_squared(state: HydroState) -> np.ndarray:
     return sum(g**2 for g in phase_gradient(state))
 
 
+@_kept
+def _kinetic(state: HydroState):
+    return state.grid.quadrature(state.rho * _grad_s_squared(state))
+
+
 def kinetic_integral(state: HydroState) -> float:
     """integral rho |grad s|^2 (raw second moment of the momentum field)."""
-    return state.grid.quadrature(state.rho * _grad_s_squared(state))
+    return _owned(_kinetic(state))
+
+
+@_kept
+def _ds_divergence(state: HydroState) -> np.ndarray:
+    # div(rho * grad s) with the same centered-difference operators the
+    # evaluations use, so summation by parts holds exactly.
+    grads = phase_gradient(state)
+    return state.grid.fd_divergence([state.rho * g for g in grads])
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +192,7 @@ def _per_member(value, grid):
 
 def fisher_information(state: HydroState) -> float:
     """Fisher information F = 2 * integral |grad sqrt(rho)|^2."""
-    return 2.0 * fisher_integral(state)
+    return 2.0 * _fisher(state)
 
 
 def delta_x2(state: HydroState, convention: str = "consistent") -> float:
@@ -148,7 +201,7 @@ def delta_x2(state: HydroState, convention: str = "consistent") -> float:
     A vanishing Fisher integral and an unknown convention are refused
     (:func:`_fisher_dispersion`, :func:`in_convention`).
     """
-    return in_convention(_fisher_dispersion(fisher_integral(state)), convention)
+    return in_convention(_fisher_dispersion(_fisher(state)), convention)
 
 
 def sigma_x2(state) -> float:
@@ -175,22 +228,22 @@ def delta_p2_cl(state: HydroState) -> float:
 
 def delta_p2_q(state: HydroState) -> float:
     """Momentum dispersion with the Fisher term restoring the group law."""
-    return kinetic_integral(state) + state.hbar**2 * fisher_integral(state)
+    return _kinetic(state) + state.hbar**2 * _fisher(state)
 
 
 def h_cl(state: HydroState) -> float:
     """Classical Hamiltonian functional, kinetic energy of the ensemble."""
-    return kinetic_integral(state) / (2.0 * state.mass)
+    return _kinetic(state) / (2.0 * state.mass)
 
 
 def h_q(state: HydroState) -> float:
     """Quantum Hamiltonian: classical part plus the Fisher term."""
-    return (kinetic_integral(state) + state.hbar**2 * fisher_integral(state)) / (2.0 * state.mass)
+    return (_kinetic(state) + state.hbar**2 * _fisher(state)) / (2.0 * state.mass)
 
 
 def k_q(state: HydroState) -> float:
     """Companion generator: classical part minus the Fisher term."""
-    return (kinetic_integral(state) - state.hbar**2 * fisher_integral(state)) / (2.0 * state.mass)
+    return (_kinetic(state) - state.hbar**2 * _fisher(state)) / (2.0 * state.mass)
 
 
 def s_gen(state: HydroState) -> float:
@@ -230,13 +283,6 @@ def evaluate(tag: FunctionalTag, state: HydroState) -> float:
 # variational derivatives (closed forms, discretely consistent)
 
 
-def _ds_divergence(state: HydroState) -> np.ndarray:
-    # div(rho * grad s) with the same centered-difference operators the
-    # evaluations use, so summation by parts holds exactly.
-    grads = phase_gradient(state)
-    return state.grid.fd_divergence([state.rho * g for g in grads])
-
-
 def variational_derivative(tag: FunctionalTag, state: HydroState, component: str) -> np.ndarray:
     """Closed-form functional derivative field delta(tag)/delta(component).
 
@@ -257,14 +303,14 @@ def variational_derivative(tag: FunctionalTag, state: HydroState, component: str
         return state.s.copy() if component == "rho" else state.rho.copy()
 
     if tag is FunctionalTag.FISHER:
-        return -2.0 * sqrt_density_curvature(state) if component == "rho" else zero
+        return -2.0 * _curvature(state) if component == "rho" else zero
 
     if tag is FunctionalTag.DELTA_X2:
         if component == "s":
             return zero
         # d(1/(4 I))/drho with dI/drho = -laplacian(sqrt rho)/sqrt(rho): the curvature times delta_x2 / I
-        integral = _per_member(fisher_integral(state), state.grid)
-        return sqrt_density_curvature(state) * (_fisher_dispersion(integral) / integral)
+        integral = _per_member(_fisher(state), state.grid)
+        return _curvature(state) * (_fisher_dispersion(integral) / integral)
 
     if tag is FunctionalTag.SIGMA_X2:
         if component == "s":
@@ -282,12 +328,12 @@ def variational_derivative(tag: FunctionalTag, state: HydroState, component: str
 
     if tag is FunctionalTag.DELTA_P2_CL:
         if component == "rho":
-            return _grad_s_squared(state)
+            return _grad_s_squared(state).copy()
         return -2.0 * _ds_divergence(state)
 
     if tag is FunctionalTag.DELTA_P2_Q:
         if component == "rho":
-            return _grad_s_squared(state) - hb**2 * sqrt_density_curvature(state)
+            return _grad_s_squared(state) - hb**2 * _curvature(state)
         return -2.0 * _ds_divergence(state)
 
     if tag in (FunctionalTag.H_CL, FunctionalTag.H_Q, FunctionalTag.K_Q):
@@ -297,7 +343,7 @@ def variational_derivative(tag: FunctionalTag, state: HydroState, component: str
         if tag is FunctionalTag.H_CL:
             return base
         sign = -1.0 if tag is FunctionalTag.H_Q else 1.0
-        return base + sign * (hb**2 / (2.0 * m)) * sqrt_density_curvature(state)
+        return base + sign * (hb**2 / (2.0 * m)) * _curvature(state)
 
     raise ValueError(f"no derivative rule for {tag!r}")
 

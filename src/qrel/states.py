@@ -53,6 +53,11 @@ class HydroState:
     shapes broadcast against each other; the state then holds one member
     per entry of the broadcast stack, and the invariants hold for every
     member.  The bracket oracle evaluates its bumped states this way.
+
+    ``sqrt_rho`` is computed once on first use and kept read-only; so are
+    the functional building blocks of :mod:`qrel.functionals` (the Fisher
+    and kinetic integrals, |grad s|^2, the curvature quotient and
+    div(rho grad s)), which every functional of the state shares.
     """
 
     grid: Grid
@@ -251,9 +256,14 @@ def to_wave(state: HydroState) -> WaveField:
 
 def _increments_from_center(line: np.ndarray) -> np.ndarray:
     # sum of the principal increments arg(psi[j+1] conj psi[j]) along the last axis, outward
-    # from its center index, where the sum is 0
+    # from its center index, where the sum is 0.  The product is taken over full contiguous
+    # rows of n samples (the rolled row and the conjugate are new C-ordered arrays), never
+    # over two strided views of n - 1 samples: under numpy 2.4 the bits of that product
+    # depend on the stack's total size ((1, 18, 511) gave each row's lone bits, (3, 18, 511)
+    # and (64, 1, 511) did not).  On full rows each stack gives each row its lone bits, so a
+    # record's phase does not depend on the block of records it is written in.
     c = line.shape[-1] // 2
-    steps = np.angle(line[..., 1:] * np.conj(line[..., :-1]))
+    steps = np.angle(np.roll(line, -1, axis=-1) * np.conj(line))[..., :-1]
     out = np.empty(line.shape, dtype=steps.dtype)
     out[..., c] = 0.0
     np.cumsum(steps[..., c:], axis=-1, out=out[..., c + 1:])

@@ -551,9 +551,9 @@ _SUITES = {
 
 #: The parts, as (suite, index), longest first: the order in which they go to
 #: the worker pool.  In process on the default scenario (2-core VM, min of 5):
-#: dynamics battery 567 ms, dynamics rest 218, brackets 208, group 87,
-#: functionals 6, classical-limit 3.  With two workers the battery part holds
-#: one while the others share the other (about 520 ms together), so a verify
+#: dynamics battery 472 ms, dynamics rest 226, brackets 140, group 38,
+#: functionals 3, classical-limit 2.  With two workers the battery part holds
+#: one while the others share the other (about 410 ms together), so a verify
 #: takes about as long as its battery march (Graham, SIAM J. Appl. Math.
 #: 17:416, 1969).
 LONGEST_FIRST = (("dynamics", 0), ("dynamics", 1), ("brackets", 0), ("group", 0), ("functionals", 0),

@@ -355,15 +355,16 @@ class TestTrajectoryRecordsMatchFreshFields:
         traj = run_trajectory(w0, "tau", 1e-3, 60)
         assert not traj.guard_tripped and len(traj.records) == 61
         # three full blocks of records and a partial one
-        assert divmod(len(traj.records), dynamics.RECORD_BLOCK_SAMPLES // grid.size) == (3, 13)
+        assert divmod(len(traj.records), dynamics.RECORD_BLOCK_FIELDS) == (3, 13)
         self.assert_records_match(traj, self.tau_field(w0, 1e-3))
 
     def test_t_flow_2d_across_record_blocks(self):
         grid = Grid(n=64, length=24.0, dim=2)
         w0 = to_wave(make_gaussian(GaussianParams(sigma2=1.0, b=0.5, p0=1.0), grid))
-        traj = run_trajectory(w0, "t", 0.05, 4)
-        # blocks of two fields: two full and a partial one
-        assert divmod(len(traj.records), dynamics.RECORD_BLOCK_SAMPLES // grid.size) == (2, 1)
+        traj = run_trajectory(w0, "t", 0.05, 32)
+        # blocks of 16 fields (the sample cap allows 16 at 64 x 64): two full and a partial one
+        block = min(dynamics.RECORD_BLOCK_FIELDS, dynamics.RECORD_BLOCK_SAMPLES // grid.size)
+        assert divmod(len(traj.records), block) == (2, 1)
         self.assert_records_match(traj, lambda j: evolve_t(w0, 0.05 * j))
 
     def test_guard_tripped_tau_flow(self, grid):
@@ -372,7 +373,7 @@ class TestTrajectoryRecordsMatchFreshFields:
         assert traj.guard_tripped and "resolution guard" in traj.guard_reason
         assert 0 < traj.last_valid_step < 30
         # the trip falls inside a block of records
-        assert len(traj.records) % (dynamics.RECORD_BLOCK_SAMPLES // grid.size)
+        assert len(traj.records) % dynamics.RECORD_BLOCK_FIELDS
         self.assert_records_match(traj, self.tau_field(w0, 1e-3))
 
     def test_2d_tau_flow_s_gen_rises_by_h_q(self):
@@ -390,8 +391,8 @@ class TestTrajectoryRecordsMatchFreshFields:
         # 131 transforms: five for each of the 24 Strang steps and one for the starting spectrum
         # both marchers share, five for each block of records (16 and 5)
         ("tau", 1e-3, 1, 512, 40.0, 6.5),
-        # 113 transforms: 25 to make the fields, eight for each of 11 blocks of records (in 2-D
-        # the flux divergence transforms each component along its own axis only)
+        # 41 transforms: 25 to make the fields, eight for each of two blocks of records, 16 and
+        # 5 (in 2-D the flux divergence transforms each component along its own axis only)
         ("t", 0.05, 2, 64, 24.0, 5.5)], ids=["tau-1d", "t-2d"])
     def test_fft_calls_per_record(self, flow, step, dim, n, length, per_record, fft_calls):
         w0 = to_wave(make_gaussian(GaussianParams(sigma2=1.0), Grid(n=n, length=length, dim=dim)))
@@ -485,8 +486,8 @@ class TestStackedRunner:
         waves = [minimal_wave] + [to_wave(make_gaussian(p, grid)) for p in params]
         stacked = run_trajectories(_stack(waves), "tau", 1e-3, 20)
         assert all(len(t.records) == 21 for t in stacked)
-        # 146 transforms: 121 for the 24 Strang steps and the starting spectrum, five for each of
-        # four blocks of five records and five for the last, a one-field block
+        # 131 transforms: 121 for the 24 Strang steps and the starting spectrum, five for each of
+        # two blocks of records, 16 and 5
         assert len(fft_calls) <= 150
 
     def test_record_blocks(self, battery, grid, minimal_wave, monkeypatch):
@@ -504,12 +505,58 @@ class TestStackedRunner:
         # every block is shaped (fields, members, n), a block of one field too
         fields = [shape[0] for shape in blocks]
         assert sum(fields) == 301
-        # one field at a time while all 18 members are live, and each record written at once
+        # seven fields at a time while all 18 members are live (the sample cap), up to the
+        # partial block the first trip writes, and each record written at once
         first_trip = min(t.last_valid_step for t in stacked if t.guard_tripped)
-        assert blocks[:first_trip + 1] == [(1, 18, grid.n)] * (first_trip + 1)
-        # longer blocks once members trip, none of them above the sample budget
-        assert max(fields) > 1
-        assert all(math.prod(shape) <= dynamics.RECORD_BLOCK_SAMPLES for shape in blocks if shape[0] > 1)
+        full, partial = divmod(first_trip + 1, 7)
+        assert blocks[:full] == [(7, 18, grid.n)] * full
+        assert [shape for shape in blocks if shape[1] == 18] == blocks[:full] + [(partial, 18, grid.n)] * bool(partial)
+        # longer blocks once members trip, none of them above the sample budget or the field cap
+        assert max(fields) > 7
+        assert all(math.prod(shape) <= dynamics.RECORD_BLOCK_SAMPLES for shape in blocks)
+        assert max(fields) <= dynamics.RECORD_BLOCK_FIELDS
+
+
+@pytest.fixture(scope="module")
+def battery_lone_runs(battery):
+    """Each battery member's lone 100-step tau-run, its records written in the default blocks (16 fields)."""
+    return [run_trajectory(to_wave(state), "tau", 1e-3, 100) for _, state in battery]
+
+
+class TestRecordBlockLayout:
+    """A record's bits do not depend on how many fields its block holds."""
+
+    @pytest.fixture
+    def blocks_of(self, monkeypatch):
+        """Sets blocks of a given number of fields, the sample cap lifted; returns the field counts written."""
+        written = []
+
+        def recorded(w, _original=dynamics._record_observables):
+            written.append(w.psi.shape[0])
+            return _original(w)
+
+        def set_fields(fields):
+            monkeypatch.setattr(dynamics, "RECORD_BLOCK_FIELDS", fields)
+            monkeypatch.setattr(dynamics, "RECORD_BLOCK_SAMPLES", 2**40)
+            return written
+
+        monkeypatch.setattr(dynamics, "_record_observables", recorded)
+        return set_fields
+
+    @pytest.mark.parametrize("fields", [1, 7, 64])
+    def test_battery_stack(self, battery, battery_lone_runs, blocks_of, fields):
+        written = blocks_of(fields)
+        stacked = run_trajectories(_stack([to_wave(state) for _, state in battery]), "tau", 1e-3, 100)
+        assert max(written) == fields
+        for traj, lone in zip(stacked, battery_lone_runs, strict=True):
+            assert_same_trajectory(traj, lone)
+
+    @pytest.mark.parametrize("fields", [16, 64])
+    def test_lone_runs(self, battery, battery_lone_runs, blocks_of, fields):
+        written = blocks_of(fields)
+        for (_, state), lone in zip(battery, battery_lone_runs, strict=True):
+            assert_same_trajectory(run_trajectory(to_wave(state), "tau", 1e-3, 100), lone)
+        assert max(written) == fields
 
 
 class TestFinalField:

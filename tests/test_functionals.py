@@ -22,6 +22,7 @@ from qrel import (
     fisher_information,
     h_cl,
     h_q,
+    jacobi_defect,
     k_q,
     make_double_gaussian,
     make_gaussian,
@@ -29,6 +30,8 @@ from qrel import (
     sigma_x2,
     variational_derivative,
 )
+from qrel.functionals import fisher_integral, kinetic_integral, sqrt_density_curvature
+from qrel.suites import _dilatation_sweep
 
 T = FunctionalTag
 
@@ -256,3 +259,48 @@ class TestStackedEvaluation:
         stack = HydroState(grid=grid, rho=rho, s=minimal.s)
         with pytest.raises(DegenerateStateError):
             delta_x2(stack)
+
+
+@pytest.fixture
+def grid_calls(monkeypatch):
+    """Calls of Grid.gradient_energy and Grid.laplacian, counted by name."""
+    calls = {"gradient_energy": 0, "laplacian": 0}
+    for name in calls:
+        def counted(self, *args, _original=getattr(Grid, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(Grid, name, counted)
+    return calls
+
+
+class TestBuildingBlocksOncePerState:
+    """Each building block is computed once per state and shared by every functional of it."""
+
+    def test_dilatation_sweep_transforms_each_state_once(self, grid, grid_calls):
+        state = make_gaussian(GaussianParams(sigma2=1.0, b=1.0), grid)
+        _dilatation_sweep(state, [0.5])
+        # one Fisher integral for the state and one for its dilation, shared by the eight
+        # functionals the sweep reads of each
+        assert grid_calls["gradient_energy"] == 2
+
+    def test_jacobi_inner_bracket_takes_one_laplacian_per_stack(self, grid, grid_calls):
+        state = make_gaussian(GaussianParams(sigma2=1.0, b=1.0), grid)
+        jacobi_defect(state)
+        # the inner bracket {H_q, K_q} on each of 24 stacks of bumped states and on the state
+        # itself: the rho-fields of H_q and K_q share one curvature quotient
+        assert grid_calls["laplacian"] == 25
+
+    def test_public_blocks_return_arrays_the_caller_owns(self, battery):
+        members = [state for _, state in battery[:3]]
+        stack = HydroState(grid=members[0].grid, rho=np.stack([m.rho for m in members]),
+                           s=np.stack([m.s for m in members]))
+        for block in (fisher_integral, kinetic_integral, sqrt_density_curvature):
+            first = block(stack)
+            expected = first.copy()
+            first[...] = 0.0  # a caller's own array: writing it leaves the state's block alone
+            assert block(stack).tobytes() == expected.tobytes()
+        field = variational_derivative(T.DELTA_P2_CL, stack, "rho")
+        field[...] = 0.0
+        assert np.array_equal(variational_derivative(T.DELTA_P2_CL, stack, "rho"),
+                              sum(g**2 for g in stack.grid.fd_gradient(stack.s)))
