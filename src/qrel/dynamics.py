@@ -36,15 +36,20 @@ packets also stop at the resolution guard sigma_x2 > RESOLUTION_CELLS *
 spacing^2.
 Both guards mark the trajectory rather than silently degrading it.
 
-The marcher's state is the field and the band-limited spectrum its last
-step ended with (the transform of the starting field before the first
-step).  A step reads its band and its first half kick from that
-spectrum, so it makes five transforms: the inverse after the first half
-kick, a pair for the Laplacian of |psi| in W, and the pair around the
-second half kick.  The band's moments and the resolution guard's
-sigma_x2 are each one matrix product per member against a table the
-grid caches.  A record's phase (``WaveField.s``, which s_gen reads) is
-summed from the principal increments between neighbouring samples
+The marcher's state is the field and what its next step starts from.  A
+step's band and first half kick come from the band-limited spectrum the
+previous step ended with (the transform of the starting field before the
+first step), and one inverse transform call makes both the field, from
+that spectrum, and the next step's first half kick back in position
+space.  So a step makes four transforms: the pair for the Laplacian of
+|psi| in W, the forward one after the rotation, and that joint inverse
+(the first step of a march makes one more, for its own first half
+kick).  The band's moments and the resolution guard's sigma_x2 are each
+one matrix product per member against a table the grid caches, and the
+marcher steps ahead of its callers in blocks of fields, so that sigma_x2
+and the nodeless check each read a whole block's fields in one call (see
+:class:`_TauMarcher`).  A record's phase (``WaveField.s``, which s_gen
+reads) is summed from the principal increments between neighbouring samples
 outward from the box center, so no 2 pi jump enters where psi is at the
 rounding floor.
 
@@ -90,8 +95,8 @@ from .functionals import (
     FunctionalTag,
     _curvature_quotient,
     _per_member,
+    _position_variance,
     _record_observables,
-    sigma_x2,
     variational_derivative,
     wave_delta_p2_q,
     wave_delta_x2,
@@ -99,7 +104,7 @@ from .functionals import (
     wave_k_q,
     wave_s_gen,
 )
-from .states import HydroState, WaveField, check_nodeless_interior, phase_gradient, reduced_current, to_wave
+from .states import HydroState, WaveField, _nodal_members, _refuse_nodal, phase_gradient, reduced_current, to_wave
 
 #: k_c^2 in units of the measured momentum dispersion.  For a Gaussian
 #: spectrum exp(-128/4) ~ 1e-14 of the spectral amplitude is discarded at
@@ -214,35 +219,71 @@ def _raise_first(stopped: dict):
         raise stopped[min(stopped)]
 
 
+class _Block:
+    """Steps a :class:`_TauMarcher` has made ahead of its calls, with the verdicts those calls replay.
+
+    ``fields`` holds the field after each step, over the stack of members
+    the block stepped (``members``, by starting index), and ``budgets`` each
+    member's noise budget before the first step and after each.  Row ``j``
+    of ``spread``, ``unresolved``, ``spent`` and ``nodal`` (one column per
+    member) is the guards' verdict on the field that call ``j`` checks:
+    the field before the block, then each of ``fields`` but the last.
+    ``clamps`` holds each step's clamp events, or is None where none
+    happened; ``alive`` marks the members the calls so far left live.
+    """
+
+    def __init__(self, members, fields, budgets, clamps, spread, unresolved, spent, nodal):
+        self.members, self.fields, self.budgets, self.clamps = members, fields, budgets, clamps
+        self.spread, self.unresolved, self.spent, self.nodal = spread, unresolved, spent, nodal
+        # the calls at which a guard stops or refuses some member of the block
+        self.events = (unresolved | spent | nodal).any(axis=1).tolist()
+        self.alive = np.ones(len(members), dtype=bool)
+        self.everyone = True  # alive.all()
+        self.at = 0  # the calls made so far
+
+
 class _TauMarcher:
     """Stateful stepper for the companion flow of a stack, with guards and diagnostics.
 
     ``field`` is the stack of live members and ``members`` their indices
     in the stack the marcher started from; a lone field is a stack of one
-    without a member axis, so that its per-member values are scalars.  A
-    member that trips a guard leaves the stack unstepped; every other
-    member steps on, bit for bit as it would alone.  The sign of ``dtau``
-    is the direction of the march: ``_TauMarcher(w, -step)`` steps
-    backward, and the noise budget accrues ``|dtau|`` either way.
+    without a member axis.  Each :meth:`step` checks the guards on
+    ``field`` first: a member that trips leaves the stack unstepped, and
+    every other member steps on, bit for bit as it would alone.  The sign
+    of ``dtau`` is the direction of the march: ``_TauMarcher(w, -step, n)``
+    steps backward, and the noise budget accrues ``|dtau|`` either way.
 
-    Besides the field, the marcher keeps ``spectrum``, the band-limited
-    spectrum whose inverse transform the field is (see the module
-    docstring); a member that leaves the stack leaves it too.  The
-    field's own ``psi_hat`` cache stays the transform of its psi, computed
-    only if an observer reads it, so records match fresh fields bit for bit.
+    The marcher steps ahead in blocks of min(RECORD_BLOCK_FIELDS, max(1,
+    RECORD_BLOCK_SAMPLES // (live members * grid.size))) steps, no more
+    than are left of ``horizon`` (the steps its caller will ask for, so a
+    one-step probe is a block of one), and a step that takes a member's
+    noise budget past NOISE_BUDGET_MAX ends its block.  The resolution
+    guard and the nodeless check then read, as one stack and one call
+    each, the fields the block's calls check: the field before the block
+    and every field of the block but the last.  Each call replays its
+    verdicts, so every field, stopped member and error comes out of the
+    call at which a step-by-step march gives it, and whatever a block made
+    past a member's stop (its fields, clamp events and budget) is dropped.
+
+    Between steps the marcher keeps the next step's first half kick,
+    back in position space (see the module docstring), or after the
+    horizon's last step the band-limited spectrum whose inverse transform
+    the field is.  A field's own ``psi_hat`` cache stays the transform of
+    its psi, computed only if an observer reads it, so records match fresh
+    fields bit for bit.
     """
 
-    def __init__(self, w: WaveField, dtau: float):
+    def __init__(self, w: WaveField, dtau: float, horizon: int):
         self.grid = w.grid
         self.hbar = w.hbar
         self.mass = w.mass
         self.dtau = dtau
+        self.horizon = horizon
         if w.psi.dtype != np.complex128:
             w = WaveField(grid=w.grid, psi=w.psi.astype(complex), hbar=w.hbar, mass=w.mass)
         self.field = w
-        self.spectrum = w.psi_hat
         self.members = _members(w)
-        self.noise_budget = np.zeros(w.psi.shape[:w.psi.ndim - w.grid.dim])
+        self.noise_budget = np.zeros(w.psi.shape[:w.psi.ndim - w.grid.dim])  # by live member
         self.clamp_events = np.zeros(len(self.members), dtype=int)  # by starting index
         self.steps_done = 0
         self._guard_floor = RESOLUTION_CELLS * self.grid.spacing**2
@@ -251,22 +292,10 @@ class _TauMarcher:
         self._budget_rate = 0.5 * self.hbar * abs(dtau) / self.mass
         # the free propagator over half a step, unmasked; the band mask changes every step
         self._half_kinetic = _kinetic_phase(self.grid, self.hbar, self.mass, 0.5 * dtau)
-
-    def _guard_trips(self) -> dict:
-        """Guard messages of the live members that trip, by position in the stack."""
-        spread = sigma_x2(self.field)
-        unresolved = spread <= self._guard_floor
-        spent = self.noise_budget > NOISE_BUDGET_MAX
-        if not (unresolved | spent).any():
-            return {}
-        trips = {}
-        for i in np.flatnonzero(unresolved):
-            trips[i] = (f"resolution guard: sigma_x2 fell to {np.ravel(spread)[i]:.3e} <= "
-                        f"{self._guard_floor:.3e} after {self.steps_done} steps")
-        for i in np.flatnonzero(spent):
-            trips.setdefault(i, f"stability guard: noise budget {np.ravel(self.noise_budget)[i]:.1f} "
-                                f"exceeded {NOISE_BUDGET_MAX:g} after {self.steps_done} steps")
-        return trips
+        # what the next step starts from: its first half kick (psi, band mask, k_c^2) once a
+        # step has made it, else the spectrum
+        self._spectrum, self._kick = w.psi_hat, None
+        self._block = None
 
     def step(self) -> dict:
         """One Strang step of size dtau for every live member, guards checked first.
@@ -278,57 +307,127 @@ class _TauMarcher:
         """
         if not self.members.size:
             raise ValueError(f"no member is live after {self.steps_done} steps: each left at a guard trip")
-        stopped = {}
-        trips = self._guard_trips()
-        if trips:
-            keep = np.ones(len(self.members), dtype=bool)
-            keep[list(trips)] = False
-            for i, message in trips.items():
-                member = int(self.members[i])
-                stopped[member] = ResolutionGuardError(message, steps_completed=self.steps_done, member=member)
-            self.members = self.members[keep]
-            if not self.members.size:
-                return stopped
-            self.field = self.field.take(keep)
-            self.spectrum = self.spectrum[keep]
-            self.noise_budget = self.noise_budget[keep]
-        check_nodeless_interior(self.field)
-
-        half_kin = self._band_half_kinetic()
-        kicked = self.spectrum * half_kin
-        psi = self._rotate(self.grid._ifftn(kicked, out=kicked))
-        self.spectrum = self.grid._fftn(psi, out=psi)
-        self.spectrum *= half_kin
-        self.field = WaveField(grid=self.grid, psi=self.grid._ifftn(self.spectrum), hbar=self.hbar, mass=self.mass)
+        block = self._block
+        if block is None or block.at == len(block.fields):
+            block = self._block = self._march_block(block)
+        j = block.at
+        stopped = self._verdicts(block, j) if block.events[j] else {}
+        if not self.members.size:
+            return stopped
+        if block.everyone:
+            self.field, self.noise_budget = block.fields[j], block.budgets[j + 1]
+        else:
+            self.field = block.fields[j].take(block.alive)
+            self.noise_budget = block.budgets[j + 1][block.alive]
+        if block.clamps is not None:
+            self.clamp_events[self.members] += block.clamps[j][block.alive]
         self.steps_done += 1
+        block.at += 1
         return stopped
 
-    def _band_half_kinetic(self) -> np.ndarray:
-        """The half kinetic step on each member's band |k - kbar| <= k_c, zero outside.
+    def _verdicts(self, block: _Block, j: int) -> dict:
+        """The members the guards stop at call ``j`` of ``block``, with their errors; refuses a live member's node.
+
+        A call made again after that refusal meets the same verdicts, and is refused again.
+        """
+        trips = block.alive & (block.unresolved[j] | block.spent[j])
+        stopped = {}
+        for i in np.flatnonzero(trips):
+            member = int(block.members[i])
+            if block.unresolved[j, i]:
+                message = (f"resolution guard: sigma_x2 fell to {block.spread[j, i]:.3e} <= "
+                           f"{self._guard_floor:.3e} after {self.steps_done} steps")
+            else:
+                budget = np.ravel(block.budgets[j])[i]
+                message = (f"stability guard: noise budget {budget:.1f} "
+                           f"exceeded {NOISE_BUDGET_MAX:g} after {self.steps_done} steps")
+            stopped[member] = ResolutionGuardError(message, steps_completed=self.steps_done, member=member)
+        block.alive &= ~trips
+        block.everyone = bool(block.alive.all())
+        self.members = block.members[block.alive]
+        if self.members.size:
+            _refuse_nodal(block.nodal[j] & block.alive)
+        return stopped
+
+    def _march_block(self, last: _Block) -> _Block:
+        """The steps ahead of ``field`` for the coming calls, with the guards' verdicts on their fields.
+
+        ``last`` is the block before, if any: the members that left it
+        leave what the next step starts from too.
+        """
+        if last is not None and not last.everyone:
+            if self._kick is None:
+                self._spectrum = self._spectrum[last.alive]
+            else:
+                self._kick = tuple(a[last.alive] for a in self._kick)
+        live = self.members.size
+        count = min(RECORD_BLOCK_FIELDS, max(1, RECORD_BLOCK_SAMPLES // (live * self.grid.size)),
+                    max(1, self.horizon - self.steps_done))
+        fields, budgets, clamps = [], [self.noise_budget], []
+        for j in range(count):
+            if self._kick is None:
+                self._kick = self._first_half_kick(self._spectrum)
+            psi, half_kin, kc2 = self._kick
+            budgets.append(budgets[-1] + self._budget_rate * kc2)
+            clamps.append(self._rotate(psi))
+            spectrum = self.grid._fftn(psi, out=psi)
+            spectrum *= half_kin
+            if self.steps_done + j + 1 < self.horizon:
+                psi, self._kick = self._field_and_kick(spectrum)
+            else:
+                psi, self._spectrum, self._kick = self.grid._ifftn(spectrum), spectrum, None
+            fields.append(WaveField._adopt(self.field, psi))
+            if (budgets[-1] > NOISE_BUDGET_MAX).any():
+                break
+        count = len(fields)
+        rho = np.stack([w.rho for w in [self.field] + fields[:-1]])
+        spread = np.reshape(_position_variance(self.grid, rho), (count, live))
+        budgets = np.array(budgets)  # one row per step, in the members' shape
+        if all(c is None for c in clamps):
+            clamps = None
+        else:
+            clamps = np.array([np.zeros(live, dtype=int) if c is None else c for c in clamps])
+        return _Block(self.members, fields, budgets, clamps, spread, spread <= self._guard_floor,
+                      np.reshape(budgets[:-1], (count, live)) > NOISE_BUDGET_MAX,
+                      _nodal_members(self.grid, rho).reshape(count, live))
+
+    def _first_half_kick(self, spectrum: np.ndarray) -> tuple:
+        """The first half kick of a step from ``spectrum``, back in position space, with its band mask and k_c^2."""
+        half_kin, kc2 = self._band_half_kinetic(spectrum)
+        kicked = spectrum * half_kin
+        return self.grid._ifftn(kicked, out=kicked), half_kin, kc2
+
+    def _field_and_kick(self, spectrum: np.ndarray) -> tuple:
+        """The field of ``spectrum`` and the next step's first half kick, from one inverse transform call."""
+        half_kin, kc2 = self._band_half_kinetic(spectrum)
+        pair = np.empty((2,) + spectrum.shape, dtype=complex)
+        pair[0] = spectrum
+        np.multiply(spectrum, half_kin, out=pair[1])
+        self.grid._ifftn(pair, out=pair)
+        return pair[0], (pair[1], half_kin, kc2)
+
+    def _band_half_kinetic(self, spectrum: np.ndarray) -> tuple:
+        """The half kinetic step on each member's band |k - kbar| <= k_c, zero outside, and k_c^2.
 
         kbar and the momentum dispersion dk2 come from the moments of
-        |spectrum|^2 against 1, k and |k|^2; accrues each member's noise
-        budget for the band.  (The helpers of :meth:`step` keep its
-        temporaries alive no longer than they are used.)
+        |spectrum|^2 against 1, k and |k|^2.
         """
         grid = self.grid
-        parts = self.spectrum.view(np.float64)
+        parts = spectrum.view(np.float64)
         m = grid._moments(parts * parts, grid._spectral_moment_table)
         m = m / m[..., :1]
         kbar = m[..., 1:-1]
         dk2 = m[..., -1] - (kbar * kbar).sum(axis=-1)
         kc2 = np.minimum(np.maximum(BAND_WIDTH_FACTOR * dk2, self._kc2_floor), self._kc2_cap)
-        self.noise_budget += self._budget_rate * kc2
-        krel = grid._wavenumber_table - kbar.reshape(kbar.shape[:-1] + (1,) * grid.dim + kbar.shape[-1:])
-        krel2 = (krel * krel).sum(axis=-1)
-        return self._half_kinetic * (krel2 <= _per_member(kc2, grid))
+        return self._half_kinetic * (_distance2(grid, kbar) <= _per_member(kc2, grid)), kc2
 
-    def _rotate(self, psi: np.ndarray) -> np.ndarray:
-        """The pointwise phase rotation by the clamped potential W, in place, counting clamp events."""
+    def _rotate(self, psi: np.ndarray):
+        """The pointwise phase rotation by the clamped potential W, in place; each member's clamp events, if any."""
         W = (self.hbar**2 / self.mass) * _curvature_quotient(self.grid, np.abs(psi))
         clipped = np.abs(W) > W_MAX
+        events = None
         if clipped.any():
-            self.clamp_events[self.members] += clipped.sum(axis=self.grid._trailing_axes)
+            events = np.ravel(clipped.sum(axis=self.grid._trailing_axes))
             W = np.clip(W, -W_MAX, W_MAX)
         # exp(-i W dtau / hbar), from the cosine and sine of the real angle
         angle = W * (-self.dtau / self.hbar)
@@ -336,7 +435,21 @@ class _TauMarcher:
         np.cos(angle, out=rotation.real)
         np.sin(angle, out=rotation.imag)
         psi *= rotation
-        return psi
+        return events
+
+
+def _distance2(grid, kbar: np.ndarray) -> np.ndarray:
+    """|k - kbar|^2 on every mode of ``grid``, for each member's mean wavenumber ``kbar`` (one per axis).
+
+    Summed axis by axis from the grid's per-axis wavenumbers, first axis
+    first, as a sum over a trailing axis of the dim differences adds them,
+    so no table of every mode's wavenumber vector is built.
+    """
+    total = 0.0
+    for ax, k in enumerate(grid._axis_wavenumbers):
+        d = k - _per_member(kbar[..., ax], grid)
+        total = total + d * d
+    return total
 
 
 def _check_steps(steps):
@@ -361,7 +474,7 @@ def evolve_tau(w: WaveField, dtau: float, steps: int = 1) -> WaveField:
     _check_steps(steps)
     if dtau == 0.0 or steps == 0:
         return w
-    marcher = _TauMarcher(w, dtau)
+    marcher = _TauMarcher(w, dtau, steps)
     for _ in range(steps):
         _raise_first(marcher.step())
     return marcher.field
@@ -403,8 +516,9 @@ _STENCIL_WIDTH = 5
 
 #: Fields and samples a block of records holds: the runner evaluates the
 #: records of min(RECORD_BLOCK_FIELDS, max(1, RECORD_BLOCK_SAMPLES //
-#: (live members * grid.size))) consecutive fields at once.  Records are
-#: bound by per-call overhead on small arrays, so longer blocks are faster
+#: (live members * grid.size))) consecutive fields at once, and the
+#: tau-marcher steps ahead by the same rule (:class:`_TauMarcher`).  Records
+#: are bound by per-call overhead on small arrays, so longer blocks are faster
 #: until the gain levels off, while every buffered field costs memory.
 #: Measured on the 18 lone 500-step tau-runs of a seeded battery at n = 512
 #: (2-core Xeon VM, numpy 2.4, medians of three interleaved passes): about
@@ -462,12 +576,12 @@ def _flow_fields(w0: WaveField, flow: str, step: float, ahead: int):
     # a field of the run's own, so that its caches stay off the caller's w0; the
     # stream holds each field only until it has been yielded
     w0 = WaveField(grid=w0.grid, psi=w0.psi, hbar=w0.hbar, mass=w0.mass)
-    behind = _TauMarcher(w0, -step)
+    behind = _TauMarcher(w0, -step, back)
     earlier = [(w0, {})]
     for _ in range(back):
         _raise_first(behind.step())
         earlier.append((behind.field, {}))
-    marcher = _TauMarcher(w0, step)
+    marcher = _TauMarcher(w0, step, ahead)
 
     def stream():
         while earlier:
@@ -508,8 +622,7 @@ def _write_records(columns: dict, live, row: int, step: float, rhos: list, field
     time columns follow from the row index and are built once a run ends.
     """
     k = len(fields)
-    w = WaveField(grid=fields[0].grid, psi=np.stack([f.psi for f in fields]),
-                  hbar=fields[0].hbar, mass=fields[0].mass)
+    w = WaveField._adopt(fields[0], np.stack([f.psi for f in fields]))
     densities = np.stack(rhos)
     window = [densities[d:d + k] for d in range(_STENCIL_WIDTH)]
     values = {

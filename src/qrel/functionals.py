@@ -216,9 +216,14 @@ def sigma_x2(state) -> float:
     :class:`WaveField`; a stack gives one value per member, each bit for
     bit its lone value.
     """
-    m = state.grid._position_moments(state.rho)
+    return _position_variance(state.grid, state.rho)
+
+
+def _position_variance(grid, rho: np.ndarray):
+    # sigma_x2 of the density ``rho`` (or a stack of densities) on ``grid``
+    m = grid._position_moments(rho)
     mean2 = (m[..., 1:-1] ** 2).sum(axis=-1)
-    return state.grid._integral_value(state.rho, m[..., -1] - (2.0 - m[..., 0]) * mean2)
+    return grid._integral_value(rho, m[..., -1] - (2.0 - m[..., 0]) * mean2)
 
 
 def delta_p2_cl(state: HydroState) -> float:

@@ -17,6 +17,7 @@ reproduces the infinitesimal momentum-dispersion transformation and makes
 {S, K_q} = H_q.
 """
 
+import functools
 import math
 
 from .functionals import UncertaintyPair
@@ -48,10 +49,19 @@ def dilate(state: HydroState, alpha: float) -> HydroState:
     floating-point rounding.
     """
     scale = math.exp(-0.5 * alpha)
-    new_grid = Grid(n=state.grid.n, length=scale * state.grid.length, dim=state.grid.dim)
+    # alpha = 0 keeps the state's own grid, and with it the tables that grid has built
+    new_grid = state.grid if scale == 1.0 else _grid(state.grid.n, scale * state.grid.length, state.grid.dim)
     rho = math.exp(0.5 * state.grid.dim * alpha) * state.rho
     s = math.exp(-alpha) * state.s
     return HydroState(grid=new_grid, rho=rho, s=s, hbar=state.hbar, mass=state.mass)
+
+
+@functools.lru_cache(maxsize=1)
+def _grid(n: int, length: float, dim: int) -> Grid:
+    # the box of the last dilatation, so that states dilated onto one box one after another
+    # share a Grid and the tables it builds; keeping more boxes would keep their tables too,
+    # tens of MiB each for a 3-D grid at n = 128
+    return Grid(n=n, length=length, dim=dim)
 
 
 def mix_hk(h: float, k: float, alpha: float) -> tuple:

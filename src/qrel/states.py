@@ -179,6 +179,23 @@ class WaveField:
         """
         return WaveField(grid=self.grid, psi=self.psi[index], hbar=self.hbar, mass=self.mass)
 
+    @classmethod
+    def _adopt(cls, like: "WaveField", psi: np.ndarray) -> "WaveField":
+        """A field on ``like``'s grid and units that keeps ``psi`` itself, made read-only.
+
+        Only for a fresh C-ordered complex128 array (or a view of one) that
+        this package has just made and hands to no one else; an array a
+        caller passes is copied (``_read_only``), since a read-only flag
+        alone promises nothing about who else may write to it.
+        """
+        if psi.dtype != np.complex128 or not psi.flags.c_contiguous:
+            raise TypeError(f"only a C-ordered complex128 array is adopted, got a {psi.dtype} array"
+                            f"{'' if psi.flags.c_contiguous else ' that is not C-ordered'}")
+        psi.setflags(write=False)
+        w = object.__new__(cls)
+        w.__dict__.update(grid=like.grid, psi=like.grid.bind(psi), hbar=like.hbar, mass=like.mass)
+        return w
+
 
 def _read_only_all(arrays) -> tuple:
     for a in arrays:
@@ -305,9 +322,25 @@ def check_nodeless_interior(state):
     line.  Each member of a stack is checked.  Reads only the grid and the
     density, so ``state`` may be a :class:`HydroState` or a :class:`WaveField`.
     """
-    n = state.grid.n
-    rho = state.rho.reshape((-1,) + state.grid.shape)  # one member axis
+    _refuse_nodal(_nodal_members(state.grid, state.rho))
+
+
+def _refuse_nodal(nodal: np.ndarray):
+    """Raise the degenerate-state error where any flag of ``nodal`` (see :func:`_nodal_members`) is set."""
+    if nodal.any():
+        raise DegenerateStateError("density has an interior node; quantum-potential fields undefined")
+
+
+def _nodal_members(grid: Grid, rho: np.ndarray) -> np.ndarray:
+    """One flag per member of the density stack ``rho``, in C order: whether it has an interior node.
+
+    The test is :func:`check_nodeless_interior`'s, made of comparisons
+    alone, so each member's flag is the one it gets alone.
+    """
+    n = grid.n
+    rho = rho.reshape((-1,) + grid.shape)  # one member axis
     peak = rho.reshape(len(rho), -1).max(axis=1).astype(np.float64, copy=False)  # the peak and the dip test in double
+    nodal = np.zeros(len(rho), dtype=bool)
     for axis in range(1, rho.ndim):
         # the lines along this axis, by member: the last axis's are a view of the density
         lines = rho.swapaxes(axis, -1).reshape(len(rho), -1, n)
@@ -322,8 +355,9 @@ def check_nodeless_interior(state):
         dips = np.minimum.reduceat(lines.ravel(), bounds.ravel())[0::2].reshape(len(rho), -1)
         deep = dips.astype(np.float64, copy=False) < 1e-15 * peak[:, None]
         # a line with no body sample spans its bounds and has no interior, so no node
-        if deep.any() and body[deep.ravel()].any():
-            raise DegenerateStateError("density has an interior node; quantum-potential fields undefined")
+        if deep.any():
+            nodal |= (deep & body.reshape(deep.shape + (n,)).any(axis=-1)).any(axis=1)
+    return nodal
 
 
 def reduced_current(w: WaveField) -> list:

@@ -185,7 +185,7 @@ class TestTauFlow:
 
     def test_step_after_every_member_left_is_refused(self, grid):
         # a lone field whose noise guard trips after 233 steps leaves the marcher empty
-        marcher = dynamics._TauMarcher(to_wave(make_gaussian(GaussianParams(sigma2=0.5, b=-1.0), grid)), 1e-3)
+        marcher = dynamics._TauMarcher(to_wave(make_gaussian(GaussianParams(sigma2=0.5, b=-1.0), grid)), 1e-3, 500)
         stopped = {}
         while not stopped:
             stopped = marcher.step()
@@ -203,11 +203,12 @@ class TestTauFlow:
 
     @pytest.mark.parametrize("steps", [1, 10])
     def test_five_transforms_per_step(self, minimal_wave, steps, fft_calls):
-        # one for the starting spectrum, then five a step: the march keeps each step's
-        # band-limited spectrum and never transforms the field it has just made
+        # one for the starting spectrum, five for the first step and four for each later one:
+        # the march never transforms the field it has just made, and one inverse transform
+        # call makes each field and the next step's first half kick together
         w = WaveField(grid=minimal_wave.grid, psi=minimal_wave.psi)
         out = evolve_tau(w, 1e-3, steps)
-        assert len(fft_calls) == 1 + 5 * steps
+        assert len(fft_calls) == 1 + 5 + 4 * (steps - 1)
         # the field's own transform is computed on demand, as of a fresh field
         assert out.psi_hat.tobytes() == WaveField(grid=out.grid, psi=out.psi).psi_hat.tobytes()
 
@@ -388,8 +389,9 @@ class TestTrajectoryRecordsMatchFreshFields:
         assert np.abs(rises / (0.5 * (h_q[1:] + h_q[:-1]) * 1e-3) - 1.0).max() < 1e-3
 
     @pytest.mark.parametrize("flow, step, dim, n, length, per_record", [
-        # 131 transforms: five for each of the 24 Strang steps and one for the starting spectrum
-        # both marchers share, five for each block of records (16 and 5)
+        # 109 transforms: one for the starting spectrum both marchers share, 9 for the two
+        # backward steps and 89 for the 22 forward ones (five for a march's first step, four
+        # for each later one), five for each block of records (16 and 5)
         ("tau", 1e-3, 1, 512, 40.0, 6.5),
         # 41 transforms: 25 to make the fields, eight for each of two blocks of records, 16 and
         # 5 (in 2-D the flux divergence transforms each component along its own axis only)
@@ -486,7 +488,7 @@ class TestStackedRunner:
         waves = [minimal_wave] + [to_wave(make_gaussian(p, grid)) for p in params]
         stacked = run_trajectories(_stack(waves), "tau", 1e-3, 20)
         assert all(len(t.records) == 21 for t in stacked)
-        # 131 transforms: 121 for the 24 Strang steps and the starting spectrum, five for each of
+        # 109 transforms: 99 for the 24 Strang steps and the starting spectrum, five for each of
         # two blocks of records, 16 and 5
         assert len(fft_calls) <= 150
 
@@ -557,6 +559,174 @@ class TestRecordBlockLayout:
         for (_, state), lone in zip(battery, battery_lone_runs, strict=True):
             assert_same_trajectory(run_trajectory(to_wave(state), "tau", 1e-3, 100), lone)
         assert max(written) == fields
+
+
+def _blocks_of_one(monkeypatch, run):
+    """``run()`` with the marcher and the record builder stepping one field at a time."""
+    with monkeypatch.context() as patched:
+        patched.setattr(dynamics, "RECORD_BLOCK_FIELDS", 1)
+        return run()
+
+
+class TestMarchBlocks:
+    """The marcher steps ahead in blocks; each call hands out what a step-by-step march gives."""
+
+    @staticmethod
+    def wave(grid, sigma2, b):
+        return to_wave(make_gaussian(GaussianParams(sigma2=sigma2, b=b), grid))
+
+    @pytest.fixture
+    def block_starts(self, monkeypatch):
+        """The (steps done, fields) of every block the marchers step, in order."""
+        starts = []
+
+        def recorded(marcher, last, _original=dynamics._TauMarcher._march_block):
+            block = _original(marcher, last)
+            starts.append((marcher.steps_done, len(block.fields)))
+            return block
+
+        monkeypatch.setattr(dynamics._TauMarcher, "_march_block", recorded)
+        return starts
+
+    @staticmethod
+    def flag_peaks_above(monkeypatch, peak):
+        """A stand-in nodeless verdict that also flags every density whose peak passes ``peak``."""
+        def nodal(g, rho, _original=dynamics._nodal_members):
+            return _original(g, rho) | (rho.reshape(-1, g.size).max(axis=1) > peak)
+
+        monkeypatch.setattr(dynamics, "_nodal_members", nodal)
+
+    @pytest.mark.parametrize("n, sigma2, after", [(512, 0.2, 95), (256, 0.8, 124)])
+    def test_resolution_trip(self, monkeypatch, n, sigma2, after):
+        # 95 steps end a block of 16 at n = 512; 124 fall inside one at n = 256
+        w0 = self.wave(Grid(n=n, length=40.0), sigma2, -1.0)
+        traj = run_trajectory(w0, "tau", 1e-3, 500)
+        assert traj.guard_reason.startswith("resolution guard") and traj.guard_reason.endswith(f"after {after} steps")
+        assert traj.last_valid_step == after - 2
+        assert_same_trajectory(traj, _blocks_of_one(monkeypatch, lambda: run_trajectory(w0, "tau", 1e-3, 500)))
+
+    def test_noise_trip(self, grid, monkeypatch, block_starts):
+        w0 = self.wave(grid, 0.5, -1.0)
+        traj = run_trajectory(w0, "tau", 1e-3, 500)
+        assert traj.guard_reason.startswith("stability guard") and traj.guard_reason.endswith("after 233 steps")
+        assert traj.last_valid_step == 231
+        # the step that spends the budget ends its block, and the next block holds the one
+        # step the trip then drops
+        assert block_starts[-2:] == [(224, 9), (233, 1)]
+        assert_same_trajectory(traj, _blocks_of_one(monkeypatch, lambda: run_trajectory(w0, "tau", 1e-3, 500)))
+
+    def test_members_stopping_at_different_fields_of_one_block(self, grid, minimal_wave, monkeypatch,
+                                                               block_starts):
+        waves = [minimal_wave, self.wave(grid, 0.2, -1.1), self.wave(grid, 0.2, -1.0)]
+        stacked = run_trajectories(_stack(waves), "tau", 1e-3, 150)
+        # the calls after 90 and after 95 steps stop members 1 and 2, in one block of the forward march
+        assert not stacked[0].guard_tripped
+        assert [t.guard_reason.split(" after ")[-1] for t in stacked[1:]] == ["90 steps", "95 steps"]
+        assert (80, 16) in block_starts
+        alone = _blocks_of_one(monkeypatch, lambda: [run_trajectory(w, "tau", 1e-3, 150) for w in waves])
+        for traj, lone in zip(stacked, alone, strict=True):
+            assert_same_trajectory(traj, lone)
+
+    def test_fields_past_a_stop_are_not_checked(self, grid, minimal_wave, monkeypatch):
+        # member 1 stops after 90 steps, inside a block; the stand-in verdict flags its fields
+        # from 91 steps on, which only the block's steps past its stop reach
+        tripping = self.wave(grid, 0.2, -1.1)
+        self.flag_peaks_above(monkeypatch, 1.147 * float(tripping.rho.max()))
+        stack = _stack([minimal_wave, tripping])
+        stacked = run_trajectories(stack, "tau", 1e-3, 120)
+        assert not stacked[0].guard_tripped and stacked[1].guard_reason.endswith("after 90 steps")
+        alone = _blocks_of_one(monkeypatch, lambda: run_trajectories(stack, "tau", 1e-3, 120))
+        for traj, lone in zip(stacked, alone, strict=True):
+            assert_same_trajectory(traj, lone)
+
+    def test_node_raises_at_the_same_call(self, grid, monkeypatch):
+        # the stand-in verdict flags the contracting packet once its peak passes 1.04 of the
+        # starting one: the field after 38 steps, inside the block of steps 33 to 48
+        w0 = self.wave(grid, 0.5, -1.0)
+        self.flag_peaks_above(monkeypatch, 1.04 * float(w0.rho.max()))
+
+        def march():
+            marcher, fields = dynamics._TauMarcher(w0, 1e-3, 100), []
+            with pytest.raises(DegenerateStateError):
+                while True:
+                    marcher.step()
+                    fields.append(marcher.field.psi.tobytes())
+            with pytest.raises(DegenerateStateError):  # a call made again is refused again
+                marcher.step()
+            return marcher.steps_done, fields
+
+        done, fields = march()
+        assert done == 38 and len(fields) == 38
+        assert (done, fields) == _blocks_of_one(monkeypatch, march)
+
+    def test_evolve_tau_first_to_trip(self, grid, minimal_wave, monkeypatch):
+        stack = _stack([minimal_wave, self.wave(grid, 0.2, -1.0), self.wave(grid, 0.2, -1.1)])
+
+        def first_trip():
+            with pytest.raises(ResolutionGuardError) as err:
+                evolve_tau(stack, 1e-3, 200)
+            return str(err.value), err.value.steps_completed, err.value.member
+
+        got = first_trip()
+        assert got[1:] == (90, 2)
+        assert got == _blocks_of_one(monkeypatch, first_trip)
+
+    def test_clamp_events(self, grid, minimal_wave, monkeypatch):
+        # W_MAX = 50 clips the far tails of both members every step, and member 1 still stops
+        # after 90 steps, inside the block of steps 81 to 96: its six steps past that are dropped
+        monkeypatch.setattr(dynamics, "W_MAX", 50.0)
+        waves = [minimal_wave, self.wave(grid, 0.2, -1.1)]
+        stacked = run_trajectories(_stack(waves), "tau", 1e-3, 120)
+        assert all(t.clamp_events > 0 for t in stacked) and stacked[1].guard_reason.endswith("after 90 steps")
+        alone = _blocks_of_one(monkeypatch, lambda: run_trajectories(_stack(waves), "tau", 1e-3, 120))
+        for traj, lone in zip(stacked, alone, strict=True):
+            assert_same_trajectory(traj, lone)
+
+    def test_one_step_evolve_tau_makes_one_step(self, minimal_wave, monkeypatch):
+        rotations = []
+
+        def counted(marcher, psi, _original=dynamics._TauMarcher._rotate):
+            rotations.append(psi.shape)
+            return _original(marcher, psi)
+
+        monkeypatch.setattr(dynamics._TauMarcher, "_rotate", counted)
+        out = evolve_tau(minimal_wave, 1e-3, 1)
+        assert rotations == [minimal_wave.psi.shape]
+        assert out.psi.tobytes() == _blocks_of_one(monkeypatch, lambda: evolve_tau(minimal_wave, 1e-3, 1)).psi.tobytes()
+
+
+class TestBandMask:
+    """The band sums |k - kbar|^2 axis by axis, bit for bit as the table of wavenumber vectors did."""
+
+    @staticmethod
+    def table_mask(marcher, spectrum):
+        # the mask from a sum over the trailing axis of Grid._wavenumber_table minus kbar
+        grid = marcher.grid
+        parts = spectrum.view(np.float64)
+        m = grid._moments(parts * parts, grid._spectral_moment_table)
+        m = m / m[..., :1]
+        kbar = m[..., 1:-1]
+        dk2 = m[..., -1] - (kbar * kbar).sum(axis=-1)
+        kc2 = np.minimum(np.maximum(dynamics.BAND_WIDTH_FACTOR * dk2, marcher._kc2_floor), marcher._kc2_cap)
+        krel = grid._wavenumber_table - kbar.reshape(kbar.shape[:-1] + (1,) * grid.dim + kbar.shape[-1:])
+        krel2 = (krel * krel).sum(axis=-1)
+        return marcher._half_kinetic * (krel2 <= kc2.reshape(kc2.shape + (1,) * grid.dim)), kc2, kbar, krel2
+
+    @pytest.mark.parametrize("dim, n", [(1, 64), (2, 32), (3, 16)])
+    def test_mask_matches_the_table(self, dim, n):
+        grid = Grid(n=n, length=12.0, dim=dim)
+        rng = np.random.default_rng(dim)
+        # four members with Gaussian spectra around random centres and widths
+        k = grid._wavenumber_table
+        centres, widths = rng.uniform(-3.0, 3.0, (4, dim)), rng.uniform(0.5, 2.0, 4)
+        spectrum = np.stack([np.exp(-((k - c) ** 2).sum(axis=-1) / w + 1j * rng.uniform(0, 6.3, grid.shape))
+                             for c, w in zip(centres, widths)])
+        marcher = dynamics._TauMarcher(WaveField(grid=grid, psi=grid._ifftn(spectrum)), 1e-3, 1)
+        mask, kc2 = marcher._band_half_kinetic(spectrum)
+        want, want_kc2, kbar, krel2 = self.table_mask(marcher, spectrum)
+        assert mask.tobytes() == want.tobytes() and kc2.tobytes() == want_kc2.tobytes()
+        assert 0 < np.count_nonzero(mask) < mask.size
+        assert dynamics._distance2(grid, kbar).tobytes() == krel2.tobytes()
 
 
 class TestFinalField:

@@ -1,5 +1,6 @@
 """Uncertainty-relativity group: arithmetic laws, dilatations, mixing."""
 
+import functools
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from qrel import (
     DegenerateStateError,
     GaussianParams,
+    Grid,
     UncertaintyPair,
     delta_p2_cl,
     delta_p2_q,
@@ -24,6 +26,9 @@ from qrel import (
     transform_uncertainty,
     uncertainty_pair,
 )
+from qrel import group
+from qrel.config import ScenarioConfig
+from qrel.suites import suite_group
 
 alphas = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
 
@@ -89,6 +94,28 @@ class TestDilatation:
         assert np.array_equal(out.rho, minimal.rho)
         assert np.array_equal(out.s, minimal.s)
         assert out.grid.length == minimal.grid.length
+        assert out.grid is minimal.grid
+
+    def test_each_dilated_box_builds_its_tables_once(self, monkeypatch):
+        # the group suite dilates 18 battery states by 13 alphas, and a few more: 14 boxes
+        # in all, so 14 builds of the gradient-energy weights (237 with a new Grid for each
+        # dilated state)
+        builds = []
+
+        def counted(grid, _original=Grid._gradient_energy_weights.func):
+            builds.append((grid.n, grid.length, grid.dim))
+            return _original(grid)
+
+        weights = functools.cached_property(counted)
+        weights.__set_name__(Grid, "_gradient_energy_weights")
+        monkeypatch.setattr(Grid, "_gradient_energy_weights", weights)
+        group._grid.cache_clear()
+        suite_group(ScenarioConfig())
+        assert len(builds) == len(set(builds)) == 14
+
+    def test_states_dilated_onto_one_box_one_after_another_share_its_grid(self, grid):
+        states = [make_gaussian(GaussianParams(sigma2=s2), grid) for s2 in (1.0, 2.0)]
+        assert dilate(states[0], 0.5).grid is dilate(states[1], 0.5).grid
 
     def test_group_law(self, grid):
         state = make_gaussian(GaussianParams(sigma2=2.0, b=1.0, p0=2.0), grid)
