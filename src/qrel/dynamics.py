@@ -36,22 +36,22 @@ packets also stop at the resolution guard sigma_x2 > RESOLUTION_CELLS *
 spacing^2.
 Both guards mark the trajectory rather than silently degrading it.
 
-The marcher's state is the field and what its next step starts from.  A
-step's band and first half kick come from the band-limited spectrum the
-previous step ended with (the transform of the starting field before the
-first step), and one inverse transform call makes both the field, from
-that spectrum, and the next step's first half kick back in position
-space.  So a step makes four transforms: the pair for the Laplacian of
-|psi| in W, the forward one after the rotation, and that joint inverse
-(the first step of a march makes one more, for its own first half
-kick).  The band's moments and the resolution guard's sigma_x2 are each
-one matrix product per member against a table the grid caches, and the
-marcher steps ahead of its callers in blocks of fields, so that sigma_x2
-and the nodeless check each read a whole block's fields in one call (see
-:class:`_TauMarcher`).  A record's phase (``WaveField.s``, which s_gen
-reads) is summed from the principal increments between neighbouring samples
-outward from the box center, so no 2 pi jump enters where psi is at the
-rounding floor.
+The march (:func:`_tau_fields`) is one generator.  A step's band and
+first half kick come from the band-limited spectrum the previous step
+ended with (the transform of the starting field before the first step),
+and one inverse transform call makes both the field, from that spectrum,
+and the next step's first half kick back in position space.  So a step
+makes four transforms: the pair for the Laplacian of |psi| in W, the
+forward one after the rotation, and that joint inverse (the first step
+of a march makes one more, for its own first half kick).  The band's
+moments and the resolution guard's sigma_x2 are each one matrix product
+per member against a table the grid caches.  The march runs ahead of its
+caller in blocks of fields, each marched into the rows of one buffer
+with its densities in one array, so that sigma_x2 and the nodeless check
+each read a whole block's densities in one call.  A record's phase
+(``WaveField.s``, which s_gen reads) is summed from the principal
+increments between neighbouring samples outward from the box center, so
+no 2 pi jump enters where psi is at the rounding floor.
 
 Trajectories
 ------------
@@ -87,6 +87,7 @@ where guards trip, the first member to trip raises.
 import math
 from dataclasses import dataclass, fields
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -219,223 +220,153 @@ def _raise_first(stopped: dict):
         raise stopped[min(stopped)]
 
 
-class _Block:
-    """Steps a :class:`_TauMarcher` has made ahead of its calls, with the verdicts those calls replay.
+def _tau_fields(w: WaveField, dtau: float, steps: int, clamp_events=None):
+    """The companion flow of ``w``, ``steps`` Strang steps of ``dtau``, as (field, stopped) pairs.
 
-    ``fields`` holds the field after each step, over the stack of members
-    the block stepped (``members``, by starting index), and ``budgets`` each
-    member's noise budget before the first step and after each.  Row ``j``
-    of ``spread``, ``unresolved``, ``spent`` and ``nodal`` (one column per
-    member) is the guards' verdict on the field that call ``j`` checks:
-    the field before the block, then each of ``fields`` but the last.
-    ``clamps`` holds each step's clamp events, or is None where none
-    happened; ``alive`` marks the members the calls so far left live.
-    """
+    ``w`` is one field or a stack with one member axis.  Each pair holds
+    the field after one more step, over the members still live, and
+    ``stopped``, which maps the starting index of each member a guard
+    stopped before that step to the :class:`ResolutionGuardError` its lone
+    run raises.  The guards check each field before it is stepped: a
+    member that trips leaves the stack unstepped, and every other member
+    steps on, bit for bit as it would alone.  The march ends after
+    ``steps`` pairs, or after the pair that stops the last live member,
+    whose field is the one handed out before; a live member with an
+    interior node raises for the whole stack.  The sign of ``dtau`` is the
+    direction of the march, and the noise budget accrues ``|dtau|`` either
+    way.  ``clamp_events``, if given, gains each step's clamp events by
+    starting index.
 
-    def __init__(self, members, fields, budgets, clamps, spread, unresolved, spent, nodal):
-        self.members, self.fields, self.budgets, self.clamps = members, fields, budgets, clamps
-        self.spread, self.unresolved, self.spent, self.nodal = spread, unresolved, spent, nodal
-        # the calls at which a guard stops or refuses some member of the block
-        self.events = (unresolved | spent | nodal).any(axis=1).tolist()
-        self.alive = np.ones(len(members), dtype=bool)
-        self.everyone = True  # alive.all()
-        self.at = 0  # the calls made so far
-
-
-class _TauMarcher:
-    """Stateful stepper for the companion flow of a stack, with guards and diagnostics.
-
-    ``field`` is the stack of live members and ``members`` their indices
-    in the stack the marcher started from; a lone field is a stack of one
-    without a member axis.  Each :meth:`step` checks the guards on
-    ``field`` first: a member that trips leaves the stack unstepped, and
-    every other member steps on, bit for bit as it would alone.  The sign
-    of ``dtau`` is the direction of the march: ``_TauMarcher(w, -step, n)``
-    steps backward, and the noise budget accrues ``|dtau|`` either way.
-
-    The marcher steps ahead in blocks of min(RECORD_BLOCK_FIELDS, max(1,
+    The march runs in blocks of min(RECORD_BLOCK_FIELDS, max(1,
     RECORD_BLOCK_SAMPLES // (live members * grid.size))) steps, no more
-    than are left of ``horizon`` (the steps its caller will ask for, so a
-    one-step probe is a block of one), and a step that takes a member's
-    noise budget past NOISE_BUDGET_MAX ends its block.  The resolution
-    guard and the nodeless check then read, as one stack and one call
-    each, the fields the block's calls check: the field before the block
-    and every field of the block but the last.  Each call replays its
-    verdicts, so every field, stopped member and error comes out of the
-    call at which a step-by-step march gives it, and whatever a block made
-    past a member's stop (its fields, clamp events and budget) is dropped.
-
-    Between steps the marcher keeps the next step's first half kick,
-    back in position space (see the module docstring), or after the
-    horizon's last step the band-limited spectrum whose inverse transform
-    the field is.  A field's own ``psi_hat`` cache stays the transform of
-    its psi, computed only if an observer reads it, so records match fresh
-    fields bit for bit.
+    than are left, and a step that takes a member's noise budget past
+    NOISE_BUDGET_MAX ends its block.  A block is marched into one C-ordered
+    buffer of count + 1 rows: row j holds step j's first half kick, then
+    its spectrum, and one inverse transform call turns rows j and j + 1
+    into step j's field and the next step's first half kick.  The block's
+    densities are one array whose first row is the density of the field
+    before the block: the resolution guard and the nodeless check each
+    read its first count rows in one call, and each field keeps its own
+    row as its ``rho``.  Whatever a block marched past a member's stop
+    (its fields, clamp events and budget) is dropped.  A field's own
+    ``psi_hat`` cache stays the transform of its psi, computed only if an
+    observer reads it, so records match fresh fields bit for bit.
     """
-
-    def __init__(self, w: WaveField, dtau: float, horizon: int):
-        self.grid = w.grid
-        self.hbar = w.hbar
-        self.mass = w.mass
-        self.dtau = dtau
-        self.horizon = horizon
-        if w.psi.dtype != np.complex128:
-            w = WaveField(grid=w.grid, psi=w.psi.astype(complex), hbar=w.hbar, mass=w.mass)
-        self.field = w
-        self.members = _members(w)
-        self.noise_budget = np.zeros(w.psi.shape[:w.psi.ndim - w.grid.dim])  # by live member
-        self.clamp_events = np.zeros(len(self.members), dtype=int)  # by starting index
-        self.steps_done = 0
-        self._guard_floor = RESOLUTION_CELLS * self.grid.spacing**2
-        self._kc2_floor = 9.0 * (2.0 * math.pi / self.grid.length) ** 2
-        self._kc2_cap = (0.95 * math.pi / self.grid.spacing) ** 2
-        self._budget_rate = 0.5 * self.hbar * abs(dtau) / self.mass
-        # the free propagator over half a step, unmasked; the band mask changes every step
-        self._half_kinetic = _kinetic_phase(self.grid, self.hbar, self.mass, 0.5 * dtau)
-        # what the next step starts from: its first half kick (psi, band mask, k_c^2) once a
-        # step has made it, else the spectrum
-        self._spectrum, self._kick = w.psi_hat, None
-        self._block = None
-
-    def step(self) -> dict:
-        """One Strang step of size dtau for every live member, guards checked first.
-
-        Returns the members the guards stopped, by starting index, each
-        with the :class:`ResolutionGuardError` its lone run raises.  A
-        member with an interior node raises for the whole stack, and a
-        step once every member has left is refused with a ``ValueError``.
-        """
-        if not self.members.size:
-            raise ValueError(f"no member is live after {self.steps_done} steps: each left at a guard trip")
-        block = self._block
-        if block is None or block.at == len(block.fields):
-            block = self._block = self._march_block(block)
-        j = block.at
-        stopped = self._verdicts(block, j) if block.events[j] else {}
-        if not self.members.size:
-            return stopped
-        if block.everyone:
-            self.field, self.noise_budget = block.fields[j], block.budgets[j + 1]
-        else:
-            self.field = block.fields[j].take(block.alive)
-            self.noise_budget = block.budgets[j + 1][block.alive]
-        if block.clamps is not None:
-            self.clamp_events[self.members] += block.clamps[j][block.alive]
-        self.steps_done += 1
-        block.at += 1
-        return stopped
-
-    def _verdicts(self, block: _Block, j: int) -> dict:
-        """The members the guards stop at call ``j`` of ``block``, with their errors; refuses a live member's node.
-
-        A call made again after that refusal meets the same verdicts, and is refused again.
-        """
-        trips = block.alive & (block.unresolved[j] | block.spent[j])
-        stopped = {}
-        for i in np.flatnonzero(trips):
-            member = int(block.members[i])
-            if block.unresolved[j, i]:
-                message = (f"resolution guard: sigma_x2 fell to {block.spread[j, i]:.3e} <= "
-                           f"{self._guard_floor:.3e} after {self.steps_done} steps")
-            else:
-                budget = np.ravel(block.budgets[j])[i]
-                message = (f"stability guard: noise budget {budget:.1f} "
-                           f"exceeded {NOISE_BUDGET_MAX:g} after {self.steps_done} steps")
-            stopped[member] = ResolutionGuardError(message, steps_completed=self.steps_done, member=member)
-        block.alive &= ~trips
-        block.everyone = bool(block.alive.all())
-        self.members = block.members[block.alive]
-        if self.members.size:
-            _refuse_nodal(block.nodal[j] & block.alive)
-        return stopped
-
-    def _march_block(self, last: _Block) -> _Block:
-        """The steps ahead of ``field`` for the coming calls, with the guards' verdicts on their fields.
-
-        ``last`` is the block before, if any: the members that left it
-        leave what the next step starts from too.
-        """
-        if last is not None and not last.everyone:
-            if self._kick is None:
-                self._spectrum = self._spectrum[last.alive]
-            else:
-                self._kick = tuple(a[last.alive] for a in self._kick)
-        live = self.members.size
-        count = min(RECORD_BLOCK_FIELDS, max(1, RECORD_BLOCK_SAMPLES // (live * self.grid.size)),
-                    max(1, self.horizon - self.steps_done))
-        fields, budgets, clamps = [], [self.noise_budget], []
+    grid = w.grid
+    if w.psi.dtype != np.complex128:
+        w = WaveField(grid=grid, psi=w.psi.astype(complex), hbar=w.hbar, mass=w.mass)
+    members = _members(w)
+    budget = np.zeros(w.psi.shape[:w.psi.ndim - grid.dim])  # by live member
+    floor = RESOLUTION_CELLS * grid.spacing**2
+    rate = 0.5 * w.hbar * abs(dtau) / w.mass
+    # the free propagator over half a step, unmasked; the band mask changes every step
+    half_kinetic = _kinetic_phase(grid, w.hbar, w.mass, 0.5 * dtau)
+    # the first step's first half kick, back in position space, with its band mask and k_c^2
+    half_kin, kc2 = _band_half_kinetic(grid, w.psi_hat, half_kinetic)
+    kick = w.psi_hat * half_kin
+    grid._ifftn(kick, out=kick)
+    field, rho_before, done = w, w.rho, 0
+    while done < steps:
+        live = members.size
+        count = min(RECORD_BLOCK_FIELDS, max(1, RECORD_BLOCK_SAMPLES // (live * grid.size)), steps - done)
+        buf = np.empty((count + 1,) + kick.shape, dtype=complex)
+        budgets, clamps = [budget], []
         for j in range(count):
-            if self._kick is None:
-                self._kick = self._first_half_kick(self._spectrum)
-            psi, half_kin, kc2 = self._kick
-            budgets.append(budgets[-1] + self._budget_rate * kc2)
-            clamps.append(self._rotate(psi))
-            spectrum = self.grid._fftn(psi, out=psi)
+            budgets.append(budgets[-1] + rate * kc2)
+            clamps.append(_rotate(w, kick, dtau, out=buf[j]))
+            spectrum = grid._fftn(buf[j], out=buf[j])
             spectrum *= half_kin
-            if self.steps_done + j + 1 < self.horizon:
-                psi, self._kick = self._field_and_kick(spectrum)
+            if done + j + 1 < steps:
+                half_kin, kc2 = _band_half_kinetic(grid, spectrum, half_kinetic)
+                np.multiply(spectrum, half_kin, out=buf[j + 1])
+                grid._ifftn(buf[j:j + 2], out=buf[j:j + 2])
             else:
-                psi, self._spectrum, self._kick = self.grid._ifftn(spectrum), spectrum, None
-            fields.append(WaveField._adopt(self.field, psi))
+                grid._ifftn(spectrum, out=spectrum)
+            kick = buf[j + 1]
             if (budgets[-1] > NOISE_BUDGET_MAX).any():
+                count = j + 1
                 break
-        count = len(fields)
-        rho = np.stack([w.rho for w in [self.field] + fields[:-1]])
-        spread = np.reshape(_position_variance(self.grid, rho), (count, live))
+        rho = np.empty((count + 1,) + rho_before.shape)
+        rho[0] = rho_before
+        np.square(np.abs(buf[:count], out=rho[1:]), out=rho[1:])
+        rho.setflags(write=False)
+        # the guards' verdicts on the field each step of the block starts from
+        spread = np.reshape(_position_variance(grid, rho[:count]), (count, live))
         budgets = np.array(budgets)  # one row per step, in the members' shape
-        if all(c is None for c in clamps):
-            clamps = None
-        else:
-            clamps = np.array([np.zeros(live, dtype=int) if c is None else c for c in clamps])
-        return _Block(self.members, fields, budgets, clamps, spread, spread <= self._guard_floor,
-                      np.reshape(budgets[:-1], (count, live)) > NOISE_BUDGET_MAX,
-                      _nodal_members(self.grid, rho).reshape(count, live))
+        unresolved = spread <= floor
+        spent = np.reshape(budgets[:-1], (count, live)) > NOISE_BUDGET_MAX
+        nodal = _nodal_members(grid, rho[:count]).reshape(count, live)
+        events = (unresolved | spent | nodal).any(axis=1).tolist()
+        alive, everyone = np.ones(live, dtype=bool), True
+        for j in range(count):
+            stopped = {}
+            if events[j]:
+                trips = alive & (unresolved[j] | spent[j])
+                for i in np.flatnonzero(trips):
+                    member = int(members[i])
+                    if unresolved[j, i]:
+                        message = (f"resolution guard: sigma_x2 fell to {spread[j, i]:.3e} <= "
+                                   f"{floor:.3e} after {done} steps")
+                    else:
+                        message = (f"stability guard: noise budget {np.ravel(budgets[j])[i]:.17g} "
+                                   f"exceeded {NOISE_BUDGET_MAX:g} after {done} steps")
+                    stopped[member] = ResolutionGuardError(message, steps_completed=done, member=member)
+                alive &= ~trips
+                everyone = bool(alive.all())
+                if not alive.any():
+                    yield field, stopped
+                    return
+                _refuse_nodal(nodal[j] & alive)
+            if everyone:
+                field = WaveField._adopt(field, buf[j], rho[j + 1])
+            else:
+                field = WaveField._adopt(field, buf[j][alive], rho[j + 1][alive])
+            if clamp_events is not None and clamps[j] is not None:
+                clamp_events[members[alive]] += clamps[j][alive]
+            done += 1
+            yield field, stopped
+        budget, rho_before = budgets[count], rho[count]
+        if not everyone:
+            members, budget, rho_before = members[alive], budget[alive], rho_before[alive]
+            kick, half_kin, kc2 = kick[alive], half_kin[alive], kc2[alive]
 
-    def _first_half_kick(self, spectrum: np.ndarray) -> tuple:
-        """The first half kick of a step from ``spectrum``, back in position space, with its band mask and k_c^2."""
-        half_kin, kc2 = self._band_half_kinetic(spectrum)
-        kicked = spectrum * half_kin
-        return self.grid._ifftn(kicked, out=kicked), half_kin, kc2
 
-    def _field_and_kick(self, spectrum: np.ndarray) -> tuple:
-        """The field of ``spectrum`` and the next step's first half kick, from one inverse transform call."""
-        half_kin, kc2 = self._band_half_kinetic(spectrum)
-        pair = np.empty((2,) + spectrum.shape, dtype=complex)
-        pair[0] = spectrum
-        np.multiply(spectrum, half_kin, out=pair[1])
-        self.grid._ifftn(pair, out=pair)
-        return pair[0], (pair[1], half_kin, kc2)
+def _band_half_kinetic(grid, spectrum: np.ndarray, half_kinetic: np.ndarray) -> tuple:
+    """The half kinetic step ``half_kinetic`` on each member's band |k - kbar| <= k_c, zero outside, and k_c^2.
 
-    def _band_half_kinetic(self, spectrum: np.ndarray) -> tuple:
-        """The half kinetic step on each member's band |k - kbar| <= k_c, zero outside, and k_c^2.
+    kbar and the momentum dispersion dk2 come from the moments of
+    |spectrum|^2 against 1, k and |k|^2.
+    """
+    parts = spectrum.view(np.float64)
+    m = grid._moments(parts * parts, grid._spectral_moment_table)
+    m = m / m[..., :1]
+    kbar = m[..., 1:-1]
+    dk2 = m[..., -1] - (kbar * kbar).sum(axis=-1)
+    kc2_floor = 9.0 * (2.0 * math.pi / grid.length) ** 2
+    kc2_cap = (0.95 * math.pi / grid.spacing) ** 2
+    kc2 = np.minimum(np.maximum(BAND_WIDTH_FACTOR * dk2, kc2_floor), kc2_cap)
+    return half_kinetic * (_distance2(grid, kbar) <= _per_member(kc2, grid)), kc2
 
-        kbar and the momentum dispersion dk2 come from the moments of
-        |spectrum|^2 against 1, k and |k|^2.
-        """
-        grid = self.grid
-        parts = spectrum.view(np.float64)
-        m = grid._moments(parts * parts, grid._spectral_moment_table)
-        m = m / m[..., :1]
-        kbar = m[..., 1:-1]
-        dk2 = m[..., -1] - (kbar * kbar).sum(axis=-1)
-        kc2 = np.minimum(np.maximum(BAND_WIDTH_FACTOR * dk2, self._kc2_floor), self._kc2_cap)
-        return self._half_kinetic * (_distance2(grid, kbar) <= _per_member(kc2, grid)), kc2
 
-    def _rotate(self, psi: np.ndarray):
-        """The pointwise phase rotation by the clamped potential W, in place; each member's clamp events, if any."""
-        W = (self.hbar**2 / self.mass) * _curvature_quotient(self.grid, np.abs(psi))
-        clipped = np.abs(W) > W_MAX
-        events = None
-        if clipped.any():
-            events = np.ravel(clipped.sum(axis=self.grid._trailing_axes))
-            W = np.clip(W, -W_MAX, W_MAX)
-        # exp(-i W dtau / hbar), from the cosine and sine of the real angle
-        angle = W * (-self.dtau / self.hbar)
-        rotation = np.empty(psi.shape, dtype=complex)
-        np.cos(angle, out=rotation.real)
-        np.sin(angle, out=rotation.imag)
-        psi *= rotation
-        return events
+def _rotate(w: WaveField, psi: np.ndarray, dtau: float, out: np.ndarray):
+    """Rotate the phase of ``psi`` pointwise by the clamped potential W, into ``out``.
+
+    ``w`` gives the grid and units.  Returns each member's clamp events, or
+    None where no sample was clamped.
+    """
+    W = (w.hbar**2 / w.mass) * _curvature_quotient(w.grid, np.abs(psi))
+    clipped = np.abs(W) > W_MAX
+    events = None
+    if clipped.any():
+        events = np.ravel(clipped.sum(axis=w.grid._trailing_axes))
+        W = np.clip(W, -W_MAX, W_MAX)
+    # exp(-i W dtau / hbar), from the cosine and sine of the real angle
+    angle = W * (-dtau / w.hbar)
+    rotation = np.empty(psi.shape, dtype=complex)
+    np.cos(angle, out=rotation.real)
+    np.sin(angle, out=rotation.imag)
+    np.multiply(psi, rotation, out=out)
+    return events
 
 
 def _distance2(grid, kbar: np.ndarray) -> np.ndarray:
@@ -474,10 +405,9 @@ def evolve_tau(w: WaveField, dtau: float, steps: int = 1) -> WaveField:
     _check_steps(steps)
     if dtau == 0.0 or steps == 0:
         return w
-    marcher = _TauMarcher(w, dtau, steps)
-    for _ in range(steps):
-        _raise_first(marcher.step())
-    return marcher.field
+    for w, stopped in _tau_fields(w, dtau, steps):
+        _raise_first(stopped)
+    return w
 
 
 # ---------------------------------------------------------------------------
@@ -517,7 +447,7 @@ _STENCIL_WIDTH = 5
 #: Fields and samples a block of records holds: the runner evaluates the
 #: records of min(RECORD_BLOCK_FIELDS, max(1, RECORD_BLOCK_SAMPLES //
 #: (live members * grid.size))) consecutive fields at once, and the
-#: tau-marcher steps ahead by the same rule (:class:`_TauMarcher`).  Records
+#: tau-march runs ahead by the same rule (:func:`_tau_fields`).  Records
 #: are bound by per-call overhead on small arrays, so longer blocks are faster
 #: until the gain levels off, while every buffered field costs memory.
 #: Measured on the 18 lone 500-step tau-runs of a seeded battery at n = 512
@@ -558,41 +488,31 @@ def _stencil_residual(rhos, w, dstep):
 
 
 def _flow_fields(w0: WaveField, flow: str, step: float, ahead: int):
-    """Stacked fields of a flow at indices -2..ahead (the runner's stencil), and the forward tau-marcher.
+    """Stacked fields of a flow at indices -2..ahead (the runner's stencil), and each member's clamp events.
 
     The stream yields (field, stopped) pairs: ``stopped`` maps the
     starting index of each member a guard stopped just before this field
     to its error, and the field holds the members still live.  Each
     t-flow field is one propagator application from w0, no member stops,
-    and the marcher is None.  The backward tau-steps run at once, so a
+    and no clamp is counted.  The backward tau-steps run at once, so a
     guard trip there raises from this call; the forward fields are
-    generated lazily, and the stream ends early once no member is left.
-    A flow name other than "t" or "tau" is refused.
+    generated lazily (see :func:`_tau_fields`), and the stream ends early
+    once no member is left.  The clamp events, by starting index, count
+    the forward steps the stream has handed out.  A flow name other than
+    "t" or "tau" is refused.
     """
     _check_flow(flow)
     back = _STENCIL_WIDTH // 2
+    clamps = np.zeros(len(_members(w0)), dtype=int)
     if flow == "t":
-        return ((evolve_t(w0, step * j), {}) for j in range(-back, ahead + 1)), None
-    # a field of the run's own, so that its caches stay off the caller's w0; the
-    # stream holds each field only until it has been yielded
+        return ((evolve_t(w0, step * j), {}) for j in range(-back, ahead + 1)), clamps
+    # a field of the run's own, so that its caches stay off the caller's w0
     w0 = WaveField(grid=w0.grid, psi=w0.psi, hbar=w0.hbar, mass=w0.mass)
-    behind = _TauMarcher(w0, -step, back)
-    earlier = [(w0, {})]
-    for _ in range(back):
-        _raise_first(behind.step())
-        earlier.append((behind.field, {}))
-    marcher = _TauMarcher(w0, step, ahead)
-
-    def stream():
-        while earlier:
-            yield earlier.pop()
-        for _ in range(ahead):
-            stopped = marcher.step()
-            yield marcher.field, stopped
-            if not marcher.members.size:
-                return
-
-    return stream(), marcher
+    earlier = [w0]
+    for w, stopped in _tau_fields(w0, -step, back):
+        _raise_first(stopped)
+        earlier.append(w)
+    return chain(((w, {}) for w in reversed(earlier)), _tau_fields(w0, step, ahead, clamps)), clamps
 
 
 def _probe_fields(w: WaveField, flow: str, step: float, probe: str) -> tuple:
@@ -668,7 +588,7 @@ def run_trajectories(w0: WaveField, flow: str, step: float, steps: int) -> list:
     reasons = [""] * count
     live = np.arange(count)
     back = _STENCIL_WIDTH // 2
-    fields, marcher = _flow_fields(w0, flow, step, steps + 2)
+    fields, clamps = _flow_fields(w0, flow, step, steps + 2)
     # the buffer: the fields from the next record's on, and their densities from two fields before
     pending, rhos = [], []
 
@@ -708,7 +628,6 @@ def run_trajectories(w0: WaveField, flow: str, step: float, steps: int) -> list:
     flush()
     columns["step"][:] = np.arange(steps + 1)
     np.multiply(columns["step"], step, out=columns["time"])
-    clamps = marcher.clamp_events if marcher else np.zeros(count, dtype=int)
     trajectories = []
     for i, length in enumerate(lengths):
         member = {name: block[i, :length] for name, block in columns.items()}

@@ -180,13 +180,15 @@ class WaveField:
         return WaveField(grid=self.grid, psi=self.psi[index], hbar=self.hbar, mass=self.mass)
 
     @classmethod
-    def _adopt(cls, like: "WaveField", psi: np.ndarray) -> "WaveField":
+    def _adopt(cls, like: "WaveField", psi: np.ndarray, rho: np.ndarray = None) -> "WaveField":
         """A field on ``like``'s grid and units that keeps ``psi`` itself, made read-only.
 
         Only for a fresh C-ordered complex128 array (or a view of one) that
         this package has just made and hands to no one else; an array a
         caller passes is copied (``_read_only``), since a read-only flag
-        alone promises nothing about who else may write to it.
+        alone promises nothing about who else may write to it.  ``rho``, if
+        given, is kept as the density cache: a read-only array holding
+        |psi|^2 bit for bit.
         """
         if psi.dtype != np.complex128 or not psi.flags.c_contiguous:
             raise TypeError(f"only a C-ordered complex128 array is adopted, got a {psi.dtype} array"
@@ -194,6 +196,8 @@ class WaveField:
         psi.setflags(write=False)
         w = object.__new__(cls)
         w.__dict__.update(grid=like.grid, psi=like.grid.bind(psi), hbar=like.hbar, mass=like.mass)
+        if rho is not None:
+            w.__dict__["rho"] = rho
         return w
 
 

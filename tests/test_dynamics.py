@@ -184,14 +184,18 @@ class TestTauFlow:
         assert err.value.member == 0
 
     def test_step_after_every_member_left_is_refused(self, grid):
-        # a lone field whose noise guard trips after 233 steps leaves the marcher empty
-        marcher = dynamics._TauMarcher(to_wave(make_gaussian(GaussianParams(sigma2=0.5, b=-1.0), grid)), 1e-3, 500)
+        # a lone field whose noise guard trips after 233 steps leaves the march empty: the
+        # pair that stops it hands out the last field again, and the march ends there
+        march = dynamics._tau_fields(to_wave(make_gaussian(GaussianParams(sigma2=0.5, b=-1.0), grid)), 1e-3, 500)
+        pairs = []
         stopped = {}
         while not stopped:
-            stopped = marcher.step()
-        assert list(stopped) == [0] and marcher.members.size == 0
-        with pytest.raises(ValueError, match="no member is live"):
-            marcher.step()
+            pairs.append(next(march))
+            stopped = pairs[-1][1]
+        assert list(stopped) == [0] and len(pairs) == 234 and pairs[-1][0] is pairs[-2][0]
+        assert stopped[0].steps_completed == 233
+        with pytest.raises(StopIteration):
+            next(march)
 
     def test_node_state_rejected(self, grid):
         x = grid.coords[0]
@@ -431,6 +435,17 @@ class TestStackedRunner:
         for wave, traj in zip(waves, stacked):
             assert_same_trajectory(traj, run_trajectory(wave, "tau", 1e-3, 300))
 
+    def test_battery_noise_trips_print_a_budget_past_the_cap(self, battery):
+        # twelve battery members trip the stability guard within 500 steps; each reason prints
+        # the budget that tripped it, and that budget exceeds the cap (at one decimal, half
+        # of them read 20.0)
+        stacked = run_trajectories(_stack([to_wave(state) for _, state in battery]), "tau", 1e-3, 500)
+        reasons = [t.guard_reason for t in stacked if t.guard_reason.startswith("stability guard")]
+        assert len(reasons) == 12
+        for reason in reasons:
+            budget = float(reason.split("noise budget ")[1].split(" exceeded")[0])
+            assert budget > dynamics.NOISE_BUDGET_MAX, reason
+
     def test_mixed_stack_with_each_guard(self, grid, minimal_wave):
         resolution = to_wave(make_gaussian(GaussianParams(sigma2=0.17, b=-3.0), grid))
         noise = to_wave(make_gaussian(GaussianParams(sigma2=0.5, b=-1.0), grid))
@@ -577,15 +592,23 @@ class TestMarchBlocks:
 
     @pytest.fixture
     def block_starts(self, monkeypatch):
-        """The (steps done, fields) of every block the marchers step, in order."""
-        starts = []
+        """The (steps marched before, fields) of every block the marches step, in order.
 
-        def recorded(marcher, last, _original=dynamics._TauMarcher._march_block):
-            block = _original(marcher, last)
-            starts.append((marcher.steps_done, len(block.fields)))
-            return block
+        Each block's guard reads its densities in one call, one row per field.
+        """
+        starts, done = [], []
 
-        monkeypatch.setattr(dynamics._TauMarcher, "_march_block", recorded)
+        def march(*args, _original=dynamics._tau_fields):
+            done.append(0)
+            return _original(*args)
+
+        def spread(grid, rho, _original=dynamics._position_variance):
+            starts.append((done[-1], len(rho)))
+            done[-1] += len(rho)
+            return _original(grid, rho)
+
+        monkeypatch.setattr(dynamics, "_tau_fields", march)
+        monkeypatch.setattr(dynamics, "_position_variance", spread)
         return starts
 
     @staticmethod
@@ -646,18 +669,31 @@ class TestMarchBlocks:
         self.flag_peaks_above(monkeypatch, 1.04 * float(w0.rho.max()))
 
         def march():
-            marcher, fields = dynamics._TauMarcher(w0, 1e-3, 100), []
+            fields = []
             with pytest.raises(DegenerateStateError):
-                while True:
-                    marcher.step()
-                    fields.append(marcher.field.psi.tobytes())
-            with pytest.raises(DegenerateStateError):  # a call made again is refused again
-                marcher.step()
-            return marcher.steps_done, fields
+                for field, _ in dynamics._tau_fields(w0, 1e-3, 100):
+                    fields.append(field.psi.tobytes())
+            return fields
 
-        done, fields = march()
-        assert done == 38 and len(fields) == 38
-        assert (done, fields) == _blocks_of_one(monkeypatch, march)
+        fields = march()
+        assert len(fields) == 38
+        assert fields == _blocks_of_one(monkeypatch, march)
+
+    def test_fields_of_a_block_share_one_buffer_and_one_density_array(self, minimal_wave):
+        # a lone run at n = 512 marches 16 fields to a block, into the 17 rows of one buffer;
+        # each field comes with its density, a row of the block's one read-only array
+        stream, _ = dynamics._flow_fields(minimal_wave, "tau", 1e-3, 32)
+        forward = [field for field, _ in stream][3:]  # the fields after one step to 32
+        assert len(forward) == 32
+        assert all("rho" in vars(field) for field in forward)
+        for block in (forward[:16], forward[16:]):
+            psi, rho = block[0].psi.base, block[0].rho.base
+            assert psi.shape == rho.shape == (17,) + minimal_wave.psi.shape
+            assert not rho.flags.writeable
+            for field in block:
+                assert field.psi.base is psi and field.rho.base is rho
+                assert field.rho.tobytes() == (np.abs(field.psi) ** 2).tobytes()
+        assert forward[0].psi.base is not forward[16].psi.base
 
     def test_evolve_tau_first_to_trip(self, grid, minimal_wave, monkeypatch):
         stack = _stack([minimal_wave, self.wave(grid, 0.2, -1.0), self.wave(grid, 0.2, -1.1)])
@@ -685,11 +721,11 @@ class TestMarchBlocks:
     def test_one_step_evolve_tau_makes_one_step(self, minimal_wave, monkeypatch):
         rotations = []
 
-        def counted(marcher, psi, _original=dynamics._TauMarcher._rotate):
+        def counted(w, psi, dtau, out, _original=dynamics._rotate):
             rotations.append(psi.shape)
-            return _original(marcher, psi)
+            return _original(w, psi, dtau, out)
 
-        monkeypatch.setattr(dynamics._TauMarcher, "_rotate", counted)
+        monkeypatch.setattr(dynamics, "_rotate", counted)
         out = evolve_tau(minimal_wave, 1e-3, 1)
         assert rotations == [minimal_wave.psi.shape]
         assert out.psi.tobytes() == _blocks_of_one(monkeypatch, lambda: evolve_tau(minimal_wave, 1e-3, 1)).psi.tobytes()
@@ -699,18 +735,18 @@ class TestBandMask:
     """The band sums |k - kbar|^2 axis by axis, bit for bit as the table of wavenumber vectors did."""
 
     @staticmethod
-    def table_mask(marcher, spectrum):
+    def table_mask(grid, half_kinetic, spectrum):
         # the mask from a sum over the trailing axis of Grid._wavenumber_table minus kbar
-        grid = marcher.grid
         parts = spectrum.view(np.float64)
         m = grid._moments(parts * parts, grid._spectral_moment_table)
         m = m / m[..., :1]
         kbar = m[..., 1:-1]
         dk2 = m[..., -1] - (kbar * kbar).sum(axis=-1)
-        kc2 = np.minimum(np.maximum(dynamics.BAND_WIDTH_FACTOR * dk2, marcher._kc2_floor), marcher._kc2_cap)
+        kc2_floor, kc2_cap = 9.0 * (2.0 * math.pi / grid.length) ** 2, (0.95 * math.pi / grid.spacing) ** 2
+        kc2 = np.minimum(np.maximum(dynamics.BAND_WIDTH_FACTOR * dk2, kc2_floor), kc2_cap)
         krel = grid._wavenumber_table - kbar.reshape(kbar.shape[:-1] + (1,) * grid.dim + kbar.shape[-1:])
         krel2 = (krel * krel).sum(axis=-1)
-        return marcher._half_kinetic * (krel2 <= kc2.reshape(kc2.shape + (1,) * grid.dim)), kc2, kbar, krel2
+        return half_kinetic * (krel2 <= kc2.reshape(kc2.shape + (1,) * grid.dim)), kc2, kbar, krel2
 
     @pytest.mark.parametrize("dim, n", [(1, 64), (2, 32), (3, 16)])
     def test_mask_matches_the_table(self, dim, n):
@@ -721,9 +757,9 @@ class TestBandMask:
         centres, widths = rng.uniform(-3.0, 3.0, (4, dim)), rng.uniform(0.5, 2.0, 4)
         spectrum = np.stack([np.exp(-((k - c) ** 2).sum(axis=-1) / w + 1j * rng.uniform(0, 6.3, grid.shape))
                              for c, w in zip(centres, widths)])
-        marcher = dynamics._TauMarcher(WaveField(grid=grid, psi=grid._ifftn(spectrum)), 1e-3, 1)
-        mask, kc2 = marcher._band_half_kinetic(spectrum)
-        want, want_kc2, kbar, krel2 = self.table_mask(marcher, spectrum)
+        half_kinetic = dynamics._kinetic_phase(grid, 1.0, 1.0, 0.5e-3)
+        mask, kc2 = dynamics._band_half_kinetic(grid, spectrum, half_kinetic)
+        want, want_kc2, kbar, krel2 = self.table_mask(grid, half_kinetic, spectrum)
         assert mask.tobytes() == want.tobytes() and kc2.tobytes() == want_kc2.tobytes()
         assert 0 < np.count_nonzero(mask) < mask.size
         assert dynamics._distance2(grid, kbar).tobytes() == krel2.tobytes()
