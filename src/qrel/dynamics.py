@@ -240,17 +240,20 @@ def _tau_fields(w: WaveField, dtau: float, steps: int, clamp_events=None):
     The march runs in blocks of min(RECORD_BLOCK_FIELDS, max(1,
     RECORD_BLOCK_SAMPLES // (live members * grid.size))) steps, no more
     than are left, and a step that takes a member's noise budget past
-    NOISE_BUDGET_MAX ends its block.  A block is marched into one C-ordered
-    buffer of count + 1 rows: row j holds step j's first half kick, then
-    its spectrum, and one inverse transform call turns rows j and j + 1
-    into step j's field and the next step's first half kick.  The block's
-    densities are one array whose first row is the density of the field
-    before the block: the resolution guard and the nodeless check each
-    read its first count rows in one call, and each field keeps its own
-    row as its ``rho``.  Whatever a block marched past a member's stop
-    (its fields, clamp events and budget) is dropped.  A field's own
-    ``psi_hat`` cache stays the transform of its psi, computed only if an
-    observer reads it, so records match fresh fields bit for bit.
+    NOISE_BUDGET_MAX ends its block; a block from which every live
+    member's spent budget stops it at once is not marched, and its guards
+    read only the density it would start from.  A block is marched into
+    one C-ordered buffer of count + 1 rows: row j holds step j's first
+    half kick, then its spectrum, and one inverse transform call turns
+    rows j and j + 1 into step j's field and the next step's first half
+    kick.  The block's densities are one array whose first row is the
+    density of the field before the block: the resolution guard and the
+    nodeless check each read its first count rows in one call, and each
+    field keeps its own row as its ``rho``.  Whatever a block marched past
+    a member's stop (its fields, clamp events and budget) is dropped.  A
+    field's own ``psi_hat`` cache stays the transform of its psi, computed
+    only if an observer reads it, so records match fresh fields bit for
+    bit.
     """
     grid = w.grid
     if w.psi.dtype != np.complex128:
@@ -269,32 +272,37 @@ def _tau_fields(w: WaveField, dtau: float, steps: int, clamp_events=None):
     while done < steps:
         live = members.size
         count = min(RECORD_BLOCK_FIELDS, max(1, RECORD_BLOCK_SAMPLES // (live * grid.size)), steps - done)
-        buf = np.empty((count + 1,) + kick.shape, dtype=complex)
         budgets, clamps = [budget], []
-        for j in range(count):
-            budgets.append(budgets[-1] + rate * kc2)
-            clamps.append(_rotate(w, kick, dtau, out=buf[j]))
-            spectrum = grid._fftn(buf[j], out=buf[j])
-            spectrum *= half_kin
-            if done + j + 1 < steps:
-                half_kin, kc2 = _band_half_kinetic(grid, spectrum, half_kinetic)
-                np.multiply(spectrum, half_kin, out=buf[j + 1])
-                grid._ifftn(buf[j:j + 2], out=buf[j:j + 2])
-            else:
-                grid._ifftn(spectrum, out=spectrum)
-            kick = buf[j + 1]
-            if (budgets[-1] > NOISE_BUDGET_MAX).any():
-                count = j + 1
-                break
-        rho = np.empty((count + 1,) + rho_before.shape)
-        rho[0] = rho_before
-        np.square(np.abs(buf[:count], out=rho[1:]), out=rho[1:])
-        rho.setflags(write=False)
+        if (budget > NOISE_BUDGET_MAX).all():
+            # every live member's spent budget stops it at the field the block starts from:
+            # the guards read that field's density, and no step is marched
+            count, rho = 1, rho_before[np.newaxis]
+        else:
+            buf = np.empty((count + 1,) + kick.shape, dtype=complex)
+            for j in range(count):
+                budgets.append(budgets[-1] + rate * kc2)
+                clamps.append(_rotate(w, kick, dtau, out=buf[j]))
+                spectrum = grid._fftn(buf[j], out=buf[j])
+                spectrum *= half_kin
+                if done + j + 1 < steps:
+                    half_kin, kc2 = _band_half_kinetic(grid, spectrum, half_kinetic)
+                    np.multiply(spectrum, half_kin, out=buf[j + 1])
+                    grid._ifftn(buf[j:j + 2], out=buf[j:j + 2])
+                else:
+                    grid._ifftn(spectrum, out=spectrum)
+                kick = buf[j + 1]
+                if (budgets[-1] > NOISE_BUDGET_MAX).any():
+                    count = j + 1
+                    break
+            rho = np.empty((count + 1,) + rho_before.shape)
+            rho[0] = rho_before
+            np.square(np.abs(buf[:count], out=rho[1:]), out=rho[1:])
+            rho.setflags(write=False)
         # the guards' verdicts on the field each step of the block starts from
         spread = np.reshape(_position_variance(grid, rho[:count]), (count, live))
-        budgets = np.array(budgets)  # one row per step, in the members' shape
+        budgets = np.array(budgets)  # the budget before each step, and after the last step marched
         unresolved = spread <= floor
-        spent = np.reshape(budgets[:-1], (count, live)) > NOISE_BUDGET_MAX
+        spent = np.reshape(budgets[:count], (count, live)) > NOISE_BUDGET_MAX
         nodal = _nodal_members(grid, rho[:count]).reshape(count, live)
         events = (unresolved | spent | nodal).any(axis=1).tolist()
         alive, everyone = np.ones(live, dtype=bool), True
@@ -538,12 +546,16 @@ def _write_records(columns: dict, live, row: int, step: float, rhos: list, field
     from two fields before the first to two after the last.  Their records
     are evaluated at once on the C-contiguous stack of the fields, one
     record axis before the member axis (a block of one field too), so each
-    row is bit for bit the record its field gives alone.  The step and
-    time columns follow from the row index and are built once a run ends.
+    row is bit for bit the record its field gives alone; the stack's
+    density is the fields' rows of the stacked ``rhos``, not computed
+    again.  The step and time columns follow from the row index and are
+    built once a run ends.
     """
     k = len(fields)
-    w = WaveField._adopt(fields[0], np.stack([f.psi for f in fields]))
     densities = np.stack(rhos)
+    densities.setflags(write=False)
+    back = _STENCIL_WIDTH // 2
+    w = WaveField._adopt(fields[0], np.stack([f.psi for f in fields]), densities[back:back + k])
     window = [densities[d:d + k] for d in range(_STENCIL_WIDTH)]
     values = {
         **_record_observables(w),

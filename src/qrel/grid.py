@@ -18,6 +18,14 @@ by sqrt rho ~ 1e-6 at the rim of its comparison region, so it magnifies
 the Laplacian's rounding noise: on the half spectrum the functionals
 suite's quantum-potential field check reads 1.9e-8 against its 1e-8
 bound, against 5.0e-9 on the full spectrum.
+
+Every transform in the package is one of four ``Grid`` methods
+(``_fftn``, ``_ifftn``, ``_rfftn``, ``_irfftn``), which call numpy's 1-D
+transforms once per grid axis, in the order numpy's n-D functions take
+the axes, and so give their bits.  The n-D wrappers check and normalize
+their shape and axes arguments on every call: with numpy 2.4 that is
+about a fifth of a 512-point transform's time, and the tau-march, bound
+by per-call overhead, makes four transforms a step.
 """
 
 from dataclasses import dataclass
@@ -208,23 +216,32 @@ class Grid:
     def _trailing_axes(self) -> tuple:
         return tuple(range(-self.dim, 0))
 
-    # Transforms over the trailing axes.  Passing the lengths as ``s``
-    # spares numpy's own lookup of them (``np.take``), which costs a few
-    # microseconds per transform on the per-call-bound tau path; so does an
-    # ``out`` array, which may be the complex input itself (the transform is
-    # then made in place, with the same values).
+    # Transforms over the trailing axes, one numpy 1-D transform per axis in
+    # the order numpy's n-D functions take them (see the module docstring):
+    # their wrappers' argument handling costs a few microseconds a call on
+    # the per-call-bound tau path.  ``out`` may be the complex input itself
+    # (the transform is then made in place, with the same values).
 
     def _fftn(self, f: np.ndarray, out: np.ndarray = None) -> np.ndarray:
-        return np.fft.fftn(f, s=self.shape, axes=self._trailing_axes, out=out)
+        for ax in reversed(self._trailing_axes):
+            f = np.fft.fft(f, axis=ax, out=out)
+        return f
 
     def _ifftn(self, f: np.ndarray, out: np.ndarray = None) -> np.ndarray:
-        return np.fft.ifftn(f, s=self.shape, axes=self._trailing_axes, out=out)
+        for ax in reversed(self._trailing_axes):
+            f = np.fft.ifft(f, axis=ax, out=out)
+        return f
 
     def _rfftn(self, f: np.ndarray) -> np.ndarray:
-        return np.fft.rfftn(f, s=self.shape, axes=self._trailing_axes)
+        f = np.fft.rfft(f, axis=-1)
+        for ax in reversed(self._trailing_axes[:-1]):
+            f = np.fft.fft(f, axis=ax)
+        return f
 
     def _irfftn(self, f: np.ndarray) -> np.ndarray:
-        return np.fft.irfftn(f, s=self.shape, axes=self._trailing_axes)
+        for ax in self._trailing_axes[:-1]:
+            f = np.fft.ifft(f, axis=ax)
+        return np.fft.irfft(f, self.n, axis=-1)
 
     def _first_derivative_transforms(self, f: np.ndarray) -> tuple:
         """Forward and inverse transform and ik factors for ``f``: the half spectrum for a real field."""

@@ -47,14 +47,14 @@ from qrel.suites import battery_params, gaussian_fit, subjects, tau_record_gap
 
 @pytest.fixture
 def fft_calls(monkeypatch):
-    """A list that grows by one entry for every numpy fftn, ifftn, rfftn or irfftn call."""
+    """A list that grows by one entry for every call of one of the four ``Grid`` transforms."""
     calls = []
-    for name in ("fftn", "ifftn", "rfftn", "irfftn"):
-        def counted(*args, _original=getattr(np.fft, name), **kwargs):
+    for name in ("_fftn", "_ifftn", "_rfftn", "_irfftn"):
+        def counted(*args, _original=getattr(Grid, name), **kwargs):
             calls.append(1)
             return _original(*args, **kwargs)
 
-        monkeypatch.setattr(np.fft, name, counted)
+        monkeypatch.setattr(Grid, name, counted)
     return calls
 
 
@@ -363,6 +363,25 @@ class TestTrajectoryRecordsMatchFreshFields:
         assert divmod(len(traj.records), dynamics.RECORD_BLOCK_FIELDS) == (3, 13)
         self.assert_records_match(traj, self.tau_field(w0, 1e-3))
 
+    @pytest.mark.parametrize("flow, step", [("tau", 1e-3), ("t", 0.05)])
+    def test_block_density_is_the_stacked_densities(self, minimal_wave, monkeypatch, flow, step):
+        # a block of records reads its fields' densities from the stack of the stencil's densities,
+        # a read-only view, and computes none again
+        blocks = []
+
+        def residual(rhos, w, dstep, _original=dynamics._stencil_residual):
+            blocks.append((rhos, w.rho))
+            return _original(rhos, w, dstep)
+
+        monkeypatch.setattr(dynamics, "_stencil_residual", residual)
+        traj = run_trajectory(minimal_wave, flow, step, 20)
+        assert [rho.shape[0] for _, rho in blocks] == [16, 5]
+        for window, rho in blocks:
+            assert rho.base is window[0].base and not rho.flags.writeable
+            assert rho.__array_interface__ == window[2].__array_interface__
+        self.assert_records_match(traj, self.tau_field(minimal_wave, step) if flow == "tau"
+                                  else lambda j: evolve_t(minimal_wave, step * j))
+
     def test_t_flow_2d_across_record_blocks(self):
         grid = Grid(n=64, length=24.0, dim=2)
         w0 = to_wave(make_gaussian(GaussianParams(sigma2=1.0, b=0.5, p0=1.0), grid))
@@ -633,10 +652,34 @@ class TestMarchBlocks:
         traj = run_trajectory(w0, "tau", 1e-3, 500)
         assert traj.guard_reason.startswith("stability guard") and traj.guard_reason.endswith("after 233 steps")
         assert traj.last_valid_step == 231
-        # the step that spends the budget ends its block, and the next block holds the one
-        # step the trip then drops
+        # the step that spends the budget ends its block, and the guards of the next block read
+        # only the density of the field it would start from
         assert block_starts[-2:] == [(224, 9), (233, 1)]
         assert_same_trajectory(traj, _blocks_of_one(monkeypatch, lambda: run_trajectory(w0, "tau", 1e-3, 500)))
+
+    def test_spent_budget_stops_without_a_march(self, grid, minimal_wave, monkeypatch):
+        # the step after 233 takes the lone run's budget past the cap and ends its block, and the
+        # next block would stop it at its first field: it is not marched, so the run rotates two
+        # backward and 233 forward fields.  In a stack beside a live member that block is
+        # marched, and the tripping member's trajectory and error are the same bit for bit.
+        w0 = self.wave(grid, 0.5, -1.0)
+        stacked = run_trajectories(_stack([w0, minimal_wave]), "tau", 1e-3, 500)
+        with pytest.raises(ResolutionGuardError) as beside:
+            evolve_tau(_stack([w0, minimal_wave]), 1e-3, 500)
+        rotations = []
+
+        def counted(w, psi, dtau, out, _original=dynamics._rotate):
+            rotations.append(psi.shape)
+            return _original(w, psi, dtau, out)
+
+        monkeypatch.setattr(dynamics, "_rotate", counted)
+        traj = run_trajectory(w0, "tau", 1e-3, 500)
+        assert len(rotations) == 2 + 233
+        assert traj.guard_reason.startswith("stability guard") and traj.guard_reason.endswith("after 233 steps")
+        assert_same_trajectory(traj, stacked[0])
+        with pytest.raises(ResolutionGuardError) as alone:
+            evolve_tau(w0, 1e-3, 500)
+        assert (str(alone.value), alone.value.steps_completed) == (str(beside.value), 233)
 
     def test_members_stopping_at_different_fields_of_one_block(self, grid, minimal_wave, monkeypatch,
                                                                block_starts):

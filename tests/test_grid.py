@@ -3,7 +3,17 @@
 import numpy as np
 import pytest
 
-from qrel import ConfigurationError, Grid, GridMismatchError
+from qrel import (
+    ConfigurationError,
+    FunctionalTag,
+    GaussianParams,
+    Grid,
+    GridMismatchError,
+    fd_functional_derivative,
+    make_gaussian,
+    run_trajectory,
+    to_wave,
+)
 
 from conftest import gaussian_density
 
@@ -303,3 +313,52 @@ def test_spectral_moments_of_a_stack(g):
         want = [(power[m] * w).sum() for w in weights]
         scale = (power[m] * (1.0 + g.k_squared)).sum()
         assert np.abs(moments[m] - want).max() <= 64 * np.finfo(np.float64).eps * scale
+
+
+TRANSFORM_GRIDS = [Grid(n=32, length=20.0), Grid(n=16, length=20.0, dim=2), Grid(n=16, length=20.0, dim=3)]
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble, np.complex128, np.clongdouble])
+@pytest.mark.parametrize("lead", [(), (2,), (2, 3)], ids=["lone", "stack", "stack2"])
+@pytest.mark.parametrize("g", TRANSFORM_GRIDS, ids=["1d", "2d", "3d"])
+def test_transforms_are_numpys_nd_transforms(g, lead, dtype):
+    # the grid's transforms call numpy's 1-D transforms axis by axis: each gives bit for
+    # bit what numpy's n-D function gives, also made in place into its complex input
+    rng = np.random.default_rng(len(lead) + 3 * g.dim)
+    real = np.dtype(dtype).kind == "f"
+    f = rng.standard_normal(lead + g.shape)
+    if not real:
+        f = f + 1j * rng.standard_normal(f.shape)
+    f = f.astype(dtype)
+    axes = g._trailing_axes
+    pairs = [(g._fftn(f), np.fft.fftn(f, axes=axes)), (g._ifftn(f), np.fft.ifftn(f, axes=axes))]
+    if real:
+        half = np.fft.rfftn(f, axes=axes)
+        pairs.append((g._rfftn(f), half))
+    else:
+        half = f[..., :g.n // 2 + 1].copy()  # a half spectrum of the input's precision
+        for ours, theirs in ((g._fftn, np.fft.fftn), (g._ifftn, np.fft.ifftn)):
+            inplace = f.copy()
+            assert ours(inplace, out=inplace) is inplace
+            pairs.append((inplace, theirs(f, axes=axes)))
+    pairs.append((g._irfftn(half), np.fft.irfftn(half, s=g.shape, axes=axes)))
+    for got, want in pairs:
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_no_path_calls_numpys_nd_transforms(monkeypatch):
+    # a tau-run, a t-run, one oracle field and a long-double Fisher integral, on fresh fields
+    # whose caches hold no transform yet, all transform through the grid's 1-D calls only
+    def refused(*args, **kwargs):
+        raise AssertionError("an n-D numpy transform was called")
+
+    for name in ("fftn", "ifftn", "rfftn", "irfftn"):
+        monkeypatch.setattr(np.fft, name, refused)
+    grid = Grid(n=256, length=40.0)
+    state = make_gaussian(GaussianParams(sigma2=1.0, b=0.5), grid)
+    assert len(run_trajectory(to_wave(state), "tau", 1e-3, 20).records) == 21
+    assert len(run_trajectory(to_wave(state), "t", 0.05, 20).records) == 21
+    where = np.zeros(grid.shape, dtype=bool)
+    where[grid.n // 2 - 2:grid.n // 2 + 2] = True
+    assert np.count_nonzero(fd_functional_derivative(FunctionalTag.H_Q, state, "rho", where=where)) == 4
+    assert grid.gradient_energy(state.sqrt_rho.astype(np.longdouble)).dtype == np.longdouble
