@@ -25,11 +25,15 @@ Stacked evaluation
 The sweep evaluates its functional once per stack of bumped states, not
 once per sample: the plus and minus bumps of up to ``STACK_SAMPLES`` grid
 samples become the C-contiguous rows of one stacked :class:`HydroState`,
-and the unbumped component enters as a single row that broadcasts against
-them (so an s-sweep of H_q transforms the density once per stack).  Every
-grid operator treats each row as it treats a lone field, so each member's
-value, and hence every quotient, is bit for bit the one a lone bumped
-state would give.
+which keeps them without a copy (``HydroState._adopt``).  The unbumped
+component is one single-row long-double base state per sweep, which every
+stack holds and broadcasts against its rows; the blocks of that component
+alone (sqrt(rho), the Fisher integral and the curvature quotient on an
+s-sweep, |grad s|^2 on a rho-sweep) are computed once, on the base, and
+only if the functional reads them.  A rho-stack keeps its bumped
+amplitude rows as its sqrt(rho).  Every grid operator treats each row as
+it treats a lone field, so each member's value, and hence every quotient,
+is bit for bit the one a lone bumped state would give.
 
 Derivatives with respect to rho are unconstrained; restricted to
 normalized densities they carry an additive-constant gauge, so field
@@ -110,14 +114,12 @@ def poisson_bracket(a: FunctionalTag, b: FunctionalTag, state: HydroState,
 STACK_SAMPLES = 2**14
 
 
-def _bumped_rows(flat, idx, e, shape):
-    # plus rows u + e, then minus rows (u + e) - 2e: one bumped sample per row
-    k = idx.size
-    rows = np.tile(flat, (2 * k, 1))
-    plus, minus = np.arange(k), np.arange(k, 2 * k)
-    rows[plus, idx] += e
-    rows[minus, idx] = rows[plus, idx] - 2.0 * e
-    return rows.reshape((2 * k,) + shape)
+def _bumped_rows(flat, idx, values, shape):
+    # one row per value, each ``flat`` with one sample set: row i (of 2k) has sample
+    # idx[i % k] set to values[i]
+    rows = np.tile(flat, (values.size, 1))
+    rows[np.arange(values.size), np.tile(idx, 2)] = values
+    return rows.reshape((values.size,) + shape)
 
 
 def _fd_sweep(func, state, component, eps, mask):
@@ -125,10 +127,14 @@ def _fd_sweep(func, state, component, eps, mask):
     grid = state.grid
     cell = grid.cell_volume
     out = np.zeros(grid.shape)
-    rho = state.rho.astype(np.longdouble)
-    s_field = state.s.astype(np.longdouble)
+    # the unbumped state as one member in long double: each stack holds its unbumped
+    # component, and reads its blocks of that component alone, computed here once
+    base = HydroState(grid, state.rho.astype(np.longdouble)[np.newaxis],
+                      state.s.astype(np.longdouble)[np.newaxis], state.hbar, state.mass)
     on_s = component == "s"
-    flat = (s_field if on_s else state.sqrt_rho.astype(np.longdouble)).ravel()
+    # u as |u|: a -0.0 sample (the root of a -0.0 density) bumps as +0.0, the root of its square
+    flat = (base.s if on_s else np.abs(state.sqrt_rho.astype(np.longdouble))).ravel()
+    square = None if on_s else flat**2
     eps = np.longdouble(eps)
     index = np.flatnonzero(mask.ravel())
     # bump below the local amplitude so sqrt(rho) keeps its sign; u = 0 has no such bump
@@ -138,13 +144,17 @@ def _fd_sweep(func, state, component, eps, mask):
     for start in range(0, index.size, per_stack):
         idx, e = index[start:start + per_stack], bump[start:start + per_stack]
         k = idx.size
-        # the state copies the rows; they are not held past it
+        plus = flat[idx] + e
+        bumped = np.concatenate([plus, plus - 2.0 * e])  # u + e, then (u + e) - 2e
+        # the stack keeps its fresh rows, uncopied.  A rho-stack's density rows are the squares
+        # of its amplitude rows, and it keeps those as its sqrt(rho), which they are bit for bit:
+        # sqrt(u**2) = |u| in binary floating point with round to nearest while u**2 stays
+        # normal (Boldo 2015), as the squares of double samples do in long double
+        rows = _bumped_rows(flat, idx, bumped, grid.shape)
         if on_s:
-            stack = HydroState(grid, rho[np.newaxis], _bumped_rows(flat, idx, e, grid.shape),
-                               state.hbar, state.mass)
+            stack = HydroState._adopt(base, s=rows)
         else:
-            stack = HydroState(grid, _bumped_rows(flat, idx, e, grid.shape) ** 2, s_field[np.newaxis],
-                               state.hbar, state.mass)
+            stack = HydroState._adopt(base, rho=_bumped_rows(square, idx, bumped**2, grid.shape), sqrt_rho=rows)
         # a functional blind to the bumped component gives one value for the stack
         values = np.broadcast_to(func(stack), (2 * k,))
         quotient = (values[:k] - values[k:]) / (2.0 * e * cell)

@@ -102,21 +102,31 @@ def in_convention(dx2, convention: str):
 # they hand out copies.
 
 
-def _kept(block):
-    """``block(state)``, computed on first use and kept in the state's ``__dict__`` as a cached property is."""
-    key = block.__name__
+def _kept(reads: str = None):
+    """Decorate ``block`` as ``block(state)``, computed on first use and kept in the state's ``__dict__`` as a
+    cached property is.
 
-    @functools.wraps(block)
-    def kept(state: HydroState):
-        cache = vars(state)
-        if key not in cache:
-            value = block(state)
-            if isinstance(value, np.ndarray):
-                value.setflags(write=False)
-            cache[key] = value
-        return cache[key]
+    ``reads`` names the one component ("rho" or "s") the block reads, if it
+    reads only one: a state that holds that component of a base state
+    (``HydroState._adopt``) keeps the base's value, computed once on the base.
+    """
+    def decorate(block):
+        key = block.__name__
 
-    return kept
+        @functools.wraps(block)
+        def kept(state: HydroState):
+            cache = vars(state)
+            if key not in cache:
+                base = state._base_holding(reads) if reads else None
+                value = block(state) if base is None else kept(base)
+                if isinstance(value, np.ndarray):
+                    value.setflags(write=False)
+                cache[key] = value
+            return cache[key]
+
+        return kept
+
+    return decorate
 
 
 def _owned(value):
@@ -124,7 +134,7 @@ def _owned(value):
     return value.copy() if isinstance(value, np.ndarray) else value
 
 
-@_kept
+@_kept("rho")
 def _fisher(state: HydroState):
     return state.grid.gradient_energy(state.sqrt_rho)
 
@@ -140,7 +150,7 @@ def _curvature_quotient(grid, u: np.ndarray) -> np.ndarray:
     return grid.laplacian(u) / np.maximum(u, np.sqrt(RHO_FLOOR))
 
 
-@_kept
+@_kept("rho")
 def _curvature(state: HydroState) -> np.ndarray:
     check_nodeless_interior(state)
     return _curvature_quotient(state.grid, state.sqrt_rho)
@@ -155,12 +165,16 @@ def sqrt_density_curvature(state: HydroState) -> np.ndarray:
     return _owned(_curvature(state))
 
 
-@_kept
+@_kept("s")
 def _grad_s_squared(state: HydroState) -> np.ndarray:
-    return sum(g**2 for g in phase_gradient(state))
+    # summed in place from the first axis's square: the bits of sum(), whose start 0 adds exactly
+    squares = [g**2 for g in phase_gradient(state)]
+    for square in squares[1:]:
+        squares[0] += square
+    return squares[0]
 
 
-@_kept
+@_kept()
 def _kinetic(state: HydroState):
     return state.grid.quadrature(state.rho * _grad_s_squared(state))
 
@@ -170,7 +184,7 @@ def kinetic_integral(state: HydroState) -> float:
     return _owned(_kinetic(state))
 
 
-@_kept
+@_kept()
 def _ds_divergence(state: HydroState) -> np.ndarray:
     # div(rho * grad s) with the same centered-difference operators the
     # evaluations use, so summation by parts holds exactly.

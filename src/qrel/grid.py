@@ -264,8 +264,7 @@ class Grid:
         summed bit for bit as it is alone only while its own axes have the
         smallest strides (a C-contiguous stack): numpy adds pairwise along
         the innermost stride, so a stack whose batch axis is innermost
-        (``np.roll`` of a broadcast view) would be summed element by
-        element across members instead.
+        would be summed element by element across members instead.
         """
         f = self.bind(f)
         return self._integral_value(f, f.sum(axis=self._trailing_axes) * self.cell_volume)
@@ -340,8 +339,18 @@ class Grid:
         return g.real if not np.iscomplexobj(f) else g
 
     def _centred_difference(self, f: np.ndarray, ax: int) -> np.ndarray:
-        # (f[j+1] - f[j-1]) / 2h along grid axis ``ax``, wrapping at one cell on each face
-        return (np.roll(f, -1, axis=ax) - np.roll(f, 1, axis=ax)) * (1.0 / (2.0 * self.spacing))
+        # (f[j+1] - f[j-1]) / 2h along grid axis ``ax``, wrapping at one cell on each face:
+        # the differences of slices of f, written into one new C-ordered array and then
+        # scaled, the same elementwise operations as on two rolled copies of f
+        def along(cells):
+            return (Ellipsis, cells) + (slice(None),) * (-1 - ax)
+
+        out = np.empty(f.shape, dtype=np.result_type(f, 1.0))
+        np.subtract(f[along(slice(2, None))], f[along(slice(None, -2))], out=out[along(slice(1, -1))])
+        np.subtract(f[along(slice(1, 2))], f[along(slice(-1, None))], out=out[along(slice(None, 1))])
+        np.subtract(f[along(slice(None, 1))], f[along(slice(-2, -1))], out=out[along(slice(-1, None))])
+        out *= 1.0 / (2.0 * self.spacing)
+        return out
 
     def fd_gradient(self, f: np.ndarray) -> list:
         """Centered-difference per-axis derivative with periodic wrap.

@@ -58,6 +58,12 @@ class HydroState:
     the functional building blocks of :mod:`qrel.functionals` (the Fisher
     and kinetic integrals, |grad s|^2, the curvature quotient and
     div(rho grad s)), which every functional of the state shares.
+
+    The oracle's stacks are made by :meth:`_adopt`, not by the
+    constructor: a stack keeps its fresh bumped rows without a copy and
+    holds the other component of one unbumped base state, whose blocks of
+    that component alone it reads instead of computing them again.  Both
+    ways of making a state check the same invariants.
     """
 
     grid: Grid
@@ -69,28 +75,13 @@ class HydroState:
     def __post_init__(self):
         object.__setattr__(self, "rho", _read_only(self.grid.bind(self.rho), "real"))
         object.__setattr__(self, "s", _read_only(self.grid.bind(self.s), "real"))
-        if self.rho.shape != self.s.shape:
-            try:
-                np.broadcast_shapes(self.rho.shape, self.s.shape)
-            except ValueError:
-                raise GridMismatchError(f"rho stack {self.rho.shape} and s stack {self.s.shape} "
-                                        "do not broadcast") from None
-        if not self.hbar > 0:
-            raise ConfigurationError(f"hbar must be positive, got {self.hbar!r}")
-        if not self.mass > 0:
-            raise ConfigurationError(f"mass must be positive, got {self.mass!r}")
-        if float(self.rho.min()) < 0.0:
-            raise DegenerateStateError("rho has negative samples")
-        # Loose safety net only: constructors normalize to ~1e-15, and the
-        # bracket oracle's bumped states sit within ~1e-6 of unit mass.
-        norm = self.grid.quadrature(self.rho)
-        if np.ndim(norm):  # a stack: its worst member decides
-            norm = norm.flat[np.argmax(np.abs(norm - 1.0))]
-        if abs(norm - 1.0) > 1e-4:
-            raise DegenerateStateError(f"rho is not normalized: quadrature(rho) = {norm!r}")
+        _check_hydro(self)
 
     @cached_property
     def sqrt_rho(self) -> np.ndarray:
+        base = self._base_holding("rho")
+        if base is not None:
+            return base.sqrt_rho
         u = np.sqrt(self.rho)
         u.setflags(write=False)
         return u
@@ -98,6 +89,67 @@ class HydroState:
     @property
     def norm(self) -> float:
         return self.grid.quadrature(self.rho)
+
+    def _base_holding(self, component: str):
+        """The state whose ``component`` this one holds as its own (see :meth:`_adopt`), or None."""
+        shared = self.__dict__.get("_shared")
+        return shared[1] if shared is not None and shared[0] == component else None
+
+    @classmethod
+    def _adopt(cls, base: "HydroState", rho: np.ndarray = None, s: np.ndarray = None,
+               sqrt_rho: np.ndarray = None) -> "HydroState":
+        """A state that keeps the one fresh component it is given itself, made read-only, and holds ``base``'s other.
+
+        Exactly one of ``rho`` and ``s`` is given: a fresh C-ordered float64
+        or long double array (or a view of one) that this package has just
+        made and hands to no one else.  The state has ``base``'s grid and
+        units, holds ``base``'s other component, and reads ``base``'s kept
+        value of every block of that component alone (``sqrt_rho`` here,
+        the blocks :func:`qrel.functionals._kept` marks in
+        :mod:`qrel.functionals`), so each is computed once, on ``base``.
+        ``sqrt_rho``, if given with ``rho``, is kept as its square root: a
+        fresh array holding sqrt(rho) bit for bit.  The invariants are
+        checked as at construction.
+        """
+        if (rho is None) == (s is None) or (sqrt_rho is not None and rho is None):
+            raise TypeError("exactly one of rho and s is adopted, and sqrt_rho only with rho")
+        for a in (x for x in (rho, s, sqrt_rho) if x is not None):
+            if a.dtype not in (np.float64, np.longdouble) or not a.flags.c_contiguous:
+                raise TypeError(f"only a C-ordered float64 or long double array is adopted, got a {a.dtype} array"
+                                f"{'' if a.flags.c_contiguous else ' that is not C-ordered'}")
+            a.setflags(write=False)
+        h = object.__new__(cls)
+        h.__dict__.update(grid=base.grid, rho=base.rho if rho is None else base.grid.bind(rho),
+                          s=base.s if s is None else base.grid.bind(s), hbar=base.hbar, mass=base.mass,
+                          _shared=("rho", base) if rho is None else ("s", base))
+        if sqrt_rho is not None:
+            h.__dict__["sqrt_rho"] = sqrt_rho
+        _check_hydro(h)
+        return h
+
+
+def _check_hydro(state: HydroState):
+    """Refuse a state whose fields do not broadcast, whose units are not positive, or whose rho is
+    negative somewhere or off unit mass by more than 1e-4 (its worst member, for a stack)."""
+    if state.rho.shape != state.s.shape:
+        try:
+            np.broadcast_shapes(state.rho.shape, state.s.shape)
+        except ValueError:
+            raise GridMismatchError(f"rho stack {state.rho.shape} and s stack {state.s.shape} "
+                                    "do not broadcast") from None
+    if not state.hbar > 0:
+        raise ConfigurationError(f"hbar must be positive, got {state.hbar!r}")
+    if not state.mass > 0:
+        raise ConfigurationError(f"mass must be positive, got {state.mass!r}")
+    if (state.rho < 0.0).any():
+        raise DegenerateStateError("rho has negative samples")
+    # Loose safety net only: constructors normalize to ~1e-15, and the
+    # bracket oracle's bumped states sit within ~1e-6 of unit mass.
+    norm = state.grid.quadrature(state.rho)
+    if np.ndim(norm):  # a stack: its worst member decides
+        norm = norm.flat[np.argmax(np.abs(norm - 1.0))]
+    if abs(norm - 1.0) > 1e-4:
+        raise DegenerateStateError(f"rho is not normalized: quadrature(rho) = {norm!r}")
 
 
 @dataclass(frozen=True)

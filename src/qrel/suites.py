@@ -602,7 +602,17 @@ def run_suites(cfg: ScenarioConfig) -> Report:
 
         with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
             pending = {task: pool.submit(_run_part, *task, cfg) for task in sorted(tasks, key=LONGEST_FIRST.index)}
-            results = {task: pending[task].result() for task in tasks}
+            try:
+                results = {task: pending[task].result() for task in tasks}
+            except BaseException:
+                # the run ends here: drop the queued parts and end the running ones, so that
+                # leaving the pool waits for no part (Python 3.11's executor has no public
+                # call that ends its workers; it joins them on the way out)
+                for future in pending.values():
+                    future.cancel()
+                for process in list(pool._processes.values()):
+                    process.terminate()
+                raise
     report = Report(title="verification", convention=cfg.convention)
     for name in cfg.suites:
         suite = _SUITES[name]

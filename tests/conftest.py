@@ -67,6 +67,19 @@ def default_verify(tmp_path_factory, run_python):
     return SimpleNamespace(returncode=done.returncode, stdout=done.stdout, stderr=done.stderr, out=out)
 
 
+@pytest.fixture
+def grid_calls(monkeypatch):
+    """Calls of Grid.gradient_energy, Grid.laplacian and Grid.fd_gradient, counted by name."""
+    calls = {"gradient_energy": 0, "laplacian": 0, "fd_gradient": 0}
+    for name in calls:
+        def counted(self, *args, _original=getattr(Grid, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(Grid, name, counted)
+    return calls
+
+
 def gaussian_density(grid, sigma2, x0=0.0):
     x = grid.coords[0]
     rho = np.exp(-((x - x0) ** 2) / (2.0 * sigma2))

@@ -6,6 +6,7 @@ import pytest
 from qrel import (
     FunctionalTag,
     GaussianParams,
+    Grid,
     HydroState,
     delta_p2_q,
     delta_x2,
@@ -175,6 +176,13 @@ def fisher_width_bracket(st):
     return poisson_bracket(T.DELTA_X2, T.K_Q, st)
 
 
+@pytest.fixture(scope="module")
+def planar():
+    """A 2-D state with hbar and m away from 1."""
+    return make_gaussian(GaussianParams(sigma2=0.5, b=0.5, p0=1.0), Grid(n=32, length=20.0, dim=2),
+                         hbar=1.3, mass=0.8)
+
+
 class TestStackedOracleMatchesPerSampleReference:
     """A stacked sweep gives, bit for bit, the field of lone bumps."""
 
@@ -190,6 +198,51 @@ class TestStackedOracleMatchesPerSampleReference:
         field = fd_functional_derivative(tag, generic, component, epsilon=5e-6)
         assert np.array_equal(field, reference)
         assert np.abs(field).max() > 0.0 or (tag is T.DELTA_X2 and component == "s")
+
+    @pytest.mark.parametrize("tag", [T.S_GEN, T.H_Q, T.K_Q, T.DELTA_X2, inner_bracket,
+                                     width_bracket, fisher_width_bracket],
+                             ids=["s_gen", "h_q", "k_q", "delta_x2", "callable",
+                                  "callable_sigma_x2", "callable_delta_x2"])
+    @pytest.mark.parametrize("component", ["rho", "s"])
+    def test_bit_identical_in_2d_with_units(self, planar, tag, component):
+        self.test_bit_identical(planar, tag, component)
+
+
+class TestSweepSharesItsBase:
+    """A sweep computes each block of the unbumped component once, and its stacks keep their rows uncopied."""
+
+    def test_s_sweep_takes_one_fisher_integral(self, generic, grid_calls):
+        fd_functional_derivative(T.H_Q, generic, "s")
+        assert grid_calls["gradient_energy"] == 1
+
+    def test_rho_sweep_takes_one_phase_gradient(self, generic, grid_calls):
+        fd_functional_derivative(T.H_Q, generic, "rho")
+        assert grid_calls["fd_gradient"] == 1
+
+    @pytest.mark.parametrize("component", ["rho", "s"])
+    def test_stacks_keep_their_rows(self, generic, monkeypatch, component):
+        made, stacks = [], []
+        honest = brackets._bumped_rows
+
+        def recorded(*args):
+            made.append(honest(*args))
+            return made[-1]
+
+        def func(st):
+            stacks.append(st)
+            return evaluate(T.H_Q, st)
+
+        monkeypatch.setattr(brackets, "_bumped_rows", recorded)
+        fd_functional_derivative(func, generic, component)
+        assert len(stacks) > 1
+        for stack in stacks:
+            if component == "s":
+                assert any(stack.s is rows for rows in made)
+            else:
+                assert any(stack.rho is rows for rows in made)
+                assert any(stack.sqrt_rho is rows for rows in made)
+                # the kept rows are sqrt(rho) bit for bit
+                assert np.array_equal(np.sqrt(stack.rho), stack.sqrt_rho)
 
 
 class TestGeneratorCheck:

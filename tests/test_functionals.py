@@ -261,19 +261,6 @@ class TestStackedEvaluation:
             delta_x2(stack)
 
 
-@pytest.fixture
-def grid_calls(monkeypatch):
-    """Calls of Grid.gradient_energy and Grid.laplacian, counted by name."""
-    calls = {"gradient_energy": 0, "laplacian": 0}
-    for name in calls:
-        def counted(self, *args, _original=getattr(Grid, name), _name=name, **kwargs):
-            calls[_name] += 1
-            return _original(self, *args, **kwargs)
-
-        monkeypatch.setattr(Grid, name, counted)
-    return calls
-
-
 class TestBuildingBlocksOncePerState:
     """Each building block is computed once per state and shared by every functional of it."""
 
@@ -287,9 +274,10 @@ class TestBuildingBlocksOncePerState:
     def test_jacobi_inner_bracket_takes_one_laplacian_per_stack(self, grid, grid_calls):
         state = make_gaussian(GaussianParams(sigma2=1.0, b=1.0), grid)
         jacobi_defect(state)
-        # the inner bracket {H_q, K_q} on each of 24 stacks of bumped states and on the state
-        # itself: the rho-fields of H_q and K_q share one curvature quotient
-        assert grid_calls["laplacian"] == 25
+        # the inner bracket {H_q, K_q} on each of 12 stacks of bumped densities, on the
+        # s-sweep's unbumped base, whose density its 12 stacks hold, and on the state itself:
+        # the rho-fields of H_q and K_q share one curvature quotient
+        assert grid_calls["laplacian"] == 14
 
     def test_public_blocks_return_arrays_the_caller_owns(self, battery):
         members = [state for _, state in battery[:3]]

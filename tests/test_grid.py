@@ -362,3 +362,29 @@ def test_no_path_calls_numpys_nd_transforms(monkeypatch):
     where[grid.n // 2 - 2:grid.n // 2 + 2] = True
     assert np.count_nonzero(fd_functional_derivative(FunctionalTag.H_Q, state, "rho", where=where)) == 4
     assert grid.gradient_energy(state.sqrt_rho.astype(np.longdouble)).dtype == np.longdouble
+
+
+def _rolled_difference(g, f, ax):
+    """The centred stencil on two rolled copies of ``f``: the reference for the grid's sliced one."""
+    return (np.roll(f, -1, axis=ax) - np.roll(f, 1, axis=ax)) * (1.0 / (2.0 * g.spacing))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+@pytest.mark.parametrize("lead", [(), (1,), (2, 3)], ids=["lone", "one-row", "stack"])
+@pytest.mark.parametrize("g", TRANSFORM_GRIDS, ids=["1d", "2d", "3d"])
+def test_centred_stencil_is_the_rolled_difference(g, lead, dtype):
+    # bit for bit the rolled formula, into one new C-ordered array, also for a broadcast view
+    rng = np.random.default_rng(len(lead) + 3 * g.dim)
+    f = rng.standard_normal(lead + g.shape).astype(dtype)
+    comps = [rng.standard_normal(lead + g.shape).astype(dtype) for _ in range(g.dim)]
+    wanted = [_rolled_difference(g, f, ax) for ax in g._trailing_axes]
+    for got in (g.fd_gradient(f), [g._centred_difference(f, ax) for ax in g._trailing_axes]):
+        for a, b in zip(got, wanted, strict=True):
+            assert a.dtype == b.dtype and a.flags.c_contiguous and np.array_equal(a, b)
+    divergence = g.fd_divergence(comps)
+    want = sum(_rolled_difference(g, c, ax) for ax, c in zip(g._trailing_axes, comps, strict=True))
+    assert divergence.dtype == want.dtype and divergence.flags.c_contiguous
+    assert np.array_equal(divergence, want)
+    wide = np.broadcast_to(f, (2,) + f.shape)
+    (got, *_) = g.fd_gradient(wide)
+    assert got.flags.c_contiguous and np.array_equal(got, _rolled_difference(g, wide, -g.dim))

@@ -246,6 +246,29 @@ class TestStackedHydroState:
         with pytest.raises(GridMismatchError):
             HydroState(grid=grid, rho=np.stack([minimal.rho] * 3), s=np.stack([minimal.s] * 2))
 
+    def test_adoption_keeps_its_array_and_checks_as_construction_does(self, grid, minimal):
+        base = HydroState(grid=grid, rho=minimal.rho[np.newaxis], s=minimal.s[np.newaxis],
+                          hbar=0.7, mass=1.3)
+        s = np.stack([minimal.s, 2.0 * minimal.s])
+        stack = HydroState._adopt(base, s=s)
+        assert stack.s is s and not s.flags.writeable and stack.rho is base.rho
+        assert (stack.hbar, stack.mass) == (0.7, 1.3) and stack.sqrt_rho is base.sqrt_rho
+        rho = np.stack([minimal.rho] * 3)
+        rho[1, 7] = -1e-300
+        with pytest.raises(DegenerateStateError, match="negative"):
+            HydroState._adopt(base, rho=rho)
+        with pytest.raises(DegenerateStateError, match="not normalized"):
+            HydroState._adopt(base, rho=np.stack([minimal.rho, 1.001 * minimal.rho]))
+        pair = HydroState(grid=grid, rho=np.stack([minimal.rho] * 2), s=np.stack([minimal.s] * 2))
+        with pytest.raises(GridMismatchError):
+            HydroState._adopt(pair, s=np.stack([minimal.s] * 3))
+        for fresh in (dict(rho=np.asfortranarray(np.stack([minimal.rho] * 2))),
+                      dict(s=minimal.s.astype(np.float32)[np.newaxis]),
+                      dict(rho=minimal.rho.copy(), s=minimal.s.copy()),
+                      dict(s=minimal.s.copy(), sqrt_rho=minimal.sqrt_rho.copy())):
+            with pytest.raises(TypeError):
+                HydroState._adopt(base, **fresh)
+
     def test_one_noded_member_refused(self, grid, minimal):
         x = grid.coords[0]
         noded = x**2 * np.exp(-(x**2) / 2.0)

@@ -156,6 +156,19 @@ def test_first_error_in_report_order_is_raised(monkeypatch, capsys, tmp_path, cp
     assert not (out / "report.json").exists()
 
 
+def test_a_refusal_ends_the_other_parts(monkeypatch):
+    # the battery part refuses at once while the rest part would run for a minute: the run raises
+    # without waiting for it, and leaves no worker behind
+    monkeypatch.setattr(suites, "_usable_cpus", lambda: 2)
+    parts = (_refusal("flow.step: the battery", delay_s=0.2), _refusal("flow.step: the rest", delay_s=60.0))
+    monkeypatch.setitem(suites._SUITES, "dynamics", suites._SUITES["dynamics"]._replace(parts=parts))
+    start = time.perf_counter()
+    with pytest.raises(ConfigurationError, match="^flow.step: the battery$"):
+        suites.run_suites(ScenarioConfig(suites=("dynamics",)))
+    assert time.perf_counter() - start < 20.0
+    assert multiprocessing.active_children() == []
+
+
 def test_a_pool_worker_counts_one_usable_cpu():
     # a daemonic process may not fork, so suites run inside a pool worker run serially
     with multiprocessing.get_context("fork").Pool(1) as pool:
