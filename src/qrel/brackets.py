@@ -47,6 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import GridMismatchError
 from .functionals import FunctionalTag, delta_p2_q, delta_x2, evaluate, variational_derivative
 from .group import dilate
 from .states import HydroState
@@ -173,12 +174,16 @@ def fd_functional_derivative(tag, state: HydroState, component: str = "rho",
     stacked :class:`HydroState` of bumped states (long double, one member
     per bump direction and sample) and must return one value per member,
     computed for each member as for a lone state; every tagged functional
-    does.
+    does.  The oracle takes one state: a stacked ``state`` is refused with a
+    :class:`~qrel.errors.GridMismatchError`.
     """
     if component not in ("rho", "s"):
         raise ValueError(f"component must be 'rho' or 's', got {component!r}")
     if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon!r}")
+    if state.rho.ndim != state.grid.dim or state.s.ndim != state.grid.dim:
+        raise GridMismatchError(f"the bump oracle takes one state, got rho of shape {state.rho.shape} "
+                                f"and s of shape {state.s.shape} on a grid of shape {state.grid.shape}")
     func = tag if callable(tag) else (lambda st: evaluate(tag, st))
     if where is None:
         where = state.rho > ORACLE_RHO_CUTOFF

@@ -43,12 +43,22 @@ and one inverse transform call makes both the field, from that spectrum,
 and the next step's first half kick back in position space.  So a step
 makes four transforms: the pair for the Laplacian of |psi| in W, the
 forward one after the rotation, and that joint inverse (the first step
-of a march makes one more, for its own first half kick).  The band's
-moments and the resolution guard's sigma_x2 are each one matrix product
-per member against a table the grid caches.  The march runs ahead of its
-caller in blocks of fields, each marched into the rows of one buffer
-with its densities in one array, so that sigma_x2 and the nodeless check
-each read a whole block's densities in one call.  A record's phase
+of a march makes one more, for its own first half kick).  Beside those
+transforms and the rotation's cosine and sine, a lone step at n = 512 is
+bound by the overhead of numpy calls on 512-sample arrays, so it makes
+only the calls that round or decide: W is floored, divided, scaled and
+turned into its angle in place, the clamp mask is built only when some
+|W| exceeds W_MAX, the band's distances are squared in place, k_c^2's
+floor and cap are computed once per march, a lone 1-D field's band
+centre and k_c^2 are numpy scalars rather than 0-d arrays, and the noise
+budget is tested in one call a step.  Every operation that rounds keeps its
+operands and their order, so each field is bit for bit the one the same
+expressions give on new arrays.  The band's moments and the resolution
+guard's sigma_x2 are each one matrix product per member against a table
+the grid caches.  The march runs ahead of its caller in blocks of
+fields, each marched into the rows of one buffer with its densities in
+one array, so that sigma_x2 and the nodeless check each read a whole
+block's densities in one call.  A record's phase
 (``WaveField.s``, which s_gen reads) is summed from the principal
 increments between neighbouring samples outward from the box center, so
 no 2 pi jump enters where psi is at the rounding floor.
@@ -264,14 +274,15 @@ def _tau_fields(w: WaveField, dtau: float, steps: int, clamp_events=None):
     rate = 0.5 * w.hbar * abs(dtau) / w.mass
     # the free propagator over half a step, unmasked; the band mask changes every step
     half_kinetic = _kinetic_phase(grid, w.hbar, w.mass, 0.5 * dtau)
+    kc2_bounds = _kc2_bounds(grid)
     # the first step's first half kick, back in position space, with its band mask and k_c^2
-    half_kin, kc2 = _band_half_kinetic(grid, w.psi_hat, half_kinetic)
+    half_kin, kc2 = _band_half_kinetic(grid, w.psi_hat, half_kinetic, kc2_bounds)
     kick = w.psi_hat * half_kin
     grid._ifftn(kick, out=kick)
     field, rho_before, done = w, w.rho, 0
     while done < steps:
         live = members.size
-        count = min(RECORD_BLOCK_FIELDS, max(1, RECORD_BLOCK_SAMPLES // (live * grid.size)), steps - done)
+        count = min(_block_fields(live, grid), steps - done)
         budgets, clamps = [budget], []
         if (budget > NOISE_BUDGET_MAX).all():
             # every live member's spent budget stops it at the field the block starts from:
@@ -281,17 +292,19 @@ def _tau_fields(w: WaveField, dtau: float, steps: int, clamp_events=None):
             buf = np.empty((count + 1,) + kick.shape, dtype=complex)
             for j in range(count):
                 budgets.append(budgets[-1] + rate * kc2)
-                clamps.append(_rotate(w, kick, dtau, out=buf[j]))
-                spectrum = grid._fftn(buf[j], out=buf[j])
+                row = buf[j]
+                clamps.append(_rotate(w, kick, dtau, out=row))
+                spectrum = grid._fftn(row, out=row)
                 spectrum *= half_kin
                 if done + j + 1 < steps:
-                    half_kin, kc2 = _band_half_kinetic(grid, spectrum, half_kinetic)
+                    half_kin, kc2 = _band_half_kinetic(grid, spectrum, half_kinetic, kc2_bounds)
                     np.multiply(spectrum, half_kin, out=buf[j + 1])
-                    grid._ifftn(buf[j:j + 2], out=buf[j:j + 2])
+                    rows = buf[j:j + 2]
+                    grid._ifftn(rows, out=rows)
                 else:
                     grid._ifftn(spectrum, out=spectrum)
                 kick = buf[j + 1]
-                if (budgets[-1] > NOISE_BUDGET_MAX).any():
+                if np.count_nonzero(budgets[-1] > NOISE_BUDGET_MAX):
                     count = j + 1
                     break
             rho = np.empty((count + 1,) + rho_before.shape)
@@ -299,10 +312,10 @@ def _tau_fields(w: WaveField, dtau: float, steps: int, clamp_events=None):
             np.square(np.abs(buf[:count], out=rho[1:]), out=rho[1:])
             rho.setflags(write=False)
         # the guards' verdicts on the field each step of the block starts from
-        spread = np.reshape(_position_variance(grid, rho[:count]), (count, live))
+        spread = _position_variance(grid, rho[:count]).reshape(count, live)
         budgets = np.array(budgets)  # the budget before each step, and after the last step marched
         unresolved = spread <= floor
-        spent = np.reshape(budgets[:count], (count, live)) > NOISE_BUDGET_MAX
+        spent = budgets[:count].reshape(count, live) > NOISE_BUDGET_MAX
         nodal = _nodal_members(grid, rho[:count]).reshape(count, live)
         events = (unresolved | spent | nodal).any(axis=1).tolist()
         alive, everyone = np.ones(live, dtype=bool), True
@@ -339,20 +352,34 @@ def _tau_fields(w: WaveField, dtau: float, steps: int, clamp_events=None):
             kick, half_kin, kc2 = kick[alive], half_kin[alive], kc2[alive]
 
 
-def _band_half_kinetic(grid, spectrum: np.ndarray, half_kinetic: np.ndarray) -> tuple:
+def _kc2_bounds(grid) -> tuple:
+    """The floor and the cap of k_c^2 on ``grid``: nine fundamental wavenumbers squared, and 0.95 Nyquist squared."""
+    return 9.0 * (2.0 * math.pi / grid.length) ** 2, (0.95 * math.pi / grid.spacing) ** 2
+
+
+def _band_half_kinetic(grid, spectrum: np.ndarray, half_kinetic: np.ndarray, kc2_bounds: tuple) -> tuple:
     """The half kinetic step ``half_kinetic`` on each member's band |k - kbar| <= k_c, zero outside, and k_c^2.
 
     kbar and the momentum dispersion dk2 come from the moments of
-    |spectrum|^2 against 1, k and |k|^2.
+    |spectrum|^2 against 1, k and |k|^2, and k_c^2 is BAND_WIDTH_FACTOR *
+    dk2 held within ``kc2_bounds`` (:func:`_kc2_bounds`).  A lone 1-D
+    field's k_c^2 is a numpy scalar, a stack's one per member.
     """
     parts = spectrum.view(np.float64)
-    m = grid._moments(parts * parts, grid._spectral_moment_table)
+    m = grid._moments(np.square(parts), grid._spectral_moment_table)
+    if spectrum.ndim == 1:
+        # a lone 1-D field: the same operations on its three moments as numpy scalars, not as
+        # 0-d arrays, each a fraction of a small array's call cost; numpy's sum of the one
+        # square kbar * kbar is that square
+        total, k1, k2 = m
+        kbar = k1 / total
+        kc2 = min(max(BAND_WIDTH_FACTOR * (k2 / total - kbar * kbar), kc2_bounds[0]), kc2_bounds[1])
+        d2 = grid.wavenumbers - kbar
+        return half_kinetic * (np.square(d2, out=d2) <= kc2), kc2
     m = m / m[..., :1]
     kbar = m[..., 1:-1]
     dk2 = m[..., -1] - (kbar * kbar).sum(axis=-1)
-    kc2_floor = 9.0 * (2.0 * math.pi / grid.length) ** 2
-    kc2_cap = (0.95 * math.pi / grid.spacing) ** 2
-    kc2 = np.minimum(np.maximum(BAND_WIDTH_FACTOR * dk2, kc2_floor), kc2_cap)
+    kc2 = np.minimum(np.maximum(BAND_WIDTH_FACTOR * dk2, kc2_bounds[0]), kc2_bounds[1])
     return half_kinetic * (_distance2(grid, kbar) <= _per_member(kc2, grid)), kc2
 
 
@@ -360,16 +387,18 @@ def _rotate(w: WaveField, psi: np.ndarray, dtau: float, out: np.ndarray):
     """Rotate the phase of ``psi`` pointwise by the clamped potential W, into ``out``.
 
     ``w`` gives the grid and units.  Returns each member's clamp events, or
-    None where no sample was clamped.
+    None where no sample was clamped.  ``out`` may be ``psi`` itself: the
+    rotation factor has its own buffer.
     """
-    W = (w.hbar**2 / w.mass) * _curvature_quotient(w.grid, np.abs(psi))
-    clipped = np.abs(W) > W_MAX
+    W = _curvature_quotient(w.grid, np.abs(psi))
+    W *= w.hbar**2 / w.mass
     events = None
-    if clipped.any():
-        events = np.ravel(clipped.sum(axis=w.grid._trailing_axes))
-        W = np.clip(W, -W_MAX, W_MAX)
-    # exp(-i W dtau / hbar), from the cosine and sine of the real angle
-    angle = W * (-dtau / w.hbar)
+    # the clamp mask is built only when some |W| exceeds W_MAX (fmax skips NaN, as the mask's comparisons do)
+    if np.fmax.reduce(np.abs(W), axis=None) > W_MAX:
+        events = np.ravel((np.abs(W) > W_MAX).sum(axis=w.grid._trailing_axes))
+        np.clip(W, -W_MAX, W_MAX, out=W)
+    # exp(-i W dtau / hbar), from the cosine and sine of the real angle, formed in W's array
+    angle = np.multiply(W, -dtau / w.hbar, out=W)
     rotation = np.empty(psi.shape, dtype=complex)
     np.cos(angle, out=rotation.real)
     np.sin(angle, out=rotation.imag)
@@ -380,14 +409,16 @@ def _rotate(w: WaveField, psi: np.ndarray, dtau: float, out: np.ndarray):
 def _distance2(grid, kbar: np.ndarray) -> np.ndarray:
     """|k - kbar|^2 on every mode of ``grid``, for each member's mean wavenumber ``kbar`` (one per axis).
 
-    Summed axis by axis from the grid's per-axis wavenumbers, first axis
-    first, as a sum over a trailing axis of the dim differences adds them,
-    so no table of every mode's wavenumber vector is built.
+    Summed axis by axis from the grid's per-axis wavenumbers, each
+    difference squared in place and the sum started from the first axis's
+    square, as a sum over a trailing axis of the dim differences adds
+    them, so no table of every mode's wavenumber vector is built.
     """
-    total = 0.0
+    total = None
     for ax, k in enumerate(grid._axis_wavenumbers):
         d = k - _per_member(kbar[..., ax], grid)
-        total = total + d * d
+        np.square(d, out=d)
+        total = d if total is None else total + d
     return total
 
 
@@ -476,9 +507,23 @@ RECORD_BLOCK_FIELDS = 16
 RECORD_BLOCK_SAMPLES = 2**16
 
 
+def _block_fields(live: int, grid) -> int:
+    """Fields in a block of ``live`` members on ``grid``: see RECORD_BLOCK_FIELDS."""
+    return min(RECORD_BLOCK_FIELDS, max(1, RECORD_BLOCK_SAMPLES // (live * grid.size)))
+
+
 def _centered_rate(window, step: float):
-    """4th-order centered d/dtheta at the middle of five samples ``step`` apart."""
-    return (-window[4] + 8.0 * window[3] - 8.0 * window[1] + window[0]) / (12.0 * step)
+    """4th-order centered d/dtheta at the middle of five samples ``step`` apart.
+
+    (-w4 + 8 w3 - 8 w1 + w0) / 12 step, summed left to right in place in a
+    new array: 8 w3 - w4 is -w4 + 8 w3 bit for bit.
+    """
+    rate = np.multiply(window[3], 8.0)
+    rate -= window[4]
+    rate -= np.multiply(window[1], 8.0)
+    rate += window[0]
+    rate /= 12.0 * step
+    return rate
 
 
 def _stencil_residual(rhos, w, dstep):
@@ -488,11 +533,14 @@ def _stencil_residual(rhos, w, dstep):
     middle one; for a block of records, five blocks of densities one field
     apart and the block of middle fields.
     """
-    drho = _centered_rate(rhos, dstep)
-    flux = [w.hbar * j / w.mass for j in reduced_current(w)]
-    resid = drho + w.grid.divergence(flux)
+    flux = reduced_current(w)
+    for j in flux:  # hbar j / m, scaled in place
+        j *= w.hbar
+        j /= w.mass
+    resid = w.grid.divergence(flux)
+    resid += _centered_rate(rhos, dstep)
     axes = w.grid._trailing_axes
-    return np.abs(resid).max(axis=axes) / w.rho.max(axis=axes)
+    return np.abs(resid, out=resid).max(axis=axes) / w.rho.max(axis=axes)
 
 
 def _flow_fields(w0: WaveField, flow: str, step: float, ahead: int):
@@ -552,10 +600,11 @@ def _write_records(columns: dict, live, row: int, step: float, rhos: list, field
     built once a run ends.
     """
     k = len(fields)
-    densities = np.stack(rhos)
+    # np.array stacks the equal-shaped arrays on a new first axis, as np.stack does, in one call
+    densities = np.array(rhos)
     densities.setflags(write=False)
     back = _STENCIL_WIDTH // 2
-    w = WaveField._adopt(fields[0], np.stack([f.psi for f in fields]), densities[back:back + k])
+    w = WaveField._adopt(fields[0], np.array([f.psi for f in fields]), densities[back:back + k])
     window = [densities[d:d + k] for d in range(_STENCIL_WIDTH)]
     values = {
         **_record_observables(w),
@@ -603,6 +652,7 @@ def run_trajectories(w0: WaveField, flow: str, step: float, steps: int) -> list:
     fields, clamps = _flow_fields(w0, flow, step, steps + 2)
     # the buffer: the fields from the next record's on, and their densities from two fields before
     pending, rhos = [], []
+    block = _block_fields(count, w0.grid)
 
     def flush():
         # write the records whose stencils are complete, as one block
@@ -631,10 +681,10 @@ def run_trajectories(w0: WaveField, flow: str, step: float, steps: int) -> list:
                 break
             pending[:] = [f.take(keep) for f in pending]
             rhos[:] = [r[keep] for r in rhos]
+            block = _block_fields(live.size, w0.grid)
         rhos.append(w.rho)
         if j >= 0:
             pending.append(w)
-        block = min(RECORD_BLOCK_FIELDS, max(1, RECORD_BLOCK_SAMPLES // (live.size * w0.grid.size)))
         if len(pending) - back >= block:
             flush()
     flush()

@@ -34,6 +34,7 @@ derivatives of H_q and K_q are the phase equations of the t- and tau-flows
 
 import enum
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -146,8 +147,10 @@ def fisher_integral(state: HydroState) -> float:
 
 def _curvature_quotient(grid, u: np.ndarray) -> np.ndarray:
     # laplacian(u)/u for an amplitude u, with u floored at sqrt(RHO_FLOOR): the
-    # quantum potential's quotient, shared by the functionals and both flows
-    return grid.laplacian(u) / np.maximum(u, np.sqrt(RHO_FLOOR))
+    # quantum potential's quotient, shared by the functionals and both flows;
+    # divided in place into the floored copy of u, a new array the caller owns
+    floored = np.maximum(u, math.sqrt(RHO_FLOOR))
+    return np.divide(grid.laplacian(u), floored, out=floored)
 
 
 @_kept("rho")
@@ -165,13 +168,18 @@ def sqrt_density_curvature(state: HydroState) -> np.ndarray:
     return _owned(_curvature(state))
 
 
+def _sum_of_squares(parts: list) -> np.ndarray:
+    # the sum of the squares of fresh real arrays, each squared in place and added in place to
+    # the first: the bits of sum(p**2 for p in parts), whose start 0 adds exactly
+    total = np.square(parts[0], out=parts[0])
+    for p in parts[1:]:
+        total += np.square(p, out=p)
+    return total
+
+
 @_kept("s")
 def _grad_s_squared(state: HydroState) -> np.ndarray:
-    # summed in place from the first axis's square: the bits of sum(), whose start 0 adds exactly
-    squares = [g**2 for g in phase_gradient(state)]
-    for square in squares[1:]:
-        squares[0] += square
-    return squares[0]
+    return _sum_of_squares(phase_gradient(state))
 
 
 @_kept()
@@ -384,7 +392,7 @@ def wave_fisher_integral(w: WaveField) -> float:
 
 
 def wave_delta_p2_q(w: WaveField) -> float:
-    return w.hbar**2 * w.grid.quadrature(sum(np.abs(g) ** 2 for g in w.grad_psi))
+    return w.hbar**2 * w.grid.quadrature(_sum_of_squares([np.abs(g) for g in w.grad_psi]))
 
 
 def wave_h_q(w: WaveField) -> float:

@@ -202,7 +202,8 @@ class WaveField:
         it, and is harmless there because every use of s carries a rho
         weight.
         """
-        s = self.hbar * _phase_from_center(self.psi, self.grid.dim)
+        s = _phase_from_center(self.psi, self.grid.dim)
+        s *= self.hbar
         s.setflags(write=False)
         return s
 
@@ -236,18 +237,18 @@ class WaveField:
         """A field on ``like``'s grid and units that keeps ``psi`` itself, made read-only.
 
         Only for a fresh C-ordered complex128 array (or a view of one) that
-        this package has just made and hands to no one else; an array a
-        caller passes is copied (``_read_only``), since a read-only flag
-        alone promises nothing about who else may write to it.  ``rho``, if
-        given, is kept as the density cache: a read-only array holding
-        |psi|^2 bit for bit.
+        this package has just made, with ``like``'s grid axes last, and hands
+        to no one else; an array a caller passes is copied (``_read_only``),
+        since a read-only flag alone promises nothing about who else may
+        write to it.  ``rho``, if given, is kept as the density cache: a
+        read-only array holding |psi|^2 bit for bit.
         """
         if psi.dtype != np.complex128 or not psi.flags.c_contiguous:
             raise TypeError(f"only a C-ordered complex128 array is adopted, got a {psi.dtype} array"
                             f"{'' if psi.flags.c_contiguous else ' that is not C-ordered'}")
         psi.setflags(write=False)
         w = object.__new__(cls)
-        w.__dict__.update(grid=like.grid, psi=like.grid.bind(psi), hbar=like.hbar, mass=like.mass)
+        w.__dict__.update(grid=like.grid, psi=psi, hbar=like.hbar, mass=like.mass)
         if rho is not None:
             w.__dict__["rho"] = rho
         return w
@@ -330,13 +331,16 @@ def to_wave(state: HydroState) -> WaveField:
 def _increments_from_center(line: np.ndarray) -> np.ndarray:
     # sum of the principal increments arg(psi[j+1] conj psi[j]) along the last axis, outward
     # from its center index, where the sum is 0.  The product is taken over full contiguous
-    # rows of n samples (the rolled row and the conjugate are new C-ordered arrays), never
-    # over two strided views of n - 1 samples: under numpy 2.4 the bits of that product
-    # depend on the stack's total size ((1, 18, 511) gave each row's lone bits, (3, 18, 511)
-    # and (64, 1, 511) did not).  On full rows each stack gives each row its lone bits, so a
-    # record's phase does not depend on the block of records it is written in.
+    # rows of n samples (the row rolled by one sample, as np.roll(line, -1, axis=-1) makes it,
+    # and the conjugate are new C-ordered arrays), never over two strided views of n - 1
+    # samples: under numpy 2.4 the bits of that product depend on the stack's total size
+    # ((1, 18, 511) gave each row's lone bits, (3, 18, 511) and (64, 1, 511) did not).  On full
+    # rows each stack gives each row its lone bits, so a record's phase does not depend on the
+    # block of records it is written in.  The rolled row is the product's temporary left
+    # operand: numpy writes a large product into a temporary right operand by swapping the
+    # operands, and the swap moves the product's bits.
     c = line.shape[-1] // 2
-    steps = np.angle(np.roll(line, -1, axis=-1) * np.conj(line))[..., :-1]
+    steps = np.angle(np.concatenate((line[..., 1:], line[..., :1]), axis=-1) * np.conj(line))[..., :-1]
     out = np.empty(line.shape, dtype=steps.dtype)
     out[..., c] = 0.0
     np.cumsum(steps[..., c:], axis=-1, out=out[..., c + 1:])
@@ -350,11 +354,14 @@ def _phase_from_center(psi: np.ndarray, dim: int) -> np.ndarray:
     # arg psi along a path from the center: along the first grid axis with the others at
     # their centers, then along the second with the rest at their centers, and so on; only
     # the trailing ``dim`` axes are grid axes, never a stack axis
+    # each leg's increments are a new array at least the shape of the phase so far, so the
+    # phase is added into them in place
     center = tuple(n // 2 for n in psi.shape[-dim:])
     phase = np.angle(psi[(...,) + center])[(...,) + (np.newaxis,) * dim]
     for leg in range(dim):
         line = psi[(...,) + (slice(None),) * (leg + 1) + center[leg + 1:]]
-        phase = phase + _increments_from_center(line)[(...,) + (np.newaxis,) * (dim - 1 - leg)]
+        increments = _increments_from_center(line)[(...,) + (np.newaxis,) * (dim - 1 - leg)]
+        phase = np.add(increments, phase, out=increments)
     return phase
 
 
@@ -406,7 +413,7 @@ def _nodal_members(grid: Grid, rho: np.ndarray) -> np.ndarray:
         # minimum from its first body sample up to its last (the odd segments lie between)
         bounds = np.empty((len(body), 2), dtype=np.intp)
         bounds[:, 0] = body.argmax(axis=1)
-        bounds[:, 1] = n - 1 - body[:, ::-1].argmax(axis=1)
+        np.subtract(n - 1, body[:, ::-1].argmax(axis=1), out=bounds[:, 1])
         bounds += np.arange(0, lines.size, n)[:, None]
         dips = np.minimum.reduceat(lines.ravel(), bounds.ravel())[0::2].reshape(len(rho), -1)
         deep = dips.astype(np.float64, copy=False) < 1e-15 * peak[:, None]

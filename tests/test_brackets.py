@@ -21,6 +21,7 @@ from qrel import (
 )
 from qrel import brackets
 from qrel.brackets import ORACLE_RHO_CUTOFF, bracket_of_fields
+from qrel.errors import GridMismatchError
 from qrel.suites import oracle_field_gap
 
 T = FunctionalTag
@@ -135,6 +136,15 @@ class TestOracle:
         coarse = fd_functional_derivative(T.H_Q, minimal, "s", epsilon=1e-5)
         fine = fd_functional_derivative(T.H_Q, minimal, "s", epsilon=5e-6)
         assert np.abs(fine - coarse).max() < 1e-8
+
+    @pytest.mark.parametrize("component", ["rho", "s"])
+    def test_stacked_state_refused(self, component):
+        # the sweep bumps one state's samples; a stack is refused before any sweep, by name
+        grid = Grid(64, 40.0)
+        one, two = (make_gaussian(GaussianParams(sigma2=sigma2), grid) for sigma2 in (1.0, 2.0))
+        pair = HydroState(grid, np.stack([one.rho, two.rho]), np.stack([one.s, two.s]))
+        with pytest.raises(GridMismatchError, match="the bump oracle takes one state"):
+            fd_functional_derivative(T.S_GEN, pair, component)
 
 
 def per_sample_sweep(func, state, component, eps, mask):

@@ -42,6 +42,7 @@ from qrel.functionals import (
 )
 from qrel.oracles import gaussian_ode_rhs
 from qrel.report import TRAJECTORY_HEADER, table_csv, trajectory_csv
+from qrel.states import RHO_FLOOR
 from qrel.suites import battery_params, gaussian_fit, subjects, tau_record_gap
 
 
@@ -205,14 +206,24 @@ class TestTauFlow:
         with pytest.raises(Exception):
             evolve_tau(w, 1e-3, 5)
 
-    @pytest.mark.parametrize("steps", [1, 10])
-    def test_five_transforms_per_step(self, minimal_wave, steps, fft_calls):
+    @pytest.mark.parametrize("steps", [1, 10, 500])
+    def test_five_transforms_per_step(self, minimal_wave, steps, fft_calls, monkeypatch):
         # one for the starting spectrum, five for the first step and four for each later one:
         # the march never transforms the field it has just made, and one inverse transform
-        # call makes each field and the next step's first half kick together
+        # call makes each field and the next step's first half kick together.  numpy's complex
+        # transform is never handed a real field to cast (the Laplacian of |psi| casts it once)
+        real_inputs = []
+
+        def fft(a, *args, _original=np.fft.fft, **kwargs):
+            if not np.iscomplexobj(a):
+                real_inputs.append(a.shape)
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "fft", fft)
         w = WaveField(grid=minimal_wave.grid, psi=minimal_wave.psi)
         out = evolve_tau(w, 1e-3, steps)
         assert len(fft_calls) == 1 + 5 + 4 * (steps - 1)
+        assert real_inputs == []
         # the field's own transform is computed on demand, as of a fresh field
         assert out.psi_hat.tobytes() == WaveField(grid=out.grid, psi=out.psi).psi_hat.tobytes()
 
@@ -791,21 +802,88 @@ class TestBandMask:
         krel2 = (krel * krel).sum(axis=-1)
         return half_kinetic * (krel2 <= kc2.reshape(kc2.shape + (1,) * grid.dim)), kc2, kbar, krel2
 
+    @staticmethod
+    def summed_distance2(grid, kbar):
+        # |k - kbar|^2 summed axis by axis from 0.0, each square a new array
+        total = 0.0
+        for ax, k in enumerate(grid._axis_wavenumbers):
+            d = k - kbar[..., ax].reshape(kbar.shape[:-1] + (1,) * grid.dim)
+            total = total + d * d
+        return total
+
+    @pytest.mark.parametrize("members", [(), (4,)], ids=["lone", "stack"])
     @pytest.mark.parametrize("dim, n", [(1, 64), (2, 32), (3, 16)])
-    def test_mask_matches_the_table(self, dim, n):
+    def test_mask_matches_the_table(self, dim, n, members):
         grid = Grid(n=n, length=12.0, dim=dim)
         rng = np.random.default_rng(dim)
-        # four members with Gaussian spectra around random centres and widths
+        # four members (or one) with Gaussian spectra around random centres and widths
         k = grid._wavenumber_table
         centres, widths = rng.uniform(-3.0, 3.0, (4, dim)), rng.uniform(0.5, 2.0, 4)
         spectrum = np.stack([np.exp(-((k - c) ** 2).sum(axis=-1) / w + 1j * rng.uniform(0, 6.3, grid.shape))
                              for c, w in zip(centres, widths)])
+        if not members:
+            spectrum = spectrum[0]
         half_kinetic = dynamics._kinetic_phase(grid, 1.0, 1.0, 0.5e-3)
-        mask, kc2 = dynamics._band_half_kinetic(grid, spectrum, half_kinetic)
+        mask, kc2 = dynamics._band_half_kinetic(grid, spectrum, half_kinetic, dynamics._kc2_bounds(grid))
         want, want_kc2, kbar, krel2 = self.table_mask(grid, half_kinetic, spectrum)
+        assert mask.shape == spectrum.shape and np.shape(kc2) == members
         assert mask.tobytes() == want.tobytes() and kc2.tobytes() == want_kc2.tobytes()
         assert 0 < np.count_nonzero(mask) < mask.size
         assert dynamics._distance2(grid, kbar).tobytes() == krel2.tobytes()
+        assert dynamics._distance2(grid, kbar).tobytes() == self.summed_distance2(grid, kbar).tobytes()
+
+    @pytest.mark.parametrize("members", [(), (2,)], ids=["lone", "stack"])
+    def test_zero_spectrum_gives_an_empty_band(self, members):
+        # a zero field's moments divide 0 by 0: numpy's warning, a NaN k_c^2 and no mode in the
+        # band, for a lone 1-D field's scalars as for a stack's arrays
+        grid = Grid(n=64, length=12.0)
+        half_kinetic = dynamics._kinetic_phase(grid, 1.0, 1.0, 0.5e-3)
+        with pytest.warns(RuntimeWarning, match="invalid value"):
+            mask, kc2 = dynamics._band_half_kinetic(grid, np.zeros(members + grid.shape, dtype=complex),
+                                                    half_kinetic, dynamics._kc2_bounds(grid))
+        assert np.shape(kc2) == members and np.isnan(kc2).all() and not mask.any()
+
+
+class TestRotation:
+    """The rotation by the clamped potential, bit for bit the expression it was made of with new arrays."""
+
+    @staticmethod
+    def rotated(w, psi, dtau):
+        # W and the angle as new arrays, the quotient as Laplacian over floored amplitude, the clamp
+        # mask built every call; returns the rotated field and the clamp events
+        u = np.abs(psi)
+        fhat = w.grid._fftn(u)
+        fhat *= w.grid._minus_k_squared
+        quotient = w.grid._ifftn(fhat, out=fhat).real / np.maximum(u, np.sqrt(RHO_FLOOR))
+        W = (w.hbar**2 / w.mass) * quotient
+        clipped = np.abs(W) > dynamics.W_MAX
+        events = None
+        if clipped.any():
+            events = np.ravel(clipped.sum(axis=w.grid._trailing_axes))
+            W = np.clip(W, -dynamics.W_MAX, dynamics.W_MAX)
+        angle = W * (-dtau / w.hbar)
+        rotation = np.empty(psi.shape, dtype=complex)
+        np.cos(angle, out=rotation.real)
+        np.sin(angle, out=rotation.imag)
+        return psi * rotation, events
+
+    @pytest.mark.parametrize("w_max, clamps", [(25.0, [True, False]), (dynamics.W_MAX, [False, False])])
+    def test_rotation_and_clamp_events(self, grid, monkeypatch, w_max, clamps):
+        # W_MAX = 25 clips the narrow member's rim, where |W| reaches 36, and not the wide one's,
+        # where it stays below 16; each member alone gets its row and its count
+        monkeypatch.setattr(dynamics, "W_MAX", w_max)
+        waves = [to_wave(make_gaussian(GaussianParams(sigma2=s2, b=b), grid, hbar=0.8, mass=1.3))
+                 for s2, b in ((0.5, 0.4), (2.0, -0.3))]
+        stack = WaveField(grid=grid, psi=np.stack([w.psi for w in waves]), hbar=0.8, mass=1.3)
+        for w, flags in zip([stack, *waves], [clamps, clamps[:1], clamps[1:]]):
+            want, want_events = self.rotated(w, w.psi, 1e-3)
+            into = w.psi.copy()  # the march rotates its buffer row into itself
+            events = dynamics._rotate(w, into, 1e-3, out=into)
+            assert into.tobytes() == want.tobytes()
+            if any(flags):
+                assert events.tolist() == want_events.tolist() and [bool(e) for e in events] == flags
+            else:
+                assert events is None and want_events is None
 
 
 class TestFinalField:

@@ -346,6 +346,39 @@ def test_transforms_are_numpys_nd_transforms(g, lead, dtype):
         assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
+def _same_bits(a, b):
+    """Bit for bit equal: the same dtype and shape, values and signs of zero (long double arrays carry
+    padding bytes, so their bytes are not compared)."""
+    parts = (lambda x: (x.real, x.imag)) if np.iscomplexobj(a) else (lambda x: (x,))
+    return a.dtype == b.dtype and a.shape == b.shape and all(
+        np.array_equal(p, q) and np.array_equal(np.signbit(p), np.signbit(q))
+        for p, q in zip(parts(a), parts(b), strict=True))
+
+
+def _transformed_laplacian(g, f):
+    """The Laplacian with numpy casting a real ``f`` inside the forward transform: the reference for the
+    grid's, which casts ``f`` once and transforms the copy in place."""
+    fhat = g._fftn(f)
+    fhat *= g._minus_k_squared
+    out = g._ifftn(fhat, out=fhat)
+    return out.real if not np.iscomplexobj(f) else out
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble, np.complex128, np.clongdouble])
+@pytest.mark.parametrize("lead", [(), (2, 3)], ids=["lone", "stack"])
+@pytest.mark.parametrize("g", TRANSFORM_GRIDS, ids=["1d", "2d", "3d"])
+def test_laplacian_is_the_transformed_expression(g, lead, dtype):
+    rng = np.random.default_rng(7 + len(lead) + 3 * g.dim)
+    f = rng.standard_normal(lead + g.shape)
+    if np.dtype(dtype).kind == "c":
+        f = f + 1j * rng.standard_normal(f.shape)
+    f = f.astype(dtype)
+    before = f.copy()
+    got = g.laplacian(f)
+    assert _same_bits(got, _transformed_laplacian(g, f))
+    assert _same_bits(f, before)  # the input is not written
+
+
 def test_no_path_calls_numpys_nd_transforms(monkeypatch):
     # a tau-run, a t-run, one oracle field and a long-double Fisher integral, on fresh fields
     # whose caches hold no transform yet, all transform through the grid's 1-D calls only
